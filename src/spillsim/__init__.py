@@ -1,7 +1,7 @@
 """spillsim: simulation and estimation lab for randomized experiments with
 network spillovers."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .design import DesignSpec, assign, constant_design, ramp_design
 from .dynamics import (
@@ -48,6 +48,7 @@ from .weights import (
     ExplicitDenseWeights,
     GaussianWeightParams,
     InfluencerWeights,
+    LazyGaussianWeights,
     gen_clustered,
     gen_dense_gaussian,
     gen_influencer,

@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
+    except (ConfigError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
         return 1
 
@@ -161,7 +161,7 @@ def _cmd_simulate(args) -> int:
     config, text = _load(args)
     outdir = _ensure_outdir(args.out)
     seed = config.base_seed
-    weights = config.weights.build(config.n_units, config.n_rounds, seed)
+    weights = config.weights.build(config.n_units, config.n_rounds, seed, shared=config.fixed_network)
     w_obs = design_mod.assign(config.design, seed)
     x = round_index_covariates(config.n_units, config.n_rounds)
     y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(config.n_units)

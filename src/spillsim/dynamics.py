@@ -215,13 +215,16 @@ def step(
     noise_t = np.asarray(noise_t, dtype=np.float64)
     if not (w_t.shape == y_prev.shape == e_t.shape):
         raise ValueError("step inputs must share a shape")
-    y = spec.unit.value(w_t, y_prev, np.asarray(x_t, dtype=np.float64), t) + e_t
-    if spec.noise_sd > 0.0:
-        y = y + spec.noise_sd * noise_t
+    # Overflow is reported below with its location, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = spec.unit.value(w_t, y_prev, np.asarray(x_t, dtype=np.float64), t) + e_t
+        if spec.noise_sd > 0.0:
+            y = y + spec.noise_sd * noise_t
     bad = ~np.isfinite(np.atleast_1d(y))
     if bad.any():
-        unit = int(np.argwhere(bad)[0][0])
-        raise FloatingPointError(f"non-finite outcome for unit {unit} at round {t}")
+        where = np.argwhere(bad)[0]
+        scenario = f" in scenario {int(where[1])}" if bad.ndim == 2 else ""
+        raise FloatingPointError(f"non-finite outcome for unit {int(where[0])} at round {t}{scenario}")
     return y
 
 

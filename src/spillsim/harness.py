@@ -44,11 +44,11 @@ from .weights import (
     ClusteredWeights,
     GaussianWeightParams,
     InfluencerWeights,
+    LazyGaussianWeights,
     WeightSet,
     gen_clustered,
     gen_dense_gaussian,
     gen_influencer,
-    weights_from_descriptor,
 )
 
 CLASSICAL_ESTIMATORS = ("dm", "ht")
@@ -78,10 +78,14 @@ class WeightConfig:
         if self.kind not in ("dense_gaussian", "clustered", "influencer", "explicit"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
-    def build(self, n_units: int, n_rounds: int, seed: int) -> WeightSet:
+    def build(self, n_units: int, n_rounds: int, seed: int, shared: bool = False) -> WeightSet:
+        """The weight set for one forward pass, or for several when ``shared``
+        (a fixed network): only the materialized Gaussian can serve those."""
         if self.kind == "dense_gaussian":
             params = GaussianWeightParams(self.mu, self.sigma2, self.mu_t, self.sigma2_t)
-            return gen_dense_gaussian(n_units, params, n_rounds, seed)
+            if shared:
+                return gen_dense_gaussian(n_units, params, n_rounds, seed)
+            return LazyGaussianWeights(n_units, params, n_rounds, seed)
         if self.kind == "clustered":
             return gen_clustered(n_units, self.n_clusters, self.w_in, self.w_out)
         if self.kind == "influencer":
@@ -239,7 +243,7 @@ def run_once(config: ScenarioConfig, seed: int) -> RunRecord:
     estimators on the observed data, and score them."""
     n, t_max = config.n_units, config.n_rounds
     weight_seed = config.base_seed if config.fixed_network else seed
-    weights = config.weights.build(n, t_max, weight_seed)
+    weights = config.weights.build(n, t_max, weight_seed, shared=config.fixed_network)
     structure = structure_of(weights)
 
     w_obs = design_mod.assign(config.design, seed)

@@ -31,7 +31,3 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     entropy = [_token(seed)] + [_token(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
-
-def child_seed(seed: int, *path: int | str) -> int:
-    """Derive a 63-bit integer seed for APIs that want a plain seed."""
-    return int(substream(seed, *path).integers(0, 2**63 - 1))

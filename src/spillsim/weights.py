@@ -1,13 +1,20 @@
 """Interference weight structures.
 
 A weight set assigns every ordered pair (i, j) and round t a real weight: the
-influence of unit j on unit i in round t. Four representations are provided:
+influence of unit j on unit i in round t. The simulator only ever needs the
+weighted peer sums ``apply(gv, t)``. Five representations are provided:
 
-* ``DenseGaussianWeights``: a static matrix of i.i.d. Normal(mu/n, sigma2/n)
-  entries plus an independent per-round delta matrix of Normal(mu_t/n,
-  sigma2_t/n) entries. The static part is materialized once; the per-round
-  deltas are regenerated on demand from a round-keyed substream, so memory
-  stays O(n^2) no matter how many rounds are simulated.
+* ``LazyGaussianWeights``: the engine behind ``kind = dense_gaussian``. A
+  static matrix of i.i.d. Normal(mu/n, sigma2/n) entries plus an independent
+  per-round delta of Normal(mu_t/n, sigma2_t/n) entries, never built: the
+  products W @ G are drawn with exactly the joint law of the materialized
+  matrix by Gaussian conditioning. Memory and work per round are O(n k), where
+  k is the number of distinct signal columns seen so far. It serves one
+  forward pass through the rounds and has no point lookups.
+* ``DenseGaussianWeights``: the same law, materialized (8 n^2 bytes). It is
+  the small-n oracle the lazy engine is tested against, the only Gaussian kind
+  with point lookups, and the engine for a network shared by several
+  replications (``fixed_network``), whose signals differ.
 * ``ClusteredWeights``: block structure, w_in/n within a cluster and w_out/n
   across clusters.
 * ``InfluencerWeights``: a small set of m high-reach units whose columns carry
@@ -17,13 +24,15 @@ influence of unit j on unit i in round t. Four representations are provided:
 * ``ExplicitDenseWeights``: any fixed matrix, for arbitrary heterogeneity.
 
 Structured kinds never materialize an n x n matrix; their row sums and point
-lookups are computed lazily. All weight sets are immutable after construction.
+lookups are computed lazily. Dense kinds check the 8 n^2 bytes they need
+against physical memory before allocating. All weight sets except the lazy
+Gaussian are immutable after construction.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +57,21 @@ class GaussianWeightParams:
                 raise ValueError(f"{name} must be finite")
         if self.sigma2 < 0 or self.sigma2_t < 0:
             raise ValueError("variances must be non-negative")
+
+
+def _check_dense_fits(n: int, what: str) -> None:
+    """Raise a named MemoryError before an n x n float64 allocation that
+    cannot fit in physical memory."""
+    need = 8 * n * n
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # platform without sysconf: let numpy fail as it would
+    if need > physical:
+        raise MemoryError(
+            f"{what}: N={n} needs an {n}x{n} float64 matrix of {need} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        )
 
 
 class WeightSet:
@@ -80,6 +104,8 @@ class WeightSet:
 
 @dataclass(frozen=True)
 class DenseGaussianWeights(WeightSet):
+    """The dense Gaussian law materialized: 8 n^2 bytes, point lookups."""
+
     n_units: int
     params: GaussianWeightParams
     n_rounds: int
@@ -89,6 +115,7 @@ class DenseGaussianWeights(WeightSet):
     def __post_init__(self):
         if self.static is None:
             n = self.n_units
+            _check_dense_fits(n, "materialized dense_gaussian weights (needed by fixed_network and point lookups)")
             rng = substream(self.seed, "weights", "static")
             a = rng.normal(self.params.mu / n, np.sqrt(self.params.sigma2 / n), size=(n, n))
             a.setflags(write=False)
@@ -123,17 +150,146 @@ class DenseGaussianWeights(WeightSet):
         return self.static.copy() if delta is None else self.static + delta
 
     def to_descriptor(self) -> dict:
+        return _gaussian_descriptor(self)
+
+
+class _ConditionedGaussian:
+    """Images Z @ g of an n x n matrix Z of i.i.d. N(0, 1) entries that is
+    never built (Bolthausen's conditioning technique).
+
+    Keeps an orthonormal basis q_1..q_k of the columns seen so far and their
+    images b_i = Z q_i. A new column g splits into its projection on the
+    basis, whose image is known, and a remainder r orthogonal to it; Z r / |r|
+    is independent of everything drawn so far, so it is one fresh N(0, 1)
+    column. This is a Gram-Schmidt QR of the columns, G = U R, with Z U drawn
+    column by column. Basis and images are lists, so growing them copies
+    nothing: an image costs O(n k) time and adds at most 16 n bytes.
+    """
+
+    def __init__(self, fresh: np.random.Generator):
+        self.fresh = fresh
+        self.basis: list[np.ndarray] = []
+        self.images: list[np.ndarray] = []
+
+    def image(self, g: np.ndarray) -> np.ndarray:
+        coef = [q @ g for q in self.basis]
+        r = g - _combine(coef, self.basis, g.shape)
+        again = [q @ r for q in self.basis]  # classical Gram-Schmidt, re-orthogonalized once
+        r -= _combine(again, self.basis, g.shape)
+        coef = [a + b for a, b in zip(coef, again)]
+        norm = np.linalg.norm(r)
+        if norm > 1e-12 * np.linalg.norm(g):
+            r /= norm
+            self.basis.append(r)
+            self.images.append(self.fresh.standard_normal(g.shape[0]))
+            coef.append(norm)
+        return _combine(coef, self.images, g.shape)
+
+
+def _combine(coef: list, vectors: list[np.ndarray], shape) -> np.ndarray:
+    """sum_i coef[i] * vectors[i], accumulated in order."""
+    out = np.zeros(shape)
+    for c, v in zip(coef, vectors):
+        out += c * v
+    return out
+
+
+def _gaussian_descriptor(ws: DenseGaussianWeights | LazyGaussianWeights) -> dict:
+    # Both engines share one schema; weights_from_descriptor rebuilds the oracle.
+    p = ws.params
+    return {
+        "kind": "dense_gaussian",
+        "n_units": ws.n_units,
+        "n_rounds": ws.n_rounds,
+        "mu": p.mu,
+        "sigma2": p.sigma2,
+        "mu_t": p.mu_t,
+        "sigma2_t": p.sigma2_t,
+        "seed": ws.seed,
+    }
+
+
+@dataclass(eq=False)
+class LazyGaussianWeights(WeightSet):
+    """``DenseGaussianWeights``'s law without the n x n matrix.
+
+    Write the static matrix as (mu/n) 11' + sqrt(sigma2/n) Z and the round-t
+    delta as (mu_t/n) 11' + sqrt(sigma2_t/n) Z_t. The mean terms are computed
+    directly. ``_ConditionedGaussian`` draws each image Z g conditionally on
+    every image drawn before, so one instance serves the static part for the
+    whole pass and a fresh one, seeded by the round, serves each delta.
+
+    Columns are reduced to their distinct values in a canonical order (sorted
+    by their bytes) before any draw, so identical scenarios get bit-identical
+    exposures and scenario order cannot change any result. Rounds must come
+    in increasing order, each at most once: one forward pass.
+    """
+
+    n_units: int
+    params: GaussianWeightParams
+    n_rounds: int
+    seed: int
+    static: _ConditionedGaussian = field(init=False, repr=False)
+    last_round: int = field(init=False, repr=False, default=0)
+
+    def __post_init__(self):
+        if self.n_units < 1:
+            raise ValueError("population size must be at least 1")
+        if self.n_rounds < 1:
+            raise ValueError("need at least one round")
+        self.static = _ConditionedGaussian(substream(self.seed, "weights", "static"))
+
+    def effective_weight(self, i: int, j: int, t: int) -> float:
+        raise NotImplementedError(
+            "lazy Gaussian weights have no point lookups; use gen_dense_gaussian (the materialized oracle)"
+        )
+
+    def dense(self, t: int) -> np.ndarray:
+        raise NotImplementedError(
+            "lazy Gaussian weights are never materialized; use gen_dense_gaussian (the materialized oracle)"
+        )
+
+    def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
+        if not 1 <= t <= self.n_rounds:
+            raise IndexError(f"round {t} outside 1..{self.n_rounds}")
+        if t <= self.last_round:
+            raise ValueError(
+                f"round {t} requested after round {self.last_round}: lazy Gaussian weights serve one "
+                "forward pass; use gen_dense_gaussian to revisit a round"
+            )
+        gv = np.asarray(gv, dtype=np.float64)
+        squeeze = gv.ndim == 1
+        g = gv[:, None] if squeeze else gv
+        n = self.n_units
+        if g.ndim != 2 or g.shape[0] != n:
+            raise ValueError(f"signals of shape {gv.shape} do not match {n} units")
+        self.last_round = t
+        keys = [g[:, j].tobytes() for j in range(g.shape[1])]
+        lead: dict[bytes, int] = {}  # distinct column -> its first index, in canonical order
+        for j in sorted(range(len(keys)), key=keys.__getitem__):
+            lead.setdefault(keys[j], j)
+        source = [lead[key] for key in keys]
+        distinct = list(lead.values())
+        del keys, lead
         p = self.params
-        return {
-            "kind": "dense_gaussian",
-            "n_units": self.n_units,
-            "n_rounds": self.n_rounds,
-            "mu": p.mu,
-            "sigma2": p.sigma2,
-            "mu_t": p.mu_t,
-            "sigma2_t": p.sigma2_t,
-            "seed": self.seed,
-        }
+        out = np.empty(g.shape)
+        for j in distinct:
+            out[:, j] = ((p.mu + p.mu_t) / n) * g[:, j].sum()
+        if p.sigma2_t > 0.0:
+            delta = _ConditionedGaussian(substream(self.seed, "weights", "delta", t))
+            for j in distinct:
+                out[:, j] += np.sqrt(p.sigma2_t / n) * delta.image(g[:, j])
+            del delta  # free its columns before the static basis grows
+        if p.sigma2 > 0.0:
+            for j in distinct:
+                out[:, j] += np.sqrt(p.sigma2 / n) * self.static.image(g[:, j])
+        for j, src in enumerate(source):
+            if src != j:
+                out[:, j] = out[:, src]
+        return out[:, 0] if squeeze else out
+
+    def to_descriptor(self) -> dict:
+        return _gaussian_descriptor(self)
 
 
 @dataclass(frozen=True)
@@ -246,6 +402,7 @@ class ExplicitDenseWeights(WeightSet):
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("explicit weights must be a square matrix")
+        _check_dense_fits(m.shape[0], "explicit weights")
         if not np.all(np.isfinite(m)):
             raise ValueError("explicit weights must all be finite")
         m = m.copy()
@@ -296,7 +453,9 @@ def gen_influencer(n: int, influencers: Sequence[int], w_inf: float, w_base: flo
 
 
 def weights_from_descriptor(desc: dict, default_n_rounds: int | None = None) -> WeightSet:
-    """Rebuild a weight set from its JSON descriptor."""
+    """Rebuild a weight set from its JSON descriptor. A ``dense_gaussian``
+    descriptor rebuilds the materialized oracle: the same law as a lazy set
+    with that descriptor, not the same realization."""
     kind = desc.get("kind")
     if kind == "dense_gaussian":
         params = GaussianWeightParams(
@@ -311,12 +470,6 @@ def weights_from_descriptor(desc: dict, default_n_rounds: int | None = None) -> 
     if kind == "explicit":
         return ExplicitDenseWeights(np.asarray(desc["matrix"], dtype=np.float64))
     raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def write_descriptor_json(path, ws: WeightSet) -> None:
-    with open(path, "w") as fh:
-        json.dump(ws.to_descriptor(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def write_explicit_csv(path, ws: ExplicitDenseWeights) -> None:
@@ -347,6 +500,7 @@ def read_explicit_csv(path) -> ExplicitDenseWeights:
     if not entries:
         raise ValueError(f"{path}: no weight rows")
     n = max(max(i, j) for i, j in entries) + 1
+    _check_dense_fits(n, str(path))
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected all {n}x{n} pairs")
     matrix = np.zeros((n, n))

@@ -241,3 +241,12 @@ def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_cli_reports_a_dense_matrix_too_large_for_memory(tmp_path, capsys):
+    # fixed_network needs the materialized N x N matrix: 8e14 bytes at N = 10^7.
+    text = NULL_CONFIG.replace("n_units = 40", "n_units = 10000000") + "fixed_network = true\n"
+    cfg = _write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"].startswith("MemoryError:") and "N=10000000" in err["error"]

@@ -80,6 +80,9 @@ def test_step_reports_nonfinite_unit_and_round():
     spec = linear_spec(unit=LinearUnit(w_coef=1e308, y_coef=1e308))
     with pytest.raises(FloatingPointError, match="unit 1 at round 3"):
         step(spec, np.zeros(2), np.array([0.0, 1e308]), np.zeros((2, 1)), np.zeros(2), np.zeros(2), 3)
+    stacked = np.array([[0.0, 0.0], [0.0, 1e308]])  # scenario 1 overflows at unit 1
+    with pytest.raises(FloatingPointError, match="unit 1 at round 3 in scenario 1"):
+        step(spec, np.zeros((2, 2)), stacked, np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((2, 1)), 3)
 
 
 def _hand_fixture_panels():

@@ -203,6 +203,46 @@ def test_fixed_network_mode_shares_weights_across_reps():
     assert reps[0].gt_control == reps[1].gt_control
 
 
+def test_fixed_network_replications_match_the_materialized_oracle(monkeypatch):
+    # Seed-dependent baselines, noise and assignments make every replication's
+    # signals differ, so only one shared realization reproduces every panel.
+    import dataclasses
+
+    from spillsim import harness
+    from spillsim.dynamics import counterfactual_suite
+    from spillsim.weights import GaussianWeightParams, gen_dense_gaussian
+
+    params = GaussianWeightParams(1.0, 1.0, 0.2, 0.3)
+    cfg = dataclasses.replace(
+        linear_config(n=30, t_max=3, noise=0.2, reps=3, seed=5),
+        weights=WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0, mu_t=0.2, sigma2_t=0.3),
+        fixed_network=True,
+    )
+    calls = []
+
+    def spy(spec, weights, scenarios, x, y0, seed):
+        panels = counterfactual_suite(spec, weights, scenarios, x, y0, seed)
+        calls.append((scenarios, x, y0, seed, panels))
+        return panels
+
+    monkeypatch.setattr(harness, "counterfactual_suite", spy)
+    replicate(cfg)
+    assert len(calls) == 3 and len({y0.tobytes() for _, _, y0, _, _ in calls}) == 3
+    oracle = gen_dense_gaussian(cfg.n_units, params, cfg.n_rounds, cfg.base_seed)
+    for scenarios, x, y0, seed, panels in calls:
+        again = counterfactual_suite(cfg.dynamics, oracle, scenarios, x, y0, seed)
+        for got, want in zip(panels, again):
+            assert np.array_equal(got.values, want.values)
+
+
+def test_dense_gaussian_engine_follows_fixed_network():
+    from spillsim.weights import DenseGaussianWeights, LazyGaussianWeights
+
+    wc = WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0)
+    assert isinstance(wc.build(10, 2, 0), LazyGaussianWeights)
+    assert isinstance(wc.build(10, 2, 0, shared=True), DenseGaussianWeights)
+
+
 def test_sweep_degenerate_grid_reduces_to_replicate():
     config = linear_config(n=60, noise=0.1, seed=31, reps=2)
     table = failure_sweep(config, "trend", [0.0])

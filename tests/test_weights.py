@@ -1,9 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spillsim.dynamics import DynamicsSpec, LinearPeer, LinearUnit, WeightedSumExposure, counterfactual_suite
+from spillsim.panel import TreatmentPanel, round_index_covariates
 from spillsim.weights import (
     ExplicitDenseWeights,
     GaussianWeightParams,
+    LazyGaussianWeights,
     gen_clustered,
     gen_dense_gaussian,
     gen_influencer,
@@ -184,3 +191,143 @@ def test_out_of_range_lookup():
         ws.effective_weight(4, 0, 1)
     with pytest.raises(IndexError):
         ws.effective_weight(0, -1, 1)
+
+
+def test_dense_kinds_name_the_allocation_they_cannot_make(tmp_path):
+    # N = 10^7 would need 8e14 bytes; each check fires before any allocation.
+    n = 10**7
+    pattern = rf"N={n} needs .* {8 * n * n} bytes, more than the \d+ bytes of physical memory"
+    with pytest.raises(MemoryError, match=pattern):
+        gen_dense_gaussian(n, GaussianWeightParams(1.0, 1.0), 1, 0)
+    with pytest.raises(MemoryError, match=pattern):
+        ExplicitDenseWeights(np.broadcast_to(0.0, (n, n)))
+    path = tmp_path / "huge.csv"
+    path.write_text(f"i,j,weight\n0,{n - 1},1.0\n")
+    with pytest.raises(MemoryError, match=pattern):
+        read_explicit_csv(path)
+
+
+# --- lazy Gaussian engine ----------------------------------------------------
+
+
+def _adaptive_two_rounds(ws, g1):
+    """Round-1 exposures, then round-2 exposures of signals that depend on
+    them, as in a simulation."""
+    e1 = ws.apply(g1, 1)
+    e2 = ws.apply(np.tanh(e1) + 0.5 * g1, 2)
+    return e1, e2
+
+
+def test_lazy_gaussian_matches_oracle_moments():
+    # Per unit and scenario: means and standard deviations of both rounds'
+    # exposures and their round-1/round-2 covariance, over independent draws
+    # of the lazy engine and of the materialized oracle. Each difference is a
+    # two-sample z statistic from the empirical moments.
+    n, draws, z_bound = 4, 4000, 4.0
+    params = GaussianWeightParams(1.0, 1.0, 0.3, 0.5)
+    g1 = np.column_stack([np.linspace(-1.0, 2.0, n), np.ones(n)])
+
+    def sample(make):
+        e = np.array([np.stack(_adaptive_two_rounds(make(seed), g1)) for seed in range(draws)])
+        return e[:, 0], e[:, 1]  # (draws, n, s) each
+
+    lazy = sample(lambda seed: LazyGaussianWeights(n, params, 2, seed))
+    # Disjoint seeds: both engines draw from the same substream names.
+    oracle = sample(lambda seed: gen_dense_gaussian(n, params, 2, 10**6 + seed))
+
+    def stats(e1, e2):
+        c1, c2 = e1 - e1.mean(axis=0), e2 - e2.mean(axis=0)
+        per_draw = {"mean1": e1, "mean2": e2, "var1": c1**2, "var2": c2**2, "cov12": c1 * c2}
+        return {k: (v.mean(axis=0), v.var(axis=0) / draws) for k, v in per_draw.items()}
+
+    a, b = stats(*lazy), stats(*oracle)
+    worst = max(float(np.max(np.abs(a[k][0] - b[k][0]) / np.sqrt(a[k][1] + b[k][1]))) for k in a)
+    assert worst < z_bound, f"largest |z| {worst:.2f}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    t_max=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    mu_t=st.sampled_from([0.0, 0.4]),
+    sigma2_t=st.sampled_from([0.0, 0.7]),
+    data=st.data(),
+)
+def test_lazy_suite_is_order_invariant_and_bit_identical_for_equal_scenarios(n, t_max, seed, mu_t, sigma2_t, data):
+    # Peer signal = treatment, so an all-control round emits a zero column.
+    spec = DynamicsSpec(
+        unit=LinearUnit(w_coef=1.0, y_coef=0.7), peer=LinearPeer(w_coef=1.0, y_coef=0.0), exposure=WeightedSumExposure()
+    )
+    bits = st.lists(st.sampled_from([0.0, 1.0]), min_size=n * t_max, max_size=n * t_max)
+    distinct = [TreatmentPanel(np.zeros((n, t_max)))] + [
+        TreatmentPanel(np.array(b).reshape(n, t_max)) for b in data.draw(st.lists(bits, min_size=1, max_size=2))
+    ]
+    scenarios = distinct + [distinct[0], distinct[-1]]  # duplicates
+    order = data.draw(st.permutations(range(len(scenarios))))
+    params = GaussianWeightParams(1.0, 1.0, mu_t, sigma2_t)
+    x = round_index_covariates(n, t_max)
+    y0 = np.linspace(-1.0, 1.0, n)
+
+    def suite(scns):
+        return counterfactual_suite(spec, LazyGaussianWeights(n, params, t_max, seed), scns, x, y0, seed)
+
+    panels = suite(scenarios)
+    shuffled = suite([scenarios[i] for i in order])
+    for pos, i in enumerate(order):
+        assert np.array_equal(shuffled[pos].values, panels[i].values)
+    assert np.array_equal(panels[-2].values, panels[0].values)
+    assert np.array_equal(panels[-1].values, panels[len(distinct) - 1].values)
+
+
+def test_lazy_gaussian_serves_one_forward_pass():
+    ws = LazyGaussianWeights(5, GaussianWeightParams(1.0, 1.0), n_rounds=3, seed=0)
+    ws.apply(np.ones(5), 1)
+    with pytest.raises(ValueError, match="round 1 requested after round 1"):
+        ws.apply(np.ones(5), 1)
+    ws.apply(np.ones(5), 3)
+    with pytest.raises(ValueError, match="round 2 requested after round 3"):
+        ws.apply(np.ones(5), 2)
+    with pytest.raises(IndexError, match="round 4"):
+        ws.apply(np.ones(5), 4)
+    with pytest.raises(NotImplementedError, match="gen_dense_gaussian"):
+        ws.effective_weight(0, 1, 1)
+    with pytest.raises(NotImplementedError, match="gen_dense_gaussian"):
+        ws.dense(1)
+
+
+def test_lazy_gaussian_degenerate_variance_is_the_mean_field():
+    ws = LazyGaussianWeights(4, GaussianWeightParams(2.0, 0.0, 1.0, 0.0), n_rounds=1, seed=3)
+    g = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
+    assert np.allclose(ws.apply(g, 1), np.array([[7.5, 0.0]] * 4), rtol=0, atol=1e-12)
+
+
+def test_lazy_gaussian_single_unit_is_one_scalar_weight():
+    # n = 1: W is a scalar per round, so every image is linear in its signal.
+    ws = LazyGaussianWeights(1, GaussianWeightParams(1.0, 1.0, 0.4, 0.7), n_rounds=2, seed=5)
+    first = ws.apply(np.array([[2.0, 0.0, 2.0, -1.0]]), 1)[0]
+    assert first[0] == first[2] and first[1] == 0.0
+    assert first[3] == pytest.approx(-0.5 * first[0], rel=1e-12)
+    assert len(ws.static.basis) == 1
+
+
+def test_lazy_gaussian_apply_memory_is_linear_in_n():
+    # Basis and images hold 2 * 8 * N * k bytes; signals in and exposures out
+    # take 2 * 8 * N * s. The peak an apply allocates may not exceed their sum.
+    n, s = 200_000, 3
+    ws = LazyGaussianWeights(n, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=2, seed=1)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        for t in (1, 2):
+            g = rng.standard_normal((n, s))
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = ws.apply(g, t)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            k = len(ws.static.basis)
+            assert out.shape == (n, s) and k == s * t
+            assert peak <= 2 * 8 * n * (k + s), f"round {t}: {peak} bytes for k={k}"
+            del out
+    finally:
+        tracemalloc.stop()
