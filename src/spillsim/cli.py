@@ -31,7 +31,7 @@ from . import design as design_mod
 from .config import ConfigError, config_hash, parse_config
 from .dynamics import simulate_panel
 from .estimators import ScenarioPath
-from .harness import ScenarioConfig, failure_sweep, replicate, run_once, structure_of
+from .harness import ScenarioConfig, failure_sweep, replicate, structure_of
 from .panel import (
     column_mean,
     read_outcome_csv,
@@ -252,8 +252,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_demo(args) -> int:
     config, text = _load(args, text=DEMO_CONFIG)
     outdir = _ensure_outdir(args.out)
-    record = run_once(config, config.base_seed)
     report = replicate(config)
+    record = report.records[0]  # records are sorted by seed; this is base_seed's
 
     rows = []
     for t in range(config.n_rounds + 1):

@@ -15,8 +15,10 @@ threads.
 from __future__ import annotations
 
 import csv
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -251,70 +253,161 @@ def w1_distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 # --- CSV interchange -------------------------------------------------------
 #
-# Format: header "unit,round,value", one row per (unit, round) cell. Outcome
-# files carry rounds 0..T, treatment files rounds 1..T. Unit ids are 0-based.
+# Format: a header naming the three columns, then one row "row,col,value" per
+# matrix cell. Panel files use the header "unit,round,value"; outcome files
+# carry rounds 0..T, treatment and exposure files rounds 1..T. Unit ids are
+# 0-based. Writers emit cells in unit-major order, values as Python ``repr``
+# floats, lines ended by CRLF (the bytes ``csv.writer`` produces). Readers
+# accept rows in any order, LF or CRLF line ends and blank lines.
+
+PANEL_HEADER = ("unit", "round", "value")
+
+_CELL = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+# Cells formatted per ``fh.write``; bounds the text held in memory at once.
+_BLOCK_CELLS = 1 << 16
+_INT_FIELD = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
 
 
 def write_outcome_csv(path, panel: OutcomePanel) -> None:
-    _write_cells(path, panel.values, first_round=0)
+    write_cells(path, panel.values, first_col=0)
 
 
 def write_treatment_csv(path, panel: TreatmentPanel) -> None:
-    _write_cells(path, panel.values, first_round=1)
+    write_cells(path, panel.values, first_col=1)
 
 
 def write_matrix_csv(path, matrix: np.ndarray, first_round: int = 1) -> None:
     """Write a (units, rounds) matrix, e.g. an exposure matrix, in panel CSV form."""
-    _write_cells(path, np.asarray(matrix, dtype=np.float64), first_round=first_round)
-
-
-def _write_cells(path, values: np.ndarray, first_round: int) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "round", "value"])
-        n, cols = values.shape
-        for i in range(n):
-            for c in range(cols):
-                writer.writerow([i, first_round + c, repr(float(values[i, c]))])
+    write_cells(path, matrix, first_col=first_round)
 
 
 def read_outcome_csv(path) -> OutcomePanel:
-    values = _read_cells(path, first_round=0)
-    return OutcomePanel(values)
+    return OutcomePanel(read_cells(path, first_col=0))
 
 
 def read_treatment_csv(path) -> TreatmentPanel:
-    values = _read_cells(path, first_round=1)
-    return TreatmentPanel(values)
+    return TreatmentPanel(read_cells(path, first_col=1))
 
 
-def _read_cells(path, first_round: int) -> np.ndarray:
-    cells: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["unit", "round", "value"]:
-            raise ValueError(f"{path}: expected header unit,round,value")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            key = (int(row[0]), int(row[1]))
-            if key in cells:
-                raise ValueError(f"{path}: duplicate (unit, round) key {key}")
-            cells[key] = float(row[2])
-    if not cells:
+def write_cells(path, values: np.ndarray, first_col: int = 0, header: Sequence[str] = PANEL_HEADER) -> None:
+    """Write a 2-d matrix as one CSV row "row,col,value" per cell, unit-major.
+
+    Columns are numbered from ``first_col``. Each block of units is one
+    ``%``-format of a template stamped per unit, so no Python code runs per
+    cell.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n, cols = values.shape
+    unit_rows = "".join(f"#,{first_col + c},%r\r\n" for c in range(cols))
+    per_block = max(1, _BLOCK_CELLS // max(cols, 1))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, per_block):
+            hi = min(n, lo + per_block)
+            template = "".join([unit_rows.replace("#", str(i)) for i in range(lo, hi)])
+            fh.write(template % tuple(values[lo:hi].ravel().tolist()))
+
+
+def read_cells(
+    path,
+    first_col: int = 0,
+    header: Sequence[str] = PANEL_HEADER,
+    shape: Callable[[int, int], tuple[int, int]] | None = None,
+) -> np.ndarray:
+    """Read a CSV written by ``write_cells`` back into its matrix.
+
+    Row ids start at 0 and column ids at ``first_col``; every (row, col) cell
+    in the bounding rectangle must appear exactly once, in any order, with a
+    finite value. ``shape``, if given, maps the (rows, cols) extent of the keys
+    to the matrix shape to allocate, and may raise before that allocation.
+    Errors name the file and, where one row is at fault, its line.
+    """
+    row_name, col_name, value_name = header
+    with open(path) as fh:
+        if next(csv.reader([fh.readline()]), None) != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                cells = np.loadtxt(fh, dtype=_CELL, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise _parse_fault(path, header) or ValueError(f"{path}: {exc}") from None
+    if cells.size == 0:
         raise ValueError(f"{path}: no data rows")
-    units = sorted({k[0] for k in cells})
-    rounds = sorted({k[1] for k in cells})
-    if units != list(range(len(units))):
-        raise ValueError(f"{path}: unit ids must be contiguous from 0")
-    if rounds != list(range(first_round, first_round + len(rounds))):
-        raise ValueError(f"{path}: rounds must be contiguous from {first_round}")
-    values = np.empty((len(units), len(rounds)))
-    for (i, r), v in cells.items():
-        values[i, r - first_round] = v
-    if len(cells) != values.size:
-        raise ValueError(f"{path}: missing (unit, round) cells")
-    return values
+    a, b, v = cells["row"], cells["col"], cells["value"]
+
+    for ids, name, start in ((a, row_name, 0), (b, col_name, first_col)):
+        low = ids < start
+        if low.any():
+            k = int(np.argmax(low))
+            raise _row_fault(path, k, f"{name} {ids[k]} is out of range (first {name} is {start})")
+    bad = ~np.isfinite(v)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _row_fault(path, k, f"non-finite {value_name} at {row_name} {a[k]}, {col_name} {b[k]}")
+
+    rows, cols = int(a.max()) + 1, int(b.max()) - first_col + 1
+    if shape is not None:
+        rows, cols = shape(rows, cols)
+    if rows * cols == cells.size:
+        flat = a * cols + (b - first_col)
+        if np.bincount(flat, minlength=cells.size).max() == 1:
+            values = np.empty(rows * cols)
+            values[flat] = v
+            return values.reshape(rows, cols)
+    raise _key_fault(path, a, b, first_col, cols, header)
+
+
+def _data_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of the rows ``np.loadtxt`` parses, in order: every
+    line after the header that is not empty."""
+    with open(path) as fh:
+        fh.readline()
+        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=2) if line != "\n"]
+
+
+def _row_fault(path, k: int, message: str) -> ValueError:
+    line, text = _data_lines(path)[k]
+    return ValueError(f"{path}:{line}: {message}: {text!r}")
+
+
+def _parse_fault(path, header: Sequence[str]) -> ValueError | None:
+    """The first row ``np.loadtxt`` could not parse, found by a rescan in Python."""
+    for line, text in _data_lines(path):
+        message = _field_fault(next(csv.reader([text])), header)
+        if message is not None:
+            return ValueError(f"{path}:{line}: {message}: {text!r}")
+    return None
+
+
+def _field_fault(fields: list[str], header: Sequence[str]) -> str | None:
+    if len(fields) != 3:
+        return f"expected 3 fields {','.join(header)}, found {len(fields)}"
+    for name, field in zip(header, fields[:2]):
+        if not _INT_FIELD.fullmatch(field) or not -(2**63) <= int(field) < 2**63:
+            return f"{name} {field!r} is not an integer id"
+    try:
+        float(fields[2])
+    except ValueError:
+        return f"{header[2]} {fields[2]!r} is not a number"
+    return None
+
+
+def _key_fault(path, a: np.ndarray, b: np.ndarray, first_col: int, cols: int, header: Sequence[str]) -> ValueError:
+    """Name the first repeated key in file order, else the first missing cell
+    in row-major order. Only called once the keys are known to be faulty."""
+    row_name, col_name, _ = header
+    order = np.lexsort((b, a))  # stable: a repeated key keeps its file order
+    sa, sb = a[order], b[order]
+    repeats = order[1:][(sa[1:] == sa[:-1]) & (sb[1:] == sb[:-1])]
+    if repeats.size:
+        k = int(repeats.min())
+        first = int(np.flatnonzero((a == a[k]) & (b == b[k]))[0])
+        first_line = _data_lines(path)[first][0]
+        return _row_fault(
+            path, k, f"duplicate ({row_name}, {col_name}) key ({a[k]}, {b[k]}), first at line {first_line}"
+        )
+    expected = np.arange(sa.size)
+    off = np.flatnonzero((sa != expected // cols) | (sb != first_col + expected % cols))
+    j = int(off[0]) if off.size else sa.size
+    return ValueError(f"{path}: no row for {row_name} {j // cols}, {col_name} {first_col + j % cols}")

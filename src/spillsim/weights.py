@@ -31,13 +31,13 @@ Gaussian are immutable after construction.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .panel import read_cells, write_cells
 from .rng import substream
 
 
@@ -472,38 +472,18 @@ def weights_from_descriptor(desc: dict, default_n_rounds: int | None = None) -> 
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
+EXPLICIT_HEADER = ("i", "j", "weight")
+
+
 def write_explicit_csv(path, ws: ExplicitDenseWeights) -> None:
-    """Explicit matrices interchange as rows i,j,weight."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "weight"])
-        n = ws.n_units
-        for i in range(n):
-            for j in range(n):
-                writer.writerow([i, j, repr(float(ws.matrix[i, j]))])
+    """Explicit matrices interchange as rows i,j,weight, in panel CSV form."""
+    write_cells(path, ws.matrix, header=EXPLICIT_HEADER)
 
 
 def read_explicit_csv(path) -> ExplicitDenseWeights:
-    entries: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "j", "weight"]:
-            raise ValueError(f"{path}: expected header i,j,weight")
-        for row in reader:
-            if not row:
-                continue
-            key = (int(row[0]), int(row[1]))
-            if key in entries:
-                raise ValueError(f"{path}: duplicate weight for pair {key}")
-            entries[key] = float(row[2])
-    if not entries:
-        raise ValueError(f"{path}: no weight rows")
-    n = max(max(i, j) for i, j in entries) + 1
-    _check_dense_fits(n, str(path))
-    if len(entries) != n * n:
-        raise ValueError(f"{path}: expected all {n}x{n} pairs")
-    matrix = np.zeros((n, n))
-    for (i, j), v in entries.items():
-        matrix[i, j] = v
-    return ExplicitDenseWeights(matrix)
+    def square(rows: int, cols: int) -> tuple[int, int]:
+        n = max(rows, cols)
+        _check_dense_fits(n, str(path))
+        return n, n
+
+    return ExplicitDenseWeights(read_cells(path, header=EXPLICIT_HEADER, shape=square))

@@ -220,6 +220,22 @@ def test_demo_outputs_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_demo_runs_each_seed_once(tmp_path, monkeypatch):
+    from spillsim import cli, harness
+
+    seeds = []
+    run_once = harness.run_once
+
+    def counted(config, seed):
+        seeds.append(seed)
+        return run_once(config, seed)
+
+    monkeypatch.setattr(harness, "run_once", counted)
+    monkeypatch.setattr(cli, "run_once", counted, raising=False)  # in case cli calls it directly
+    assert main(["demo", "--out", str(tmp_path), "--seed", "11", "--reps", "2"]) == 0
+    assert seeds == [11, 12]
+
+
 def test_demo_seed_changes_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["demo", "--out", str(out1), "--seed", "1"])

@@ -185,6 +185,25 @@ def test_explicit_csv_roundtrip(tmp_path):
     assert np.array_equal(again.matrix, ws.matrix)
 
 
+def test_explicit_csv_rejects_negative_ids(tmp_path):
+    # These rows once loaded as a 2x2 matrix with (-1, 1) written into (1, 1).
+    path = tmp_path / "neg.csv"
+    path.write_text("i,j,weight\n0,0,1.0\n0,1,2.0\n1,0,3.0\n-1,1,4.0\n")
+    with pytest.raises(ValueError, match=r"neg\.csv:5: i -1 is out of range \(first i is 0\)"):
+        read_explicit_csv(path)
+
+
+def test_explicit_csv_names_duplicate_and_missing_pairs(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("i,j,weight\n0,0,1.0\n0,1,2.0\n1,0,3.0\n0,1,4.0\n")
+    with pytest.raises(ValueError, match=r"dup\.csv:5: duplicate \(i, j\) key \(0, 1\), first at line 3"):
+        read_explicit_csv(path)
+    path = tmp_path / "wide.csv"
+    path.write_text("i,j,weight\n" + "".join(f"{i},{j},1.0\n" for i in range(2) for j in range(3)))
+    with pytest.raises(ValueError, match=r"wide\.csv: no row for i 2, j 0"):
+        read_explicit_csv(path)
+
+
 def test_out_of_range_lookup():
     ws = gen_clustered(4, 2, 1.0, 0.0)
     with pytest.raises(IndexError):
