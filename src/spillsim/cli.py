@@ -180,10 +180,13 @@ def _cmd_estimate(args) -> int:
     outdir = _ensure_outdir(args.out)
     y = read_outcome_csv(args.outcomes)
     w = read_treatment_csv(args.treatments)
-    if y.n_units != config.n_units or y.n_rounds != config.n_rounds:
-        raise ConfigError(
-            f"panel is {y.n_units} units x {y.n_rounds} rounds, config says {config.n_units} x {config.n_rounds}"
-        )
+    # Both panels must match the config, and so each other, before any fit.
+    for path, panel in ((args.outcomes, y), (args.treatments, w)):
+        if (panel.n_units, panel.n_rounds) != (config.n_units, config.n_rounds):
+            raise ConfigError(
+                f"{path}: panel is {panel.n_units} units x {panel.n_rounds} rounds,"
+                f" config says {config.n_units} x {config.n_rounds}"
+            )
     weights = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
     structure = structure_of(weights)
 

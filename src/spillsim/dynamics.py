@@ -235,8 +235,11 @@ def _evolve(
     x: CovariatePanel,
     y0: np.ndarray,
     seed: int,
+    keep_exposures: bool,
 ) -> tuple[list[OutcomePanel], list[ExposureMatrix]]:
-    """Evolve all scenarios in lockstep, sharing weights and noise draws."""
+    """Evolve all scenarios in lockstep, sharing weights and noise draws. The
+    exposure matrices are built only when keep_exposures is set; otherwise the
+    list is empty."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -254,7 +257,7 @@ def _evolve(
     s = len(scenarios)
     y_cur = np.tile(y0[:, None], (1, s))
     outcomes = np.empty((s, n, t_max + 1))
-    exposures = np.empty((s, n, t_max))
+    exposures = np.empty((s, n, t_max)) if keep_exposures else None
     outcomes[:, :, 0] = y_cur.T
     for t in range(1, t_max + 1):
         w_cols = np.column_stack([w.column(t) for w in scenarios])
@@ -266,9 +269,10 @@ def _evolve(
             noise = np.zeros((n, 1))
         y_cur = step(spec, w_cols, y_cur, x_t[:, None, :] if x_t.ndim == 2 else x_t, e_t, noise, t)
         outcomes[:, :, t] = y_cur.T
-        exposures[:, :, t - 1] = e_t.T
+        if keep_exposures:
+            exposures[:, :, t - 1] = e_t.T
     panels = [OutcomePanel(outcomes[k]) for k in range(s)]
-    mats = [ExposureMatrix(exposures[k]) for k in range(s)]
+    mats = [ExposureMatrix(exposures[k]) for k in range(s)] if keep_exposures else []
     return panels, mats
 
 
@@ -281,7 +285,7 @@ def simulate_panel(
     seed: int,
 ) -> tuple[OutcomePanel, ExposureMatrix]:
     """Simulate one scenario from the baseline column y0 through round T."""
-    panels, mats = _evolve(spec, weights, [w], x, y0, seed)
+    panels, mats = _evolve(spec, weights, [w], x, y0, seed, keep_exposures=True)
     return panels[0], mats[0]
 
 
@@ -295,7 +299,7 @@ def counterfactual_suite(
 ) -> list[OutcomePanel]:
     """Simulate several scenarios under one weight realization and one noise
     stream. Scenario order does not affect any output panel."""
-    panels, _ = _evolve(spec, weights, scenarios, x, y0, seed)
+    panels, _ = _evolve(spec, weights, scenarios, x, y0, seed, keep_exposures=False)
     return panels
 
 

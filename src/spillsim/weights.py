@@ -321,8 +321,10 @@ class ClusteredWeights(WeightSet):
         squeeze = gv.ndim == 1
         g = gv[:, None] if squeeze else gv
         total = g.sum(axis=0)
-        per_cluster = np.zeros((self.n_clusters, g.shape[1]))
-        np.add.at(per_cluster, self.membership, g)
+        # bincount sums each cluster's units in unit order.
+        per_cluster = np.column_stack(
+            [np.bincount(self.membership, weights=g[:, j], minlength=self.n_clusters) for j in range(g.shape[1])]
+        )
         n = self.n_units
         out = (self.w_out / n) * total[None, :] + ((self.w_in - self.w_out) / n) * per_cluster[self.membership]
         return out[:, 0] if squeeze else out

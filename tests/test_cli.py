@@ -137,6 +137,36 @@ def test_estimate_rejects_mismatched_panel(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "units,rounds,shape",
+    [(slice(None), slice(0, 3), "120 units x 3 rounds"), (slice(0, 100), slice(None), "100 units x 4 rounds")],
+    ids=["one_round_fewer", "fewer_units"],
+)
+def test_estimate_rejects_truncated_treatment_panel(tmp_path, capsys, units, rounds, shape):
+    from spillsim.panel import TreatmentPanel, write_treatment_csv
+
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim_dir)]) == 0
+    treatments = sim_dir / "treatments.csv"
+    full = read_treatment_csv(treatments)
+    write_treatment_csv(treatments, TreatmentPanel(full.values[units, rounds]))
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate", "--config", str(cfg), "--out", str(tmp_path / "est"),
+            "--outcomes", str(sim_dir / "outcomes.csv"), "--treatments", str(treatments),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("ConfigError: ")
+    assert str(treatments) in error and shape in error and "config says 120 x 4" in error
+    assert not (tmp_path / "est" / "coefficients.json").exists()
+
+
 def test_benchmark_null_scenario_reports_zero_gt(tmp_path):
     cfg = _write_config(tmp_path, NULL_CONFIG)
     out = tmp_path / "bench"

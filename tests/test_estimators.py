@@ -4,19 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillsim.estimators import (
+    RANK_RTOL,
+    TSQR_LEAF_ROWS,
     Feature,
     FeatureSpec,
     ScenarioPath,
     StructureMetadata,
     basic_feature_spec,
+    cluster_feature_spec,
     design_matrix,
     dm_estimate,
     fit_ese,
     ht_estimate,
+    influencer_feature_spec,
     propagate,
     tte_from_coeffs,
 )
-from spillsim.panel import OutcomePanel, TreatmentPanel
+from spillsim.panel import OutcomePanel, TreatmentPanel, column_mean
 
 # --- difference in means ------------------------------------------------------
 
@@ -210,6 +214,111 @@ def test_fit_residuals_orthogonal_to_features():
     assert np.all(np.abs(x.T @ resid) / (x.shape[0] * scale) < 1e-8)
 
 
+UNINDEXED_KINDS = (
+    "intercept",
+    "own_treatment",
+    "lagged_outcome",
+    "treated_fraction",
+    "lagged_mean",
+    "own_times_lag",
+    "own_times_fraction",
+)
+
+
+def _assert_fit_matches_oracle(y, w, spec, structure=None):
+    """fit_ese against np.linalg.lstsq on the full N*T-row design matrix."""
+    fit = fit_ese(y, w, spec, structure)
+    x, target = design_matrix(spec, w, y, structure)
+    ref, *_ = np.linalg.lstsq(x, target, rcond=RANK_RTOL)
+    resid = target - x @ ref
+    assert np.all(np.abs(fit.values - ref) <= 1e-9 * (1.0 + np.abs(ref))), (fit.values, ref)
+    scale = 1.0 + float(np.abs(target).max())
+    assert np.all(np.abs(x @ fit.values - x @ ref) <= 1e-9 * scale)
+    assert abs(fit.rss - float(resid @ resid)) <= 1e-9 * (1.0 + float(target @ target))
+    assert fit.n_rows == x.shape[0] == w.n_units * w.n_rounds
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fit_matches_lstsq_on_design_matrix(data):
+    # Small panels with constant designs, exact duplicate columns (one
+    # cluster, one unit, constant fractions) and the fewest rounds allowed.
+    n = data.draw(st.sampled_from([1, 2, 3, 5, 12, 40]), label="n")
+    kinds = data.draw(st.lists(st.sampled_from(UNINDEXED_KINDS), unique=True, max_size=7), label="kinds")
+    k = data.draw(st.integers(0, min(n, 3)), label="clusters")
+    influencers = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 2)), label="influencers")
+    items = kinds + [f"cluster_fraction:{l}" for l in range(k)] + [f"influencer_treatment:{j}" for j in influencers]
+    if not items:
+        items = ["intercept"]
+    spec = FeatureSpec.parse(items)
+    t_max = max(1, spec.n_scenario_level()) + data.draw(st.integers(0, 2), label="extra rounds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    design = data.draw(st.sampled_from(["bernoulli", "all_control", "all_treated", "constant_fraction"]))
+    if design == "bernoulli":
+        w = (rng.random((n, t_max)) < rng.random(t_max)).astype(float)
+    elif design == "constant_fraction":
+        w = np.tile((np.arange(n) < (n + 1) // 2).astype(float)[:, None], (1, t_max))
+    else:
+        w = np.full((n, t_max), float(design == "all_treated"))
+    y = rng.normal(size=(n, t_max + 1)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="outcome scale")
+    membership = rng.permutation(np.arange(n) % k) if k else None
+    structure = StructureMetadata(membership=membership, n_clusters=k or None, influencers=tuple(influencers) or None)
+    _assert_fit_matches_oracle(OutcomePanel(y), TreatmentPanel(w), spec, structure)
+
+
+@pytest.mark.parametrize("n", [2 * TSQR_LEAF_ROWS - 1, 2 * TSQR_LEAF_ROWS, 3 * TSQR_LEAF_ROWS + 17])
+def test_fit_matches_lstsq_on_tall_panels(n):
+    # At 2 * TSQR_LEAF_ROWS units each round is factored leaf by leaf.
+    rng = np.random.default_rng(n)
+    w = TreatmentPanel((rng.random((n, 5)) < np.array([0.0, 0.2, 0.4, 0.6, 0.8])).astype(float))
+    y = OutcomePanel(rng.normal(size=(n, 6)) + 3.0)
+    structure = StructureMetadata(membership=np.arange(n) % 2, n_clusters=2)
+    for spec in (basic_feature_spec(), cluster_feature_spec(2), FeatureSpec.parse(UNINDEXED_KINDS)):
+        _assert_fit_matches_oracle(y, w, spec, structure)
+
+
+def _estimates(y, w, structure, influencers):
+    """dm and ht at every round, and the round-T effect of every ESE spec."""
+    out = []
+    for t in range(1, w.n_rounds + 1):
+        out += [dm_estimate(y.column(t), w.column(t)), ht_estimate(y.column(t), w.column(t), 0.3)]
+    for spec in (basic_feature_spec(), cluster_feature_spec(structure.n_clusters), influencer_feature_spec(influencers)):
+        coeffs = fit_ese(y, w, spec, structure)
+        out.append(tte_from_coeffs(coeffs, spec, column_mean(y, 0), w.n_rounds))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_estimators_invariant_to_unit_relabeling(data):
+    n = data.draw(st.integers(4, 30), label="n")
+    k = data.draw(st.integers(1, 2), label="clusters")
+    t_max = 5
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = (rng.random((n, t_max)) < rng.random(t_max)).astype(float)
+    y = rng.normal(size=(n, t_max + 1))
+    membership = rng.integers(0, k, n)
+    membership[:k] = np.arange(k)  # no empty cluster
+    influencers = sorted(rng.choice(n, size=data.draw(st.integers(1, 2), label="influencers"), replace=False))
+    # Unit i of the relabeled panel is unit perm[i] of the original one.
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    inverse = np.argsort(perm)
+    before = _estimates(
+        OutcomePanel(y), TreatmentPanel(w),
+        StructureMetadata(membership=membership, n_clusters=k, influencers=tuple(influencers)), influencers,
+    )
+    relabeled = [int(inverse[j]) for j in influencers]
+    after = _estimates(
+        OutcomePanel(y[perm]), TreatmentPanel(w[perm]),
+        StructureMetadata(membership=membership[perm], n_clusters=k, influencers=tuple(relabeled)), relabeled,
+    )
+    for a, b in zip(before, after):
+        if a is None:
+            assert b is None
+        else:
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (before, after)
+
+
 def test_fit_requires_enough_rounds():
     w = TreatmentPanel(np.ones((5, 2)))
     y = OutcomePanel(np.zeros((5, 3)))
@@ -224,6 +333,38 @@ def test_cluster_features_require_metadata():
     spec = FeatureSpec.parse(["intercept", "cluster_fraction:0"])
     with pytest.raises(ValueError, match="cluster"):
         fit_ese(y, w, spec)
+
+
+@pytest.mark.parametrize(
+    "items,structure,rounds,match",
+    [
+        (["intercept"], StructureMetadata(), 3, "disagree on dimensions"),
+        (["cluster_fraction:2"], StructureMetadata(membership=np.zeros(4, dtype=int), n_clusters=2), 4, "outside 0..1"),
+        (["influencer_treatment:1"], StructureMetadata(), 4, "influencer id metadata"),
+        (["influencer_treatment:1"], StructureMetadata(influencers=(0,)), 4, "not a listed influencer"),
+    ],
+    ids=["panel_dimensions", "cluster_id_range", "influencer_metadata", "influencer_unlisted"],
+)
+def test_fit_errors_name_the_fault(items, structure, rounds, match):
+    w = TreatmentPanel(np.ones((4, rounds)))
+    y = OutcomePanel(np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=match):
+        fit_ese(y, w, FeatureSpec.parse(items), structure)
+    with pytest.raises(ValueError, match=match):
+        design_matrix(FeatureSpec.parse(items), w, y, structure)
+
+
+def test_design_matrix_columns_by_hand():
+    # Each unindexed feature written out directly, independent of the table
+    # that both fit_ese and design_matrix read.
+    w_vals = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    y_vals = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    x, target = design_matrix(FeatureSpec.parse(UNINDEXED_KINDS), TreatmentPanel(w_vals), OutcomePanel(y_vals))
+    w, y_prev = w_vals.T.reshape(-1), y_vals[:, :2].T.reshape(-1)
+    w_bar, y_bar = np.repeat([2 / 3, 1 / 3], 3), np.repeat([4.0, 5.0], 3)
+    expected = [np.ones(6), w, y_prev, w_bar, y_bar, w * y_prev, w * w_bar]
+    assert np.allclose(x, np.column_stack(expected), rtol=1e-15, atol=0)
+    assert np.array_equal(target, y_vals[:, 1:].T.reshape(-1))
 
 
 def test_cluster_feature_columns():

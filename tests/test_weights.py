@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spillsim.dynamics import DynamicsSpec, LinearPeer, LinearUnit, WeightedSumExposure, counterfactual_suite
 from spillsim.panel import TreatmentPanel, round_index_covariates
 from spillsim.weights import (
+    ClusteredWeights,
     ExplicitDenseWeights,
     GaussianWeightParams,
     LazyGaussianWeights,
@@ -83,6 +84,29 @@ def test_clustered_remainder_absorbed_by_last():
     ws = gen_clustered(7, 3, w_in=1.0, w_out=0.0)
     # blocks of size 2 with the final cluster absorbing the extra unit
     assert list(ws.membership) == [0, 0, 1, 1, 2, 2, 2]
+
+
+def _clustered_apply_reference(ws, gv):
+    """ClusteredWeights.apply with the per-cluster sums taken by np.add.at."""
+    g = gv[:, None] if gv.ndim == 1 else gv
+    per_cluster = np.zeros((ws.n_clusters, g.shape[1]))
+    np.add.at(per_cluster, ws.membership, g)
+    n = ws.n_units
+    out = (ws.w_out / n) * g.sum(axis=0)[None, :] + ((ws.w_in - ws.w_out) / n) * per_cluster[ws.membership]
+    return out[:, 0] if gv.ndim == 1 else out
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_clustered_apply_matches_add_at_bit_for_bit(s):
+    rng = np.random.default_rng(s)
+    membership = rng.choice(4, size=1000, p=[0.6, 0.25, 0.1, 0.05])
+    uneven = ClusteredWeights(n_units=1000, membership=membership, n_clusters=4, w_in=1.3, w_out=0.2)
+    remainder = gen_clustered(1003, 7, w_in=0.9, w_out=-0.4)  # last cluster has 145 units, the others 143
+    for ws in (uneven, remainder):
+        gv = rng.normal(size=(ws.n_units, s)) * 10.0 ** rng.integers(-8, 8, s)  # columns of unequal magnitude
+        if s == 1:
+            gv = gv[:, 0]
+        assert np.array_equal(ws.apply(gv, 1), _clustered_apply_reference(ws, gv))
 
 
 def test_clustered_rejects_bad_counts():
