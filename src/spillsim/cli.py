@@ -245,7 +245,18 @@ def _cmd_benchmark(args) -> int:
 def _cmd_sweep(args) -> int:
     config, text = _load(args)
     outdir = _ensure_outdir(args.out)
-    grid = [float(v) for v in str(args.grid).split(",") if v.strip() != ""]
+    grid = []
+    for i, entry in enumerate(str(args.grid).split(","), start=1):
+        entry = entry.strip()
+        if entry == "":
+            continue
+        try:
+            value = float(entry)
+        except ValueError:
+            raise ConfigError(f"--grid entry {i} {entry!r} is not a number") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"--grid entry {i} {entry!r} is not finite")
+        grid.append(value)
     table = failure_sweep(config, args.param, grid)
     table.write_csv(outdir / "sweep.csv")
     _manifest(outdir, text, config, {"sweep_parameter": args.param, "grid": grid})

@@ -54,10 +54,15 @@ class LinearUnit:
         object.__setattr__(self, "x_coef", tuple(float(c) for c in self.x_coef))
 
     def _linear(self, w, y, x, t):
-        out = self.w_coef * w + self.y_coef * y + self.intercept + self.trend * t
+        # Accumulates in place into the fresh first product, in the order the
+        # formula reads, so no step of the sum allocates another array.
+        out = self.w_coef * w
+        out += self.y_coef * y
+        out += self.intercept
+        out += self.trend * t
         for k, c in enumerate(self.x_coef):
             if c != 0.0:
-                out = out + c * x[..., k]
+                out += c * x[..., k]
         return out
 
     def value(self, w, y, x, t):
@@ -175,6 +180,20 @@ class ExposureMatrix:
         return self.values[:, t - 1]
 
 
+class NonFiniteOutcome(FloatingPointError):
+    """An outcome overflowed or became undefined. ``scenario`` is the column
+    of a scenario stack, or None for a single column."""
+
+    def __init__(self, unit: int, round_: int, scenario: int | None = None):
+        self.unit, self.round, self.scenario = unit, round_, scenario
+        where = "" if scenario is None else f" in scenario {scenario}"
+        super().__init__(f"non-finite outcome for unit {unit} at round {round_}{where}")
+
+
+def _threshold_level(mech: MeanFieldThreshold, fraction: np.ndarray) -> np.ndarray:
+    return mech.strength * (fraction > mech.tau).astype(np.float64)
+
+
 def compute_exposure(
     weights: WeightSet,
     spec: DynamicsSpec,
@@ -193,10 +212,27 @@ def compute_exposure(
         raise ValueError("columns disagree with the weight set population size")
     mech = spec.exposure
     if isinstance(mech, MeanFieldThreshold):
-        active = (w_t.mean(axis=0) > mech.tau).astype(np.float64)
-        return np.broadcast_to(mech.strength * active, w_t.shape).copy()
+        return np.broadcast_to(_threshold_level(mech, w_t.mean(axis=0)), w_t.shape).copy()
     gv = spec.peer.value(w_t, y_prev)
     return weights.apply(gv, t)
+
+
+def _respond(spec: DynamicsSpec, w_t, y_prev, x_t, e_t, noise_t, t: int) -> np.ndarray:
+    """Unit response plus exposure plus scaled noise, unchecked."""
+    y = spec.unit.value(w_t, y_prev, x_t, t)
+    y += e_t
+    if spec.noise_sd > 0.0:
+        y += spec.noise_sd * noise_t
+    return y
+
+
+def _check_finite(y: np.ndarray, t: int) -> None:
+    """Raise NonFiniteOutcome naming the first non-finite entry of an (n,)
+    column or an (n, s) stack, unit-major."""
+    bad = ~np.isfinite(np.atleast_1d(y))
+    if bad.any():
+        where = np.argwhere(bad)[0]
+        raise NonFiniteOutcome(int(where[0]), t, int(where[1]) if bad.ndim == 2 else None)
 
 
 def step(
@@ -217,19 +253,24 @@ def step(
         raise ValueError("step inputs must share a shape")
     # Overflow is reported below with its location, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = spec.unit.value(w_t, y_prev, np.asarray(x_t, dtype=np.float64), t) + e_t
-        if spec.noise_sd > 0.0:
-            y = y + spec.noise_sd * noise_t
-    bad = ~np.isfinite(np.atleast_1d(y))
-    if bad.any():
-        where = np.argwhere(bad)[0]
-        scenario = f" in scenario {int(where[1])}" if bad.ndim == 2 else ""
-        raise FloatingPointError(f"non-finite outcome for unit {int(where[0])} at round {t}{scenario}")
+        y = _respond(spec, w_t, y_prev, np.asarray(x_t, dtype=np.float64), e_t, noise_t, t)
+    _check_finite(y, t)
     return y
 
 
+def _runs(specs: Sequence[DynamicsSpec], key) -> list[tuple[DynamicsSpec, slice]]:
+    """Maximal runs of consecutive columns whose specs agree on ``key``, each
+    with the spec of its first column."""
+    runs, start = [], 0
+    for k in range(1, len(specs) + 1):
+        if k == len(specs) or key(specs[k]) != key(specs[start]):
+            runs.append((specs[start], slice(start, k)))
+            start = k
+    return runs
+
+
 def _evolve(
-    spec: DynamicsSpec,
+    spec: DynamicsSpec | Sequence[DynamicsSpec],
     weights: WeightSet,
     scenarios: Sequence[TreatmentPanel],
     x: CovariatePanel,
@@ -237,9 +278,16 @@ def _evolve(
     seed: int,
     keep_exposures: bool,
 ) -> tuple[list[OutcomePanel], list[ExposureMatrix]]:
-    """Evolve all scenarios in lockstep, sharing weights and noise draws. The
-    exposure matrices are built only when keep_exposures is set; otherwise the
-    list is empty."""
+    """Evolve all scenarios in lockstep, sharing weights and noise draws.
+
+    ``spec`` is one DynamicsSpec for every scenario or a sequence with one per
+    scenario. Per round, each distinct treatment panel's treated fraction is
+    computed once, every weighted-sum column goes through one
+    ``weights.apply`` call, and consecutive columns with the same unit
+    response respond as one block. Outcomes are written to one buffer that is
+    scanned for finiteness once; the panels are read-only views of it. The
+    exposure matrices are built only when keep_exposures is set; otherwise
+    the list is empty."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -253,27 +301,84 @@ def _evolve(
         raise ValueError("initial outcomes must be finite")
     if x.n_units != n or x.n_rounds != t_max:
         raise ValueError("covariate panel does not match the scenarios")
-
+    if weights.n_units != n:
+        raise ValueError("columns disagree with the weight set population size")
     s = len(scenarios)
+    specs = [spec] * s if isinstance(spec, DynamicsSpec) else list(spec)
+    if len(specs) != s:
+        raise ValueError(f"{len(specs)} dynamics specs for {s} scenarios")
+
+    # Scenarios repeated by identity share their treated fractions.
+    first: dict[int, int] = {}
+    distinct = []
+    for w in scenarios:
+        if id(w) not in first:
+            first[id(w)] = len(distinct)
+            distinct.append(w)
+    source = np.array([first[id(w)] for w in scenarios])
+    exposure_runs = _runs(specs, lambda sp: (sp.exposure, sp.peer))
+    response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
+    noisy = any(sp.noise_sd > 0.0 for sp in specs)
+
     y_cur = np.tile(y0[:, None], (1, s))
     outcomes = np.empty((s, n, t_max + 1))
     exposures = np.empty((s, n, t_max)) if keep_exposures else None
     outcomes[:, :, 0] = y_cur.T
     for t in range(1, t_max + 1):
-        w_cols = np.column_stack([w.column(t) for w in scenarios])
+        w_distinct = np.column_stack([w.column(t) for w in distinct])
+        # take() keeps C order, which every array derived from w_cols
+        # inherits; column sums in weights.apply then run in the same order
+        # as for a lone scenario, so a column's bits do not depend on the rest.
+        w_cols = w_distinct if len(distinct) == s else w_distinct.take(source, axis=1)
         x_t = x.column(t)
-        e_t = compute_exposure(weights, spec, w_cols, y_cur, x_t, t)
-        if spec.noise_sd > 0.0:
+        x_t = x_t[:, None, :] if x_t.ndim == 2 else x_t
+        if noisy:
             noise = substream(seed, "noise", t).standard_normal(n)[:, None]
         else:
             noise = np.zeros((n, 1))
-        y_cur = step(spec, w_cols, y_cur, x_t[:, None, :] if x_t.ndim == 2 else x_t, e_t, noise, t)
+        # A non-finite outcome is named by the scan after the last round.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_t = _exposures(weights, exposure_runs, w_distinct, source, w_cols, y_cur, t)
+            blocks = [
+                _respond(sp, w_cols[:, cols], y_cur[:, cols], x_t, e_t[:, cols], noise, t)
+                for sp, cols in response_runs
+            ]
+        y_cur = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         outcomes[:, :, t] = y_cur.T
         if keep_exposures:
             exposures[:, :, t - 1] = e_t.T
-    panels = [OutcomePanel(outcomes[k]) for k in range(s)]
+    if not np.isfinite(outcomes).all():
+        t = int(np.argmax(~np.isfinite(outcomes).all(axis=(0, 1))))
+        _check_finite(outcomes[:, :, t].T, t)
+    panels = OutcomePanel.views(outcomes)
     mats = [ExposureMatrix(exposures[k]) for k in range(s)] if keep_exposures else []
     return panels, mats
+
+
+def _exposures(weights, runs, w_distinct, source, w_cols, y_prev, t: int) -> np.ndarray:
+    """Round-t exposures of every column, shape (n, s)."""
+    n, s = w_cols.shape
+    level = np.zeros(s)
+    fraction = None
+    signals, summed = [], []
+    for sp, cols in runs:
+        mech = sp.exposure
+        if isinstance(mech, MeanFieldThreshold):
+            if fraction is None:
+                fraction = w_distinct.mean(axis=0)[source]
+            level[cols] = _threshold_level(mech, fraction[cols])
+        else:
+            signals.append(sp.peer.value(w_cols[:, cols], y_prev[:, cols]))
+            summed.append(cols)
+    if not signals:
+        return np.broadcast_to(level, (n, s))
+    summed_e = weights.apply(signals[0] if len(signals) == 1 else np.hstack(signals), t)
+    if summed_e.shape[1] == s:
+        return summed_e
+    e_t = np.empty((n, s))
+    e_t[:] = level
+    e_t[:, np.r_[tuple(summed)]] = summed_e
+    return e_t
 
 
 def simulate_panel(
@@ -290,7 +395,7 @@ def simulate_panel(
 
 
 def counterfactual_suite(
-    spec: DynamicsSpec,
+    spec: DynamicsSpec | Sequence[DynamicsSpec],
     weights: WeightSet,
     scenarios: Sequence[TreatmentPanel],
     x: CovariatePanel,
@@ -298,7 +403,9 @@ def counterfactual_suite(
     seed: int,
 ) -> list[OutcomePanel]:
     """Simulate several scenarios under one weight realization and one noise
-    stream. Scenario order does not affect any output panel."""
+    stream, with one dynamics spec for all of them or one per scenario.
+    Scenario order does not affect any output panel. The panels are read-only
+    views of one buffer."""
     panels, _ = _evolve(spec, weights, scenarios, x, y0, seed, keep_exposures=False)
     return panels
 

@@ -4,8 +4,9 @@ One replication simulates an observed experiment, re-simulates the two
 bracketing counterfactuals (nobody treated, everybody treated) under the same
 weight and noise realization, runs every configured estimator on the observed
 data alone, and scores each against the simulated truth. The benchmark
-replicates this over a seed range and aggregates bias and RMSE; sweeps rerun
-the benchmark along a grid of one dynamics parameter.
+replicates this over a seed range and aggregates bias and RMSE; sweeps run
+the benchmark along a grid of one dynamics parameter, seed by seed, with every
+grid value sharing the seed's draws.
 
 Estimators never see counterfactual panels; each replication carries an audit
 flag asserting that isolation.
@@ -24,7 +25,14 @@ import numpy as np
 
 from . import design as design_mod
 from .design import DesignSpec
-from .dynamics import DynamicsSpec, LinearUnit, MeanFieldThreshold, counterfactual_suite, ground_truth_tte
+from .dynamics import (
+    DynamicsSpec,
+    LinearUnit,
+    MeanFieldThreshold,
+    NonFiniteOutcome,
+    counterfactual_suite,
+    ground_truth_tte,
+)
 from .estimators import (
     ESECoefficients,
     FeatureSpec,
@@ -54,12 +62,14 @@ from .weights import (
 CLASSICAL_ESTIMATORS = ("dm", "ht")
 ESE_ESTIMATORS = ("ese_basic", "ese_cluster", "ese_influencer")
 KNOWN_ESTIMATORS = CLASSICAL_ESTIMATORS + ESE_ESTIMATORS
+# The counterfactual suite of one replication, in evolution order.
+SCENARIOS = ("observed", "none", "all")
 
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Declarative weight-set choice; built per replication unless the run is
-    pinned to a fixed network."""
+    """Declarative weight-set choice; built once per run unless it depends on
+    the seed, then once per replication."""
 
     kind: str  # dense_gaussian | clustered | influencer | explicit
     mu: float = 0.0
@@ -77,6 +87,11 @@ class WeightConfig:
     def __post_init__(self):
         if self.kind not in ("dense_gaussian", "clustered", "influencer", "explicit"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+
+    def depends_on_seed(self, shared: bool = False) -> bool:
+        """Whether ``build`` draws a new weight set for each seed. Only the
+        lazy Gaussian does; a shared (fixed) network is drawn once."""
+        return self.kind == "dense_gaussian" and not shared
 
     def build(self, n_units: int, n_rounds: int, seed: int, shared: bool = False) -> WeightSet:
         """The weight set for one forward pass, or for several when ``shared``
@@ -238,12 +253,24 @@ def structure_of(weights: WeightSet) -> StructureMetadata:
     return StructureMetadata()
 
 
-def run_once(config: ScenarioConfig, seed: int) -> RunRecord:
+def run_once(
+    config: ScenarioConfig,
+    seed: int,
+    sweep: SweepGrid | None = None,
+    weights: WeightSet | None = None,
+) -> RunRecord | tuple[RunRecord, ...]:
     """One replication: assign, simulate, re-simulate counterfactuals, run the
-    estimators on the observed data, and score them."""
+    estimators on the observed data, and score them.
+
+    With ``sweep``, the three scenarios of every grid value evolve in one
+    lockstep pass on this seed's weights, assignments, baseline and noise, and
+    one record per value comes back, in grid order. ``weights`` is a weight
+    set the caller built once for the whole run; by default the replication
+    builds its own."""
     n, t_max = config.n_units, config.n_rounds
-    weight_seed = config.base_seed if config.fixed_network else seed
-    weights = config.weights.build(n, t_max, weight_seed, shared=config.fixed_network)
+    if weights is None:
+        weight_seed = config.base_seed if config.fixed_network else seed
+        weights = config.weights.build(n, t_max, weight_seed, shared=config.fixed_network)
     structure = structure_of(weights)
 
     w_obs = design_mod.assign(config.design, seed)
@@ -252,26 +279,48 @@ def run_once(config: ScenarioConfig, seed: int) -> RunRecord:
     x = round_index_covariates(n, t_max)
     y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(n)
 
-    observed, control, treated = counterfactual_suite(
-        config.dynamics, weights, [w_obs, w_none, w_all], x, y0, seed
-    )
-    gt_control = tuple(float(v) for v in control.values.mean(axis=0))
-    gt_treated = tuple(float(v) for v in treated.values.mean(axis=0))
-    gt = ground_truth_tte(control, treated, t_max)
+    specs = (config.dynamics,) if sweep is None else sweep.specs
+    columns = config.dynamics if sweep is None else [spec for spec in specs for _ in SCENARIOS]
+    try:
+        panels = counterfactual_suite(columns, weights, [w_obs, w_none, w_all] * len(specs), x, y0, seed)
+    except NonFiniteOutcome as exc:
+        k, scenario = divmod(exc.scenario, len(SCENARIOS))
+        where = "" if sweep is None else f"{sweep.parameter}={sweep.values[k]!r}: "
+        raise FloatingPointError(
+            f"{where}non-finite outcome for unit {exc.unit} at round {exc.round} in scenario {SCENARIOS[scenario]}"
+        ) from exc
+    records = []
+    for k in range(len(specs)):
+        observed, control, treated = panels[len(SCENARIOS) * k : len(SCENARIOS) * (k + 1)]
+        gt_control = tuple(float(v) for v in control.values.mean(axis=0))
+        gt_treated = tuple(float(v) for v in treated.values.mean(axis=0))
+        gt = ground_truth_tte(control, treated, t_max)
 
-    # Estimators receive the observed panel and design probabilities only.
-    isolated = observed is not control and observed is not treated
-    estimates, trajectories, coefficients = _run_estimators(config, observed, w_obs, structure)
-    return RunRecord(
-        seed=seed,
-        estimates=estimates,
-        gt_tte=gt,
-        gt_control=gt_control,
-        gt_treated=gt_treated,
-        ese_trajectories=trajectories,
-        coefficients=coefficients,
-        estimators_isolated=isolated,
-    )
+        # Estimators receive the observed panel and design probabilities only.
+        isolated = observed is not control and observed is not treated
+        estimates, trajectories, coefficients = _run_estimators(config, observed, w_obs, structure)
+        records.append(
+            RunRecord(
+                seed=seed,
+                estimates=estimates,
+                gt_tte=gt,
+                gt_control=gt_control,
+                gt_treated=gt_treated,
+                ese_trajectories=trajectories,
+                coefficients=coefficients,
+                estimators_isolated=isolated,
+            )
+        )
+    return records[0] if sweep is None else tuple(records)
+
+
+def _run_weights(config: ScenarioConfig) -> dict:
+    """``run_once`` keyword arguments for every seed of a run: the one weight
+    set they share, unless each seed draws its own."""
+    if config.weights.depends_on_seed(config.fixed_network):
+        return {}
+    weights = config.weights.build(config.n_units, config.n_rounds, config.base_seed, shared=config.fixed_network)
+    return {"weights": weights}
 
 
 def _run_estimators(
@@ -314,8 +363,14 @@ def replicate(config: ScenarioConfig, n_reps: int | None = None) -> BenchmarkRep
     if n_reps < 1:
         raise ValueError("replication count must be at least 1")
     started = time.perf_counter()
-    records = [run_once(config, config.base_seed + r) for r in range(n_reps)]
-    records.sort(key=lambda r: r.seed)
+    shared = _run_weights(config)
+    records = [run_once(config, config.base_seed + r, **shared) for r in range(n_reps)]
+    return _aggregate(config, records, started)
+
+
+def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float) -> BenchmarkReport:
+    """Summaries of one scenario's records; runtime counts from ``started``."""
+    records = sorted(records, key=lambda r: r.seed)
 
     summaries: dict[str, EstimatorSummary] = {}
     for name in config.estimators:
@@ -350,7 +405,7 @@ def replicate(config: ScenarioConfig, n_reps: int | None = None) -> BenchmarkRep
             ese_traj[name] = (tuple(np.mean(lows, axis=0)), tuple(np.mean(highs, axis=0)))
 
     return BenchmarkReport(
-        n_reps=n_reps,
+        n_reps=len(records),
         summaries=summaries,
         gt_tte_mean=float(np.mean([r.gt_tte for r in records])),
         gt_control=gt_control,
@@ -389,31 +444,53 @@ class SweepTable:
                 )
 
 
-def _with_parameter(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
+@dataclass(frozen=True)
+class SweepGrid:
+    """The grid of one dynamics parameter and the dynamics spec of each value."""
+
+    parameter: str
+    values: tuple[float, ...]
+    specs: tuple[DynamicsSpec, ...]
+
+
+def _sweep_grid(config: ScenarioConfig, parameter: str, grid: Sequence[float]) -> SweepGrid:
+    values = tuple(float(v) for v in grid)
+    if not values:
+        raise ValueError("sweep grid must be non-empty")
     dyn = config.dynamics
-    if parameter == "trend":
-        if not isinstance(dyn.unit, LinearUnit):
-            raise ValueError("trend sweeps need a linear or saturating unit response")
-        unit = dataclasses.replace(dyn.unit, trend=value)
-        dyn = dataclasses.replace(dyn, unit=unit)
-    elif parameter == "threshold_strength":
-        if not isinstance(dyn.exposure, MeanFieldThreshold):
-            raise ValueError("threshold sweeps need the mean-field threshold mechanism")
-        dyn = dataclasses.replace(dyn, exposure=dataclasses.replace(dyn.exposure, strength=value))
-    else:
+    if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
-    return dataclasses.replace(config, dynamics=dyn)
+    if parameter == "trend" and not isinstance(dyn.unit, LinearUnit):
+        raise ValueError("trend sweeps need a linear or saturating unit response")
+    if parameter == "threshold_strength" and not isinstance(dyn.exposure, MeanFieldThreshold):
+        raise ValueError("threshold sweeps need the mean-field threshold mechanism")
+    specs = []
+    for value in values:
+        try:
+            if parameter == "trend":
+                specs.append(dataclasses.replace(dyn, unit=dataclasses.replace(dyn.unit, trend=value)))
+            else:
+                specs.append(dataclasses.replace(dyn, exposure=dataclasses.replace(dyn.exposure, strength=value)))
+        except ValueError as exc:
+            raise ValueError(f"{parameter}={value!r}: {exc}") from None
+    return SweepGrid(parameter, values, tuple(specs))
 
 
 def failure_sweep(config: ScenarioConfig, parameter: str, grid: Sequence[float]) -> SweepTable:
-    """Benchmark the scenario at each grid value of one dynamics parameter."""
-    values = [float(v) for v in grid]
-    if not values:
-        raise ValueError("sweep grid must be non-empty")
+    """Benchmark the scenario at each grid value of one dynamics parameter.
+
+    Seeds are the outer loop: each seed's weights, assignments, baseline and
+    noise are drawn once and every grid value evolves on them (common random
+    numbers), in one ``run_once`` pass per seed. Each report's runtime is the
+    sweep's wall time up to that report."""
+    sweep = _sweep_grid(config, parameter, grid)
+    started = time.perf_counter()
+    shared = _run_weights(config)
+    per_seed = [run_once(config, config.base_seed + r, sweep=sweep, **shared) for r in range(config.n_reps)]
     rows: list[SweepRow] = []
     reports: list[BenchmarkReport] = []
-    for value in values:
-        report = replicate(_with_parameter(config, parameter, value))
+    for k, value in enumerate(sweep.values):
+        report = _aggregate(config, [records[k] for records in per_seed], started)
         reports.append(report)
         for name, summary in report.summaries.items():
             rows.append(

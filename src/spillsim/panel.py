@@ -79,6 +79,23 @@ class OutcomePanel:
             raise ValueError("outcome panel entries must all be finite")
         object.__setattr__(self, "values", _freeze(vals))
 
+    @classmethod
+    def views(cls, buffer: np.ndarray) -> list["OutcomePanel"]:
+        """One panel per ``buffer[k]`` of an (s, n_units, n_rounds + 1) float64
+        buffer, sharing its memory instead of copying it.
+
+        The caller hands the buffer over after checking that every entry is
+        finite: it is made read-only here and must not be written again."""
+        if buffer.dtype != np.float64 or buffer.ndim != 3 or buffer.shape[1] < 1 or buffer.shape[2] < 2:
+            raise ValueError(f"outcome buffer of shape {buffer.shape} holds no panels")
+        buffer.setflags(write=False)
+        panels = []
+        for k in range(buffer.shape[0]):
+            panel = object.__new__(cls)
+            object.__setattr__(panel, "values", buffer[k])
+            panels.append(panel)
+        return panels
+
     @property
     def n_units(self) -> int:
         return self.values.shape[0]

@@ -239,6 +239,24 @@ def test_sweep_writes_rows(tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0,abc", "ConfigError: --grid entry 2 'abc' is not a number"),
+        ("0, nan", "ConfigError: --grid entry 2 'nan' is not finite"),
+        ("0,1e308", "FloatingPointError: trend=1e+308: non-finite outcome for unit 0 at round 2 in scenario observed"),
+    ],
+    ids=["bad_entry", "non_finite_entry", "overflow"],
+)
+def test_sweep_errors_name_the_grid_entry(tmp_path, capsys, grid, message):
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--param", "trend", "--grid", grid]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == message
+
+
 def test_demo_outputs_byte_identical(tmp_path):
     out1, out2 = tmp_path / "demo1", tmp_path / "demo2"
     assert main(["demo", "--out", str(out1), "--seed", "11"]) == 0

@@ -241,3 +241,29 @@ def test_exposure_variance_shrinks_with_population():
 
     ratio = mean_exposure_std(250, 40) / mean_exposure_std(1000, 40)
     assert 1.5 <= ratio <= 2.5
+
+
+def test_counterfactual_suite_takes_one_spec_per_scenario():
+    # Each column evolves exactly as it does in a suite under its own spec,
+    # whichever exposure mechanism and unit response its neighbours have.
+    from spillsim.weights import gen_clustered
+
+    n, t_max = 30, 3
+    weights = gen_clustered(n, 2, 1.0, 0.3)
+    x = round_index_covariates(n, t_max)
+    y0 = np.linspace(-1.0, 1.0, n)
+    w_a = assign(DesignSpec(kind="bernoulli", n_units=n, n_rounds=t_max, probs=(0.2, 0.5, 0.8)), 4)
+    w_b = assign(DesignSpec(kind="constant", n_units=n, n_rounds=t_max, value=1), 0)
+    summed = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7), peer=LinearPeer(0.5, 0.3), noise_sd=0.2)
+    trending = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7, trend=0.4), peer=LinearPeer(0.5, 0.3),
+                           noise_sd=0.2)
+    threshold = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7), exposure=MeanFieldThreshold(0.4, 1.5),
+                            noise_sd=0.2)
+    scenarios = [w_a, w_b, w_a, w_b, w_a]
+    specs = [threshold, summed, summed, trending, threshold]
+    mixed = counterfactual_suite(specs, weights, scenarios, x, y0, seed=6)
+    alone = {id(sp): counterfactual_suite(sp, weights, scenarios, x, y0, seed=6) for sp in specs}
+    for k, sp in enumerate(specs):
+        assert np.array_equal(mixed[k].values, alone[id(sp)][k].values), k
+    with pytest.raises(ValueError, match="4 dynamics specs for 5 scenarios"):
+        counterfactual_suite(specs[:4], weights, scenarios, x, y0, seed=6)

@@ -319,6 +319,29 @@ def test_estimators_invariant_to_unit_relabeling(data):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (before, after)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_ese_estimates_scale_with_the_outcomes(data):
+    # Every feature is outcome-free or linear in the outcomes, so scaling the
+    # whole panel, baseline included, scales each effect by the same factor.
+    n = data.draw(st.integers(12, 60), label="n")
+    t_max = 5
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = TreatmentPanel((rng.random((n, t_max)) < rng.uniform(0.2, 0.8, t_max)).astype(float))
+    y = rng.normal(size=(n, t_max + 1)) + rng.normal(size=t_max + 1)
+    c = data.draw(st.sampled_from([-1.0, -3.7, 1e-3, 0.5, 2.0, 1e3]), label="c")
+    membership = np.arange(n) % 2
+    influencers = [int(rng.integers(n))]
+    structure = StructureMetadata(membership=membership, n_clusters=2, influencers=tuple(influencers))
+    for spec in (basic_feature_spec(), cluster_feature_spec(2), influencer_feature_spec(influencers)):
+        effects = []
+        for panel in (OutcomePanel(y), OutcomePanel(c * y)):
+            coeffs = fit_ese(panel, w, spec, structure)
+            effects.append(tte_from_coeffs(coeffs, spec, column_mean(panel, 0), t_max))
+        base, scaled = effects
+        assert abs(scaled - c * base) <= 1e-9 * abs(c) * max(1.0, abs(base)), (spec, c, base, scaled)
+
+
 def test_fit_requires_enough_rounds():
     w = TreatmentPanel(np.ones((5, 2)))
     y = OutcomePanel(np.zeros((5, 3)))

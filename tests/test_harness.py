@@ -305,3 +305,199 @@ def test_cluster_and_influencer_estimators_run():
     )
     rec = run_once(influencer, 44)
     assert rec.estimates["ese_influencer"] is not None
+
+
+# --- seed-major sweeps ---------------------------------------------------------
+
+
+def _threshold_config(reps=3, seed=40) -> ScenarioConfig:
+    import dataclasses
+
+    cfg = linear_config(n=80, noise=0.2, reps=reps, seed=seed)
+    return dataclasses.replace(
+        cfg,
+        weights=WeightConfig(kind="clustered", n_clusters=2, w_in=1.0, w_out=0.3),
+        dynamics=dataclasses.replace(cfg.dynamics, exposure=MeanFieldThreshold(tau=0.3, strength=0.0)),
+        estimators=("dm", "ht", "ese_basic", "ese_cluster"),
+    )
+
+
+def _trend_config(weights: WeightConfig, reps=3, seed=60, **kwargs) -> ScenarioConfig:
+    import dataclasses
+
+    return dataclasses.replace(linear_config(n=70, noise=0.2, reps=reps, seed=seed), weights=weights, **kwargs)
+
+
+INFLUENCER_WEIGHTS = WeightConfig(kind="influencer", influencers=(5,), w_inf=0.8, w_base=0.4)
+DENSE_WEIGHTS = WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0, mu_t=0.1, sigma2_t=0.2)
+
+
+def _at_value(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
+    """The scenario with one grid value substituted, built independently of
+    the sweep code."""
+    import dataclasses
+
+    dyn = config.dynamics
+    if parameter == "trend":
+        dyn = dataclasses.replace(dyn, unit=dataclasses.replace(dyn.unit, trend=value))
+    else:
+        dyn = dataclasses.replace(dyn, exposure=dataclasses.replace(dyn.exposure, strength=value))
+    return dataclasses.replace(config, dynamics=dyn)
+
+
+def _report_numbers(report) -> tuple[list, np.ndarray]:
+    """Every label and every number of a report and its records, including
+    trajectories and coefficients, in a fixed order."""
+    labels, numbers = [report.n_reps], []
+    for name, s in sorted(report.summaries.items()):
+        labels += [name, s.n_used, s.n_excluded]
+        numbers += [s.mean_estimate, s.bias, s.rmse]
+    numbers += [report.gt_tte_mean, *report.gt_control, *report.gt_treated]
+    for name, (lo, hi) in sorted(report.ese_trajectories.items()):
+        labels.append(name)
+        numbers += [*lo, *hi]
+    for rec in report.records:
+        labels += [rec.seed, rec.estimators_isolated, sorted(rec.estimates)]
+        numbers += [rec.estimates[k] for k in sorted(rec.estimates)]
+        numbers += [rec.gt_tte, *rec.gt_control, *rec.gt_treated]
+        for name, (lo, hi) in sorted(rec.ese_trajectories.items()):
+            labels.append(name)
+            numbers += [*lo, *hi]
+        for name, coeffs in sorted(rec.coefficients.items()):
+            labels += [name, coeffs.names, coeffs.n_rows]
+            numbers += [*coeffs.values, coeffs.rss]
+    return labels, np.array(numbers, dtype=np.float64)
+
+
+def _assert_same_report(got, want, rel: float = 0.0) -> None:
+    got_labels, got_numbers = _report_numbers(got)
+    want_labels, want_numbers = _report_numbers(want)
+    assert got_labels == want_labels
+    if rel == 0.0:
+        assert np.array_equal(got_numbers.view(np.uint64), want_numbers.view(np.uint64))
+    else:
+        assert np.all(np.abs(got_numbers - want_numbers) <= rel * np.abs(want_numbers)), (got_numbers, want_numbers)
+
+
+@pytest.mark.parametrize(
+    "config, parameter, grid",
+    [
+        (_threshold_config(), "threshold_strength", [0.0, 1.5, 3.0]),
+        (_trend_config(INFLUENCER_WEIGHTS, estimators=("dm", "ese_basic", "ese_influencer")), "trend", [0.0, 0.5, 2.0]),
+    ],
+    ids=["clustered_threshold", "influencer_trend"],
+)
+def test_sweep_reports_equal_per_value_replicates_bit_for_bit(config, parameter, grid):
+    # Weights that do not depend on the seed make every grid value's panels
+    # independent of the others, so the lockstep pass must change no bit.
+    table = failure_sweep(config, parameter, grid)
+    assert len(table.reports) == len(grid)
+    for value, report in zip(grid, table.reports):
+        _assert_same_report(report, replicate(_at_value(config, parameter, value)))
+
+
+def test_fixed_network_sweep_matches_per_value_replicates():
+    # One materialized network serves every grid value; a wider matrix
+    # product may block its sums differently, so only the last bits may move.
+    config = _trend_config(DENSE_WEIGHTS, fixed_network=True)
+    grid = [0.0, 1.0, 2.5]
+    table = failure_sweep(config, "trend", grid)
+    for value, report in zip(grid, table.reports):
+        _assert_same_report(report, replicate(_at_value(config, "trend", value)), rel=1e-12)
+
+
+def test_lazy_dense_sweep_is_invariant_to_grid_order_and_duplicates():
+    config = _trend_config(DENSE_WEIGHTS)
+    ab = failure_sweep(config, "trend", [0.5, 2.0]).reports
+    ba = failure_sweep(config, "trend", [2.0, 0.5]).reports
+    _assert_same_report(ab[0], ba[1])
+    _assert_same_report(ab[1], ba[0])
+    twice = failure_sweep(config, "trend", [0.5, 0.5]).reports
+    _assert_same_report(twice[0], twice[1])
+    # A grid value's columns alone give the same draws as replicate's pass.
+    _assert_same_report(twice[0], replicate(_at_value(config, "trend", 0.5)))
+
+
+def test_sweep_runs_each_seed_once_through_run_once(monkeypatch):
+    from spillsim import harness
+
+    calls = []
+    original = harness.run_once
+
+    def spy(config, seed, *args, **kwargs):
+        calls.append(seed)
+        return original(config, seed, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_once", spy)
+    config = _threshold_config(reps=3, seed=40)
+    table = failure_sweep(config, "threshold_strength", [0.0, 1.0, 2.0, 3.0])
+    assert calls == [40, 41, 42]
+    assert [[r.seed for r in rep.records] for rep in table.reports] == [[40, 41, 42]] * 4
+
+
+@pytest.mark.parametrize(
+    "config, builds",
+    [
+        (_threshold_config(reps=3), (1, 1)),
+        (_trend_config(WeightConfig(kind="influencer", influencers=(1,), w_inf=1.0, w_base=0.2)), (1, 1)),
+        (_trend_config(DENSE_WEIGHTS, fixed_network=True), (1, 1)),
+        (_trend_config(DENSE_WEIGHTS, reps=3), (3, 3)),
+    ],
+    ids=["clustered", "influencer", "fixed_network", "lazy_dense"],
+)
+def test_weights_built_once_per_run_unless_seed_dependent(monkeypatch, config, builds):
+    calls = []
+    original = WeightConfig.build
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightConfig, "build", spy)
+    replicate(config)
+    after_benchmark = len(calls)
+    parameter = "threshold_strength" if isinstance(config.dynamics.exposure, MeanFieldThreshold) else "trend"
+    failure_sweep(config, parameter, [0.0, 1.0])
+    assert (after_benchmark, len(calls) - after_benchmark) == builds
+
+
+def test_counterfactual_panels_are_read_only_views_of_one_buffer():
+    from spillsim.dynamics import counterfactual_suite
+    from spillsim.panel import round_index_covariates
+    from spillsim.weights import gen_clustered
+
+    config = linear_config(n=20, noise=0.3)
+    w_obs = assign(config.design, 3)
+    w_all = assign(DesignSpec(kind="constant", n_units=20, n_rounds=4, value=1), 3)
+    panels = counterfactual_suite(
+        config.dynamics, gen_clustered(20, 1, 1.0, 0.0), [w_obs, w_all, w_obs], round_index_covariates(20, 4),
+        np.linspace(-1.0, 1.0, 20), 3,
+    )
+    buffer = panels[0].values.base
+    assert buffer is not None
+    for panel in panels:
+        assert panel.values.base is buffer and np.shares_memory(panel.values, buffer)
+        assert not panel.values.flags.writeable
+        with pytest.raises(ValueError):
+            panel.values[0, 0] = 1.0
+    assert np.array_equal(panels[0].values, panels[2].values)
+
+
+def test_sweep_errors_name_the_grid_value():
+    with pytest.raises(ValueError, match=r"threshold_strength=nan: threshold strength must be finite"):
+        failure_sweep(_threshold_config(), "threshold_strength", [0.0, float("nan")])
+    with pytest.raises(FloatingPointError, match=r"^trend=1e\+308: non-finite outcome for unit 0 at round 2 "
+                                                 r"in scenario observed$"):
+        failure_sweep(_trend_config(INFLUENCER_WEIGHTS, reps=1), "trend", [0.0, 1e308])
+
+
+def test_replication_errors_name_the_scenario():
+    import dataclasses
+
+    config = linear_config(n=10)
+    # Round 1 treats every unit only in the universal-treatment scenario, and
+    # round 2 feeds its huge treatment effect back.
+    config = dataclasses.replace(config, dynamics=dataclasses.replace(
+        config.dynamics, unit=LinearUnit(w_coef=1e300, y_coef=1e10)))
+    with pytest.raises(FloatingPointError, match=r"^non-finite outcome for unit 0 at round 2 in scenario all$"):
+        run_once(config, 1)
