@@ -30,10 +30,8 @@ from . import __version__
 from . import design as design_mod
 from .config import ConfigError, config_hash, parse_config
 from .dynamics import simulate_panel
-from .estimators import ScenarioPath
-from .harness import ScenarioConfig, failure_sweep, replicate, structure_of
+from .harness import ScenarioConfig, estimate_rounds, failure_sweep, replicate, structure_of
 from .panel import (
-    column_mean,
     read_outcome_csv,
     read_treatment_csv,
     round_index_covariates,
@@ -174,8 +172,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .estimators import dm_estimate, fit_ese, ht_estimate, propagate
-
     config, text = _load(args)
     outdir = _ensure_outdir(args.out)
     y = read_outcome_csv(args.outcomes)
@@ -188,32 +184,10 @@ def _cmd_estimate(args) -> int:
                 f" config says {config.n_units} x {config.n_rounds}"
             )
     weights = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
-    structure = structure_of(weights)
-
-    coeff_payload = {}
-    rows = []
-    for t in range(1, config.n_rounds + 1):
-        y_t, w_t = y.column(t), w.column(t)
-        for name in config.estimators:
-            if name == "dm":
-                est = dm_estimate(y_t, w_t)
-            elif name == "ht":
-                pi = config.design.probs[t - 1] if config.design.kind == "bernoulli" else float(config.design.value)
-                est = ht_estimate(y_t, w_t, pi) if 0.0 < pi < 1.0 else None
-            else:
-                continue
-            rows.append((name, t, est))
-    for name in config.estimators:
-        if name in ("dm", "ht"):
-            continue
-        spec = config.feature_spec(name, structure)
-        coeffs = fit_ese(y, w, spec, structure)
-        coeff_payload[name] = coeffs.to_dict()
-        y0_mean = column_mean(y, 0)
-        hi = propagate(coeffs, spec, y0_mean, ScenarioPath.all_treated(config.n_rounds))
-        lo = propagate(coeffs, spec, y0_mean, ScenarioPath.all_control(config.n_rounds))
-        for t in range(1, config.n_rounds + 1):
-            rows.append((name, t, float(hi[t] - lo[t])))
+    rounds = range(1, config.n_rounds + 1)
+    estimates, _, coefficients = estimate_rounds(config, y, w, structure_of(weights), rounds, str(args.outcomes))
+    coeff_payload = {name: coeffs.to_dict() for name, coeffs in coefficients.items()}
+    rows = [(name, t, est) for name, values in estimates.items() for t, est in zip(rounds, values)]
 
     (outdir / "coefficients.json").write_text(json.dumps(coeff_payload, sort_keys=True, indent=2) + "\n")
     _write_estimates_csv(outdir / "estimates.csv", rows)

@@ -327,8 +327,8 @@ def _evolve(
     for t in range(1, t_max + 1):
         w_distinct = np.column_stack([w.column(t) for w in distinct])
         # take() keeps C order, which every array derived from w_cols
-        # inherits; column sums in weights.apply then run in the same order
-        # as for a lone scenario, so a column's bits do not depend on the rest.
+        # inherits, so weights.apply sees the layout of a pass without
+        # repeated scenarios; the lazy Gaussian engine's bits depend on it.
         w_cols = w_distinct if len(distinct) == s else w_distinct.take(source, axis=1)
         x_t = x.column(t)
         x_t = x_t[:, None, :] if x_t.ndim == 2 else x_t

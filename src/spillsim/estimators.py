@@ -9,8 +9,10 @@ trajectories at round T is the evolution-based effect estimate.
 
 The pooled fit factors each round once: the round's distinct base columns
 and its outcome column go through a tall-skinny QR, and only the stacked R
-blocks, at most 5 rows per round, reach ``lstsq``. The N·T-row design matrix
-is built only by ``design_matrix``, the reference the fit is tested against.
+blocks, at most 5 rows per round, reach ``lstsq``. Fits on the same panels
+whose specs use the same base columns can share those factors. The N·T-row
+design matrix is built only by ``design_matrix``, the reference the fit is
+tested against.
 """
 
 from __future__ import annotations
@@ -270,11 +272,27 @@ def _r_factor(block: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([leaves.reshape(-1, block.shape[1]), block[split:]]), mode="r")
 
 
+def _round_factors(y: OutcomePanel, w: TreatmentPanel, bases: tuple[str, ...]) -> list[np.ndarray]:
+    """R factor of each round's N x (b + 1) block [B_t, y_t]: the base
+    columns in ``bases`` order, then the round's outcome."""
+    b = len(bases)
+    block = np.empty((w.n_units, b + 1), order="F")
+    factors = []
+    for t in range(1, w.n_rounds + 1):
+        w_t, y_prev = w.column(t), y.column(t - 1)
+        for k, base in enumerate(bases):
+            block[:, k] = _BASES[base](w_t, y_prev)
+        block[:, b] = y.column(t)
+        factors.append(_r_factor(block))
+    return factors
+
+
 def fit_ese(
     y: OutcomePanel,
     w: TreatmentPanel,
     spec: FeatureSpec,
     structure: StructureMetadata | None = None,
+    round_factors: dict | None = None,
 ) -> ESECoefficients:
     """Pooled least squares of round-t outcomes on the feature columns over
     all units and rounds, with time-invariant coefficients.
@@ -287,6 +305,12 @@ def fit_ese(
     X = blockdiag(Q_t) M, the fit has the solution, residual sum of squares,
     singular values and null space of the N T-row problem.
 
+    ``round_factors`` lets several fits on the same two panels share the
+    factoring: a dict from base tuple to the rounds' R factors, filled on
+    first use. The R factors depend only on the panels and the ordered base
+    tuple, so sharing them changes no bit of the fit. Never pass one dict to
+    fits on different panels.
+
     Rank decisions use RANK_RTOL relative to the largest singular value; a
     rank-deficient system resolves to the minimum-norm solution, so fitted
     values are unchanged by duplicated feature columns.
@@ -297,20 +321,18 @@ def fit_ese(
             f"{n_scenario} scenario-level features need at least that many rounds, panel has {w.n_rounds}"
         )
     terms = _feature_terms(spec, w, y, structure)
-    bases = list(dict.fromkeys(base for base, _, _ in terms))
+    bases = tuple(dict.fromkeys(base for base, _, _ in terms))
     select = [bases.index(base) for base, _, _ in terms]
-    b = len(bases)
-    block = np.empty((w.n_units, b + 1), order="F")
+    if round_factors is None:
+        round_factors = {}
+    if bases not in round_factors:
+        round_factors[bases] = _round_factors(y, w, bases)
     rows, targets = [], []
-    for t in range(1, w.n_rounds + 1):
+    for t, r in enumerate(round_factors[bases], start=1):
         w_t, y_prev = w.column(t), y.column(t - 1)
-        for k, base in enumerate(bases):
-            block[:, k] = _BASES[base](w_t, y_prev)
-        block[:, b] = y.column(t)
-        r = _r_factor(block)
         scales = np.array([scale(w_t, y_prev, arg) for _, scale, arg in terms])
         rows.append(r[:, select] * scales)
-        targets.append(r[:, b])
+        targets.append(r[:, len(bases)])
     m, z = np.vstack(rows), np.concatenate(targets)
     coef, _, _, _ = np.linalg.lstsq(m, z, rcond=RANK_RTOL)
     resid = m @ coef - z

@@ -14,12 +14,13 @@ flag asserting that isolation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -292,17 +293,21 @@ def run_once(
     records = []
     for k in range(len(specs)):
         observed, control, treated = panels[len(SCENARIOS) * k : len(SCENARIOS) * (k + 1)]
-        gt_control = tuple(float(v) for v in control.values.mean(axis=0))
-        gt_treated = tuple(float(v) for v in treated.values.mean(axis=0))
-        gt = ground_truth_tte(control, treated, t_max)
+        where = f"seed {seed}" if sweep is None else f"{sweep.parameter}={sweep.values[k]!r}, seed {seed}"
+        with _overflow_as("ground truth", lambda: where):
+            gt_control = tuple(float(v) for v in control.values.mean(axis=0))
+            gt_treated = tuple(float(v) for v in treated.values.mean(axis=0))
+            gt = ground_truth_tte(control, treated, t_max)
 
         # Estimators receive the observed panel and design probabilities only.
         isolated = observed is not control and observed is not treated
-        estimates, trajectories, coefficients = _run_estimators(config, observed, w_obs, structure)
+        estimates, trajectories, coefficients = estimate_rounds(
+            config, observed, w_obs, structure, (t_max,), where
+        )
         records.append(
             RunRecord(
                 seed=seed,
-                estimates=estimates,
+                estimates={name: values[0] for name, values in estimates.items()},
                 gt_tte=gt,
                 gt_control=gt_control,
                 gt_treated=gt_treated,
@@ -323,37 +328,72 @@ def _run_weights(config: ScenarioConfig) -> dict:
     return {"weights": weights}
 
 
-def _run_estimators(
+class EstimatorOverflow(FloatingPointError):
+    """An estimator's arithmetic, the ground truth or the aggregation of
+    either overflowed or went invalid on finite outcomes."""
+
+    def __init__(self, estimator: str, where: str, cause: FloatingPointError):
+        super().__init__(f"{estimator} at {where}: {cause}")
+
+
+@contextlib.contextmanager
+def _overflow_as(name: str, where: Callable[[], str]):
+    """Run the block with floating-point overflow and invalid results raised,
+    and re-raise them as ``EstimatorOverflow`` naming ``name`` and
+    ``where()``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise EstimatorOverflow(name, where(), exc) from exc
+
+
+def estimate_rounds(
     config: ScenarioConfig,
-    observed: OutcomePanel,
-    w_obs: TreatmentPanel,
+    y: OutcomePanel,
+    w: TreatmentPanel,
     structure: StructureMetadata,
-):
+    rounds: Sequence[int],
+    where: str,
+) -> tuple[dict[str, tuple[float | None, ...]], dict, dict[str, ESECoefficients]]:
+    """Every configured estimator on one observed panel pair, evaluated at
+    each of ``rounds``.
+
+    Returns the estimates (one per round; None where a classical contrast is
+    undefined), the ESE mean trajectories (control, treated) over rounds
+    0..T, and the ESE coefficients. ESE fits whose specs use the same base
+    columns share one factoring of the panels, which is dropped on return.
+    Arithmetic that overflows or goes invalid raises ``EstimatorOverflow``
+    naming the estimator and ``where``.
+    """
     t_max = config.n_rounds
-    y_t = observed.column(t_max)
-    w_t = w_obs.column(t_max)
-    estimates: dict[str, float | None] = {}
+    estimates: dict[str, tuple[float | None, ...]] = {}
     trajectories: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
     coefficients: dict[str, ESECoefficients] = {}
+    round_factors: dict = {}
     for name in config.estimators:
-        if name == "dm":
-            estimates[name] = dm_estimate(y_t, w_t)
-        elif name == "ht":
-            pi = config.design.probs[t_max - 1] if config.design.kind == "bernoulli" else float(config.design.value)
-            if 0.0 < pi < 1.0:
-                estimates[name] = ht_estimate(y_t, w_t, pi)
+        with _overflow_as(name, lambda: where):
+            if name == "dm":
+                estimates[name] = tuple(dm_estimate(y.column(t), w.column(t)) for t in rounds)
+            elif name == "ht":
+                estimates[name] = tuple(_ht_or_none(config.design, y, w, t) for t in rounds)
             else:
-                estimates[name] = None  # degenerate round; no reweighting possible
-        else:
-            spec = config.feature_spec(name, structure)
-            coeffs = fit_ese(observed, w_obs, spec, structure)
-            y0_mean = column_mean(observed, 0)
-            hi = propagate(coeffs, spec, y0_mean, ScenarioPath.all_treated(t_max))
-            lo = propagate(coeffs, spec, y0_mean, ScenarioPath.all_control(t_max))
-            estimates[name] = float(hi[t_max] - lo[t_max])
-            trajectories[name] = (tuple(map(float, lo)), tuple(map(float, hi)))
-            coefficients[name] = coeffs
+                spec = config.feature_spec(name, structure)
+                coeffs = fit_ese(y, w, spec, structure, round_factors)
+                y0_mean = column_mean(y, 0)
+                lo = propagate(coeffs, spec, y0_mean, ScenarioPath.all_control(t_max))
+                hi = propagate(coeffs, spec, y0_mean, ScenarioPath.all_treated(t_max))
+                estimates[name] = tuple(float(hi[t] - lo[t]) for t in rounds)
+                trajectories[name] = (tuple(map(float, lo)), tuple(map(float, hi)))
+                coefficients[name] = coeffs
     return estimates, trajectories, coefficients
+
+
+def _ht_or_none(design: DesignSpec, y: OutcomePanel, w: TreatmentPanel, t: int) -> float | None:
+    """HT contrast at round t; None when the round's assignment probability is
+    0 or 1, which leaves nothing to reweight."""
+    pi = design.probs[t - 1] if design.kind == "bernoulli" else float(design.value)
+    return ht_estimate(y.column(t), w.column(t), pi) if 0.0 < pi < 1.0 else None
 
 
 def replicate(config: ScenarioConfig, n_reps: int | None = None) -> BenchmarkReport:
@@ -368,46 +408,49 @@ def replicate(config: ScenarioConfig, n_reps: int | None = None) -> BenchmarkRep
     return _aggregate(config, records, started)
 
 
-def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float) -> BenchmarkReport:
-    """Summaries of one scenario's records; runtime counts from ``started``."""
+def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float, where: str = "") -> BenchmarkReport:
+    """Summaries of one scenario's records; runtime counts from ``started``.
+
+    Arithmetic that overflows or goes invalid raises ``EstimatorOverflow``
+    naming the quantity, ``where`` (a sweep's ``parameter=value, ``) and the
+    seed of the record with the largest magnitude in that quantity."""
     records = sorted(records, key=lambda r: r.seed)
 
-    summaries: dict[str, EstimatorSummary] = {}
-    for name in config.estimators:
-        errs = []
-        vals = []
-        excluded = 0
-        for rec in records:
-            est = rec.estimates[name]
-            if est is None:
-                excluded += 1
-            else:
-                vals.append(est)
-                errs.append(est - rec.gt_tte)
-        if vals:
-            errs_arr = np.asarray(errs)
-            bias = float(errs_arr.mean())
-            rmse = float(np.sqrt(np.mean(errs_arr**2)))
-            mean_est = float(np.mean(vals))
-        else:
-            bias = rmse = mean_est = float("nan")
-        summaries[name] = EstimatorSummary(
-            name=name, n_used=len(vals), n_excluded=excluded, mean_estimate=mean_est, bias=bias, rmse=rmse
-        )
+    def seed_of_largest(pool: list[RunRecord], numbers) -> Callable[[], str]:
+        return lambda: f"{where}seed {max(pool, key=lambda r: max(abs(v) for v in numbers(r))).seed}"
 
-    gt_control = tuple(np.mean([r.gt_control for r in records], axis=0))
-    gt_treated = tuple(np.mean([r.gt_treated for r in records], axis=0))
+    summaries: dict[str, EstimatorSummary] = {}
     ese_traj = {}
     for name in config.estimators:
+        used = [r for r in records if r.estimates[name] is not None]
+        with _overflow_as(name, seed_of_largest(used, lambda r: (r.estimates[name], r.gt_tte))):
+            if used:
+                vals = np.array([r.estimates[name] for r in used])
+                errs = vals - np.array([r.gt_tte for r in used])
+                bias = float(errs.mean())
+                rmse = float(np.sqrt(np.mean(errs**2)))
+                mean_est = float(np.mean(vals))
+            else:
+                bias = rmse = mean_est = float("nan")
+        summaries[name] = EstimatorSummary(
+            name=name, n_used=len(used), n_excluded=len(records) - len(used), mean_estimate=mean_est, bias=bias,
+            rmse=rmse,
+        )
         if name in ESE_ESTIMATORS:
-            lows = [r.ese_trajectories[name][0] for r in records]
-            highs = [r.ese_trajectories[name][1] for r in records]
-            ese_traj[name] = (tuple(np.mean(lows, axis=0)), tuple(np.mean(highs, axis=0)))
+            with _overflow_as(name, seed_of_largest(records, lambda r: sum(r.ese_trajectories[name], ()))):
+                lows = [r.ese_trajectories[name][0] for r in records]
+                highs = [r.ese_trajectories[name][1] for r in records]
+                ese_traj[name] = (tuple(np.mean(lows, axis=0)), tuple(np.mean(highs, axis=0)))
+
+    with _overflow_as("ground truth", seed_of_largest(records, lambda r: (r.gt_tte, *r.gt_control, *r.gt_treated))):
+        gt_control = tuple(np.mean([r.gt_control for r in records], axis=0))
+        gt_treated = tuple(np.mean([r.gt_treated for r in records], axis=0))
+        gt_tte_mean = float(np.mean([r.gt_tte for r in records]))
 
     return BenchmarkReport(
         n_reps=len(records),
         summaries=summaries,
-        gt_tte_mean=float(np.mean([r.gt_tte for r in records])),
+        gt_tte_mean=gt_tte_mean,
         gt_control=gt_control,
         gt_treated=gt_treated,
         ese_trajectories=ese_traj,
@@ -490,7 +533,7 @@ def failure_sweep(config: ScenarioConfig, parameter: str, grid: Sequence[float])
     rows: list[SweepRow] = []
     reports: list[BenchmarkReport] = []
     for k, value in enumerate(sweep.values):
-        report = _aggregate(config, [records[k] for records in per_seed], started)
+        report = _aggregate(config, [records[k] for records in per_seed], started, f"{parameter}={value!r}, ")
         reports.append(report)
         for name, summary in report.summaries.items():
             rows.append(

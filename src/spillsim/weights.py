@@ -23,6 +23,24 @@ weighted peer sums ``apply(gv, t)``. Five representations are provided:
   influence stays O(1) as n grows.
 * ``ExplicitDenseWeights``: any fixed matrix, for arbitrary heterogeneity.
 
+Cost of ``apply`` on n units and s signal columns:
+
+* lazy Gaussian: O(n s k) time and O(n k) memory, k the distinct columns
+  seen so far in the pass;
+* dense Gaussian and explicit: one n x n matrix product, O(n^2 s);
+* clustered and influencer: O(n s) time. Each column's total and its
+  per-cluster (per-influencer) sums are taken by ``np.bincount`` and combined
+  into a small exposure table, k x s for k clusters, or (m + 1) x s for m
+  influencers (a background row plus one row per influencer). One ``take``
+  expands it to n rows; no other n x s array is built.
+
+Structured kinds sum in unit order, so ``apply(G)[:, j]`` is bit for bit
+``apply(G[:, j])`` whatever the width and memory layout of G. The other
+kinds promise no such column independence: the lazy engine conditions each
+column on every column it is given, and the BLAS kinds (explicit, and the
+materialized Gaussian that serves ``fixed_network``) use a matrix-matrix
+product for several columns but a matrix-vector product for one.
+
 Structured kinds never materialize an n x n matrix; their row sums and point
 lookups are computed lazily. Dense kinds check the 8 n^2 bytes they need
 against physical memory before allocating. All weight sets except the lazy
@@ -292,6 +310,16 @@ class LazyGaussianWeights(WeightSet):
         return _gaussian_descriptor(self)
 
 
+def _unit_order_sums(g: np.ndarray, index: np.ndarray, bins: int) -> np.ndarray:
+    """(bins, s) sums of each column of ``g`` over the units in each bin.
+
+    ``np.bincount`` adds in unit order, so a column's sums do not depend on
+    the memory layout of ``g`` or on its other columns. ``g.sum(axis=0)``
+    does not promise that: it adds one column pairwise and a C-ordered stack
+    of several row by row."""
+    return np.column_stack([np.bincount(index, weights=g[:, j], minlength=bins) for j in range(g.shape[1])])
+
+
 @dataclass(frozen=True)
 class ClusteredWeights(WeightSet):
     n_units: int
@@ -320,13 +348,12 @@ class ClusteredWeights(WeightSet):
         gv = np.asarray(gv, dtype=np.float64)
         squeeze = gv.ndim == 1
         g = gv[:, None] if squeeze else gv
-        total = g.sum(axis=0)
-        # bincount sums each cluster's units in unit order.
-        per_cluster = np.column_stack(
-            [np.bincount(self.membership, weights=g[:, j], minlength=self.n_clusters) for j in range(g.shape[1])]
-        )
         n = self.n_units
-        out = (self.w_out / n) * total[None, :] + ((self.w_in - self.w_out) / n) * per_cluster[self.membership]
+        total = _unit_order_sums(g, np.zeros(n, dtype=np.intp), 1)
+        per_cluster = _unit_order_sums(g, self.membership, self.n_clusters)
+        # Row l holds the exposure of every unit in cluster l.
+        table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
+        out = table.take(self.membership, axis=0)
         return out[:, 0] if squeeze else out
 
     def to_descriptor(self) -> dict:
@@ -345,6 +372,9 @@ class InfluencerWeights(WeightSet):
     influencers: tuple[int, ...]
     w_inf: float
     w_base: float
+    # Exposure-table row of each unit: 0 for a non-influencer, r + 1 for the
+    # r-th influencer.
+    row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = tuple(sorted(int(i) for i in self.influencers))
@@ -359,6 +389,10 @@ class InfluencerWeights(WeightSet):
         if not (np.isfinite(self.w_inf) and np.isfinite(self.w_base)):
             raise ValueError("influencer weights must be finite")
         object.__setattr__(self, "influencers", ids)
+        row = np.zeros(self.n_units, dtype=np.intp)
+        row[list(ids)] = np.arange(1, len(ids) + 1)
+        row.setflags(write=False)
+        object.__setattr__(self, "row", row)
 
     @property
     def n_influencers(self) -> int:
@@ -374,16 +408,15 @@ class InfluencerWeights(WeightSet):
         gv = np.asarray(gv, dtype=np.float64)
         squeeze = gv.ndim == 1
         g = gv[:, None] if squeeze else gv
-        ids = np.asarray(self.influencers, dtype=np.int64)
-        total = g.sum(axis=0)
-        inf_total = g[ids].sum(axis=0)
         m, n = self.n_influencers, self.n_units
-        # For an influencer receiver, its own column falls back to the base rate.
-        own = np.zeros_like(g)
-        own[ids] = g[ids]
-        out = (self.w_inf / m) * (inf_total[None, :] - own) + (self.w_base / n) * (
-            total[None, :] - inf_total[None, :] + own
-        )
+        total = _unit_order_sums(g, np.zeros(n, dtype=np.intp), 1)
+        # Row 0 serves every non-influencer receiver; row r + 1 serves the
+        # r-th influencer, whose own column falls back to the base rate.
+        own = np.zeros((m + 1, g.shape[1]))
+        own[1:] = g[list(self.influencers)]
+        inf_total = _unit_order_sums(own[1:], np.zeros(m, dtype=np.intp), 1)
+        table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
+        out = table.take(self.row, axis=0)
         return out[:, 0] if squeeze else out
 
     def to_descriptor(self) -> dict:

@@ -1,4 +1,7 @@
 import json
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from spillsim.cli import main
 from spillsim.estimators import FeatureSpec, fit_ese
 from spillsim.panel import read_outcome_csv, read_treatment_csv
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 LINEAR_CONFIG = """
 [population]
@@ -314,3 +319,44 @@ def test_cli_reports_a_dense_matrix_too_large_for_memory(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"].startswith("MemoryError:") and "N=10000000" in err["error"]
+
+
+def test_sweep_overflow_in_the_fit_is_one_named_error(tmp_path, capsys):
+    # At trend=1e300 every outcome stays finite, but the fit's residual sum
+    # of squares does not.
+    text = re.sub(r"(?m)^n_units\s*=.*$", "n_units = 120", (CONFIGS / "threshold.cfg").read_text())
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--param", "trend", "--grid", "0,1e300", "--reps", "20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == (
+        "EstimatorOverflow: ese_basic at trend=1e+300, seed 4000: overflow encountered in matmul"
+    )
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["clustered", "influencer", "threshold"])
+def test_simulate_writes_the_observed_panel_of_run_once(tmp_path, monkeypatch, name):
+    # One seed, one set of bits: simulate evolves the observed scenario
+    # alone, run_once beside its two counterfactuals.
+    from spillsim import harness
+    from spillsim.config import parse_config
+
+    observed, suite = [], harness.counterfactual_suite
+
+    def captured(*args):
+        out = suite(*args)
+        observed.append(out[0].values)
+        return out
+
+    monkeypatch.setattr(harness, "counterfactual_suite", captured)
+    cfg = CONFIGS / f"{name}.cfg"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = parse_config(cfg.read_text())
+    harness.run_once(config, config.base_seed)
+    simulated = read_outcome_csv(tmp_path / "outcomes.csv").values
+    assert np.array_equal(simulated.view(np.uint64), observed[0].view(np.uint64))

@@ -5,7 +5,7 @@ import pytest
 
 from spillsim.design import DesignSpec, assign
 from spillsim.dynamics import DynamicsSpec, LinearPeer, LinearUnit, MeanFieldThreshold, WeightedSumExposure, ZeroPeer
-from spillsim.harness import ScenarioConfig, WeightConfig, failure_sweep, replicate, run_once
+from spillsim.harness import EstimatorOverflow, ScenarioConfig, WeightConfig, failure_sweep, replicate, run_once
 
 
 def uniform_weights() -> WeightConfig:
@@ -501,3 +501,100 @@ def test_replication_errors_name_the_scenario():
         config.dynamics, unit=LinearUnit(w_coef=1e300, y_coef=1e10)))
     with pytest.raises(FloatingPointError, match=r"^non-finite outcome for unit 0 at round 2 in scenario all$"):
         run_once(config, 1)
+
+
+# --- shared estimator pass ---------------------------------------------------------
+
+
+CLUSTERED_WEIGHTS = WeightConfig(kind="clustered", n_clusters=2, w_in=1.0, w_out=0.2)
+OWN_TIMES_LAG = "intercept, own_treatment, lagged_outcome, own_times_lag"
+
+
+@pytest.mark.parametrize(
+    "weights, estimators, overrides, factorings",
+    [
+        (CLUSTERED_WEIGHTS, ("dm", "ese_basic", "ese_cluster"), {}, 1),
+        (INFLUENCER_WEIGHTS, ("ht", "ese_basic", "ese_influencer"), {}, 1),
+        # own_times_lag adds the w*y base column, so its fit factors anew.
+        (CLUSTERED_WEIGHTS, ("ese_basic", "ese_cluster"), {"ese_basic": OWN_TIMES_LAG}, 2),
+    ],
+    ids=["clustered", "influencer", "own_times_lag_override"],
+)
+def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estimators, overrides, factorings):
+    import dataclasses
+
+    from spillsim import estimators as estimators_mod
+    from spillsim import harness
+    from spillsim.estimators import FeatureSpec, fit_ese
+
+    config = dataclasses.replace(
+        _trend_config(weights, reps=1, seed=8), estimators=estimators,
+        feature_overrides={name: FeatureSpec.parse(items.split(", ")) for name, items in overrides.items()},
+    )
+    calls, panels = [], []
+    round_factors, suite = estimators_mod._round_factors, harness.counterfactual_suite
+
+    def counted(*args):
+        calls.append(args[2])
+        return round_factors(*args)
+
+    def captured(spec, weights, scenarios, *args):
+        out = suite(spec, weights, scenarios, *args)
+        panels.append((out[0], scenarios[0], harness.structure_of(weights)))
+        return out
+
+    monkeypatch.setattr(estimators_mod, "_round_factors", counted)
+    monkeypatch.setattr(harness, "counterfactual_suite", captured)
+    record = run_once(config, 8)
+    assert len(calls) == factorings
+    (y, w, structure), = panels
+    for name in estimators:
+        if name.startswith("ese_"):
+            want = fit_ese(y, w, config.feature_spec(name, structure), structure)
+            got = record.coefficients[name]
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), name
+            assert got.rss == want.rss
+
+
+def test_run_once_retains_no_outcome_buffer(monkeypatch):
+    # The shared factors live for one estimator pass: once run_once returns,
+    # nothing may keep the (3, N, T + 1) outcome buffer alive.
+    import gc
+    import weakref
+
+    from spillsim import harness
+
+    refs, suite = [], harness.counterfactual_suite
+
+    def watched(*args):
+        out = suite(*args)
+        refs.append(weakref.ref(out[0].values.base))
+        return out
+
+    monkeypatch.setattr(harness, "counterfactual_suite", watched)
+    record = run_once(_trend_config(CLUSTERED_WEIGHTS, reps=1, estimators=("dm", "ese_basic", "ese_cluster")), 8)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert set(record.coefficients) == {"ese_basic", "ese_cluster"}
+
+
+def test_aggregation_overflow_names_the_estimator_value_and_seed():
+    import dataclasses
+
+    from spillsim.harness import RunRecord, _aggregate
+
+    def record(seed, estimate):
+        return RunRecord(seed=seed, estimates={"dm": estimate}, gt_tte=0.5, gt_control=(0.0,), gt_treated=(0.5,),
+                         ese_trajectories={}, coefficients={}, estimators_isolated=True)
+
+    config = dataclasses.replace(linear_config(), estimators=("dm",))
+    records = [record(7, -3.0), record(5, 1.0), record(6, 1e200)]
+    with pytest.raises(EstimatorOverflow, match=r"^dm at trend=2\.0, seed 6: overflow encountered in square$"):
+        _aggregate(config, records, 0.0, "trend=2.0, ")
+
+
+def test_ground_truth_overflow_names_the_grid_value_and_seed():
+    # Outcomes near 1e308 are finite, but their population mean is not.
+    message = r"^ground truth at trend=1e\+306, seed 60: overflow encountered in reduce$"
+    with pytest.raises(EstimatorOverflow, match=message):
+        failure_sweep(_trend_config(INFLUENCER_WEIGHTS, reps=1), "trend", [0.0, 1e306])

@@ -87,12 +87,15 @@ def test_clustered_remainder_absorbed_by_last():
 
 
 def _clustered_apply_reference(ws, gv):
-    """ClusteredWeights.apply with the per-cluster sums taken by np.add.at."""
+    """ClusteredWeights.apply with the per-cluster sums and the total taken by
+    np.add.at, which adds in unit order."""
     g = gv[:, None] if gv.ndim == 1 else gv
     per_cluster = np.zeros((ws.n_clusters, g.shape[1]))
     np.add.at(per_cluster, ws.membership, g)
+    total = np.zeros((1, g.shape[1]))
+    np.add.at(total, np.zeros(ws.n_units, dtype=np.intp), g)
     n = ws.n_units
-    out = (ws.w_out / n) * g.sum(axis=0)[None, :] + ((ws.w_in - ws.w_out) / n) * per_cluster[ws.membership]
+    out = (ws.w_out / n) * total + ((ws.w_in - ws.w_out) / n) * per_cluster[ws.membership]
     return out[:, 0] if gv.ndim == 1 else out
 
 
@@ -107,6 +110,30 @@ def test_clustered_apply_matches_add_at_bit_for_bit(s):
         if s == 1:
             gv = gv[:, 0]
         assert np.array_equal(ws.apply(gv, 1), _clustered_apply_reference(ws, gv))
+
+
+@st.composite
+def _structured_weights(draw):
+    n = draw(st.integers(2, 400))
+    if draw(st.booleans()):
+        return gen_clustered(n, draw(st.integers(1, min(n, 5))), w_in=1.3, w_out=-0.4)
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n - 1, 12), unique=True))
+    return gen_influencer(n, ids, w_inf=0.9, w_base=0.35)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ws=_structured_weights(), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_structured_apply_columns_do_not_depend_on_width_or_layout(ws, width, seed):
+    # Unit-order sums: a column's exposures are the same bits alone, in any
+    # stack and in either memory layout.
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(ws.n_units, width)) * 10.0 ** rng.integers(-8, 8, width)
+    stacked = ws.apply(g, 1).view(np.uint64)
+    fortran = ws.apply(np.asfortranarray(g), 1).view(np.uint64)
+    for j in range(width):
+        alone = ws.apply(g[:, j].copy(), 1).view(np.uint64)
+        assert np.array_equal(stacked[:, j], alone)
+        assert np.array_equal(fortran[:, j], alone)
 
 
 def test_clustered_rejects_bad_counts():
