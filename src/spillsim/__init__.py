@@ -1,7 +1,7 @@
 """spillsim: simulation and estimation lab for randomized experiments with
 network spillovers."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .design import DesignSpec, assign, constant_design, ramp_design
 from .dynamics import (
@@ -32,16 +32,7 @@ from .estimators import (
     tte_from_coeffs,
 )
 from .harness import BenchmarkReport, ScenarioConfig, WeightConfig, failure_sweep, replicate, run_once
-from .panel import (
-    CovariatePanel,
-    EmpiricalDistribution,
-    OutcomePanel,
-    TreatmentPanel,
-    build_panel,
-    column_mean,
-    tuple_distribution,
-    w1_distance,
-)
+from .panel import CovariatePanel, OutcomePanel, TreatmentPanel, column_mean
 from .weights import (
     ClusteredWeights,
     DenseGaussianWeights,

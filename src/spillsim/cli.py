@@ -20,6 +20,9 @@ line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -30,7 +33,7 @@ from . import __version__
 from . import design as design_mod
 from .config import ConfigError, config_hash, parse_config
 from .dynamics import simulate_panel
-from .harness import ScenarioConfig, estimate_rounds, failure_sweep, replicate, structure_of
+from .harness import SWEEP_PARAMETERS, ScenarioConfig, estimate_rounds, failure_sweep, replicate, structure_of
 from .panel import (
     read_outcome_csv,
     read_treatment_csv,
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="benchmark along a parameter grid")
     common(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=("trend", "threshold_strength"))
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -127,8 +130,6 @@ def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str]:
     if text is None:
         text = args.config.read_text()
     config = parse_config(text)
-    import dataclasses
-
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be non-negative")
@@ -140,7 +141,11 @@ def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str]:
     return config, text
 
 
-def _manifest(outdir: Path, text: str, config: ScenarioConfig, extra: dict | None = None) -> None:
+def _manifest(outdir: Path, text: str, config: ScenarioConfig, extra: dict | None = None, inputs=()) -> None:
+    """Write manifest.json: the version, the config's identity and the sha256
+    of every input file the command read (``inputs`` plus any file the weight
+    config names), keyed by the path as given."""
+    files = [*inputs, *config.weights.input_files()]
     payload = {
         "version": __version__,
         "config_hash": config_hash(text),
@@ -152,7 +157,17 @@ def _manifest(outdir: Path, text: str, config: ScenarioConfig, extra: dict | Non
     }
     if extra:
         payload.update(extra)
+    if files:
+        payload["input_sha256"] = {str(path): _sha256(path) for path in files}
     (outdir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _cmd_simulate(args) -> int:
@@ -167,7 +182,7 @@ def _cmd_simulate(args) -> int:
     write_outcome_csv(outdir / "outcomes.csv", panel)
     write_treatment_csv(outdir / "treatments.csv", w_obs)
     write_matrix_csv(outdir / "exposure.csv", exposure.values)
-    _manifest(outdir, text, config, {"scenario": "observed", "weights": weights.to_descriptor() if config.weights.kind != "explicit" else {"kind": "explicit"}})
+    _manifest(outdir, text, config, {"scenario": "observed", "weights": weights.to_descriptor()})
     return 0
 
 
@@ -191,13 +206,12 @@ def _cmd_estimate(args) -> int:
 
     (outdir / "coefficients.json").write_text(json.dumps(coeff_payload, sort_keys=True, indent=2) + "\n")
     _write_estimates_csv(outdir / "estimates.csv", rows)
-    _manifest(outdir, text, config, {"inputs": [str(args.outcomes), str(args.treatments)]})
+    inputs = [args.outcomes, args.treatments]
+    _manifest(outdir, text, config, {"inputs": [str(path) for path in inputs]}, inputs)
     return 0
 
 
 def _write_estimates_csv(path: Path, rows) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "round", "estimate"])
@@ -243,20 +257,18 @@ def _cmd_demo(args) -> int:
     report = replicate(config)
     record = report.records[0]  # records are sorted by seed; this is base_seed's
 
-    rows = []
-    for t in range(config.n_rounds + 1):
-        row = {
-            "round": t,
-            "gt_control": record.gt_control[t],
-            "gt_treated": record.gt_treated[t],
-        }
-        for name, (lo, hi) in sorted(record.ese_trajectories.items()):
-            row[f"{name}_control"] = lo[t]
-            row[f"{name}_treated"] = hi[t]
-        rows.append(row)
-    _write_trajectories_csv(outdir / "trajectories.csv", rows)
-
-    import csv
+    trajectories = sorted(record.ese_trajectories.items())
+    header = ["round", "gt_control", "gt_treated"]
+    for name, _ in trajectories:
+        header += [f"{name}_control", f"{name}_treated"]
+    with open(outdir / "trajectories.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(config.n_rounds + 1):
+            values = [record.gt_control[t], record.gt_treated[t]]
+            for _, (lo, hi) in trajectories:
+                values += [lo[t], hi[t]]
+            writer.writerow([t, *(repr(float(v)) for v in values)])
 
     with open(outdir / "estimates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -276,19 +288,6 @@ def _cmd_demo(args) -> int:
             )
     _manifest(outdir, text, config, {"scenario": "demo"})
     return 0
-
-
-def _write_trajectories_csv(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    if not rows:
-        raise ValueError("no trajectory rows to write")
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([row["round"], *[repr(float(row[k])) for k in fields[1:]]])
 
 
 def _ensure_outdir(path: Path) -> Path:

@@ -10,13 +10,18 @@ grammar, in full:
 * values are typed: integers, floats, booleans (true/false), bare strings, or
   comma-separated lists of any of these.
 
-Unknown sections and unknown keys are rejected, never ignored; errors name the
+Unknown sections and unknown keys are rejected, never ignored, and so is a key
+that the section's chosen kind does not read (``mu`` under ``kind =
+clustered``, ``tau`` under ``exposure = weighted_sum``). Errors name the
 offending ``section.key``. See the README for the key reference and defaults.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import math
 
 from .design import DesignSpec, RAMP_PROBS
 from .dynamics import (
@@ -29,47 +34,29 @@ from .dynamics import (
     ZeroPeer,
 )
 from .estimators import FeatureSpec
-from .harness import KNOWN_ESTIMATORS, ScenarioConfig, WeightConfig
+from .harness import ESTIMATORS, ScenarioConfig
+from .weights import WEIGHT_KINDS, WeightConfig
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
+# ESE estimators take a feature override, ``features_<name>``.
+_FEATURE_KEYS = {f"features_{name}": name for name, est in ESTIMATORS.items() if est.features is not None}
+
 SECTIONS = {
     "population": {"n_units", "n_rounds", "baseline_mean", "baseline_sd"},
-    "weights": {
-        "kind",
-        "mu",
-        "sigma2",
-        "mu_t",
-        "sigma2_t",
-        "n_clusters",
-        "w_in",
-        "w_out",
-        "influencers",
-        "w_inf",
-        "w_base",
-        "matrix_path",
-    },
+    "weights": {"kind"}.union(*(kind.keys for kind in WEIGHT_KINDS.values())),
+    # The fields of the dataclasses the section builds, named as in the file;
+    # only the linear peer's coefficients carry a prefix there.
     "dynamics": {
-        "unit",
-        "w_coef",
-        "y_coef",
-        "x_coef",
-        "intercept",
-        "trend",
-        "scale",
-        "peer",
         "peer_w",
         "peer_y",
-        "exposure",
-        "tau",
-        "strength",
-        "noise_sd",
+        *(f.name for cls in (DynamicsSpec, SaturatingUnit, MeanFieldThreshold) for f in dataclasses.fields(cls)),
     },
     "design": {"kind", "probs", "value"},
-    "estimators": {"use", "features_ese_basic", "features_ese_cluster", "features_ese_influencer"},
+    "estimators": {"use", *_FEATURE_KEYS},
     "run": {"seed", "reps", "fixed_network"},
 }
 
@@ -129,58 +116,85 @@ def parse_document(text: str) -> dict[str, dict[str, object]]:
 
 class _Section:
     """Typed accessors over one parsed section, with error messages that name
-    the section.key path."""
+    the section.key path. Every key asked for is recorded, so ``check_read``
+    can reject the keys that the section's choices never read."""
 
     def __init__(self, name: str, values: dict[str, object]):
         self.name = name
         self.values = dict(values)
+        self.read: set[str] = set()
 
-    def get_int(self, key: str, default=None) -> int:
-        val = self.values.get(key, default)
-        if val is default and key not in self.values:
-            return default
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{self.name}.{key} must be an integer, got {val!r}")
-        return val
-
-    def get_float(self, key: str, default=None) -> float:
-        val = self.values.get(key, default)
-        if val is default and key not in self.values:
-            return default
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{self.name}.{key} must be a number, got {val!r}")
-        return float(val)
-
-    def get_bool(self, key: str, default=None) -> bool:
-        val = self.values.get(key, default)
-        if val is default and key not in self.values:
-            return default
-        if not isinstance(val, bool):
-            raise ConfigError(f"{self.name}.{key} must be true or false, got {val!r}")
-        return val
-
-    def get_str(self, key: str, default=None) -> str:
-        val = self.values.get(key, default)
-        if val is default and key not in self.values:
-            return default
-        if not isinstance(val, str):
-            raise ConfigError(f"{self.name}.{key} must be a string, got {val!r}")
-        return val
-
-    def get_list(self, key: str, default=None) -> list:
+    def _get(self, key: str, default, accept, what: str):
+        self.read.add(key)
         if key not in self.values:
             return default
         val = self.values[key]
-        return val if isinstance(val, list) else [val]
+        if not accept(val):
+            raise ConfigError(f"{self.name}.{key} must be {what}, got {val!r}")
+        return val
+
+    def get_int(self, key: str, default=None) -> int:
+        return self._get(key, default, _is_int, "an integer")
+
+    def get_float(self, key: str, default=None) -> float:
+        val = self._get(key, default, _is_number, "a finite number")
+        return val if val is None else float(val)
+
+    def get_bool(self, key: str, default=None) -> bool:
+        return self._get(key, default, lambda v: isinstance(v, bool), "true or false")
+
+    def get_str(self, key: str, default=None) -> str:
+        return self._get(key, default, lambda v: isinstance(v, str), "a string")
+
+    def get_list(self, key: str, default=None) -> list:
+        val = self._get(key, default, lambda v: True, "")
+        return val if isinstance(val, list) or val is default else [val]
+
+    def get_ints(self, key: str, default=None) -> tuple[int, ...]:
+        return self._get_items(key, default, _is_int, int, "integers")
+
+    def get_numbers(self, key: str, default=None) -> tuple[float, ...]:
+        return self._get_items(key, default, _is_number, float, "finite numbers")
+
+    def _get_items(self, key: str, default, accept, convert, what: str) -> tuple:
+        items = self.get_list(key)
+        if items is None:
+            return default
+        if not all(accept(v) for v in items):
+            raise ConfigError(f"{self.name}.{key} must list {what}, got {items!r}")
+        return tuple(convert(v) for v in items)
+
+    def check_read(self, choice: str) -> None:
+        """Reject a key that no accessor asked for under ``choice``."""
+        for key in self.values:
+            if key not in self.read:
+                raise ConfigError(f"{self.name}.{key} is not read with {choice}")
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+@contextlib.contextmanager
+def _keyed(key: str):
+    """Re-raise a dataclass's ValueError as a ConfigError naming ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Validate a config document and build the scenario it describes."""
+    """Validate a config document and build the scenario it describes.
+
+    The dataclasses check the values; errors name the section.key at
+    fault, either in the dataclass's message or by ``_keyed``."""
     data = parse_document(text)
     population = _Section("population", data.get("population", {}))
-    weights_sec = _Section("weights", data.get("weights", {}))
-    dynamics_sec = _Section("dynamics", data.get("dynamics", {}))
-    design_sec = _Section("design", data.get("design", {}))
     estimators_sec = _Section("estimators", data.get("estimators", {}))
     run_sec = _Section("run", data.get("run", {}))
 
@@ -190,37 +204,22 @@ def parse_config(text: str) -> ScenarioConfig:
     n_rounds = population.get_int("n_rounds", 4)
     if n_rounds < 1:
         raise ConfigError(f"population.n_rounds must be a positive integer, got {n_rounds}")
-    baseline_mean = population.get_float("baseline_mean", 0.0)
-    baseline_sd = population.get_float("baseline_sd", 1.0)
-    if baseline_sd < 0:
-        raise ConfigError("population.baseline_sd must be non-negative")
 
-    weights = _parse_weights(weights_sec)
-    dynamics = _parse_dynamics(dynamics_sec)
-    design = _parse_design(design_sec, n_units, n_rounds)
+    weights = _parse_weights(_Section("weights", data.get("weights", {})))
+    dynamics = _parse_dynamics(_Section("dynamics", data.get("dynamics", {})))
+    design = _parse_design(_Section("design", data.get("design", {})), n_units, n_rounds)
 
-    use = estimators_sec.get_list("use", ["dm", "ht", "ese_basic"])
-    estimators = tuple(str(e).strip() for e in use)
-    for est in estimators:
-        if est not in KNOWN_ESTIMATORS:
-            raise ConfigError(f"estimators.use names unknown estimator {est!r}")
+    use = estimators_sec.get_list("use", list(ScenarioConfig.estimators))
     overrides = {}
-    for est in ("ese_basic", "ese_cluster", "ese_influencer"):
-        key = f"features_{est}"
+    for key, name in _FEATURE_KEYS.items():
         items = estimators_sec.get_list(key)
         if items is not None:
-            try:
-                overrides[est] = FeatureSpec.parse([str(s).strip() for s in items])
-            except ValueError as exc:
-                raise ConfigError(f"estimators.{key}: {exc}") from exc
+            with _keyed(f"estimators.{key}"):
+                overrides[name] = FeatureSpec.parse([str(s).strip() for s in items])
 
     seed = run_sec.get_int("seed", 0)
     if seed < 0:
         raise ConfigError("run.seed must be non-negative")
-    reps = run_sec.get_int("reps", 1)
-    if reps < 1:
-        raise ConfigError("run.reps must be at least 1")
-    fixed_network = run_sec.get_bool("fixed_network", False)
 
     try:
         return ScenarioConfig(
@@ -229,76 +228,54 @@ def parse_config(text: str) -> ScenarioConfig:
             weights=weights,
             dynamics=dynamics,
             design=design,
-            estimators=estimators,
+            estimators=tuple(str(e).strip() for e in use),
             feature_overrides=overrides,
-            baseline_mean=baseline_mean,
-            baseline_sd=baseline_sd,
+            baseline_mean=population.get_float("baseline_mean", 0.0),
+            baseline_sd=population.get_float("baseline_sd", 1.0),
             base_seed=seed,
-            n_reps=reps,
-            fixed_network=fixed_network,
+            n_reps=run_sec.get_int("reps", 1),
+            fixed_network=run_sec.get_bool("fixed_network", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+# The accessor that reads a weight key, by the type of the key's default;
+# None marks a required string.
+_READERS = {float: _Section.get_float, int: _Section.get_int, tuple: _Section.get_ints, type(None): _Section.get_str}
+
+
 def _parse_weights(sec: _Section) -> WeightConfig:
     kind = sec.get_str("kind", "dense_gaussian")
-    if kind == "dense_gaussian":
-        return WeightConfig(
-            kind=kind,
-            mu=sec.get_float("mu", 0.0),
-            sigma2=sec.get_float("sigma2", 0.0),
-            mu_t=sec.get_float("mu_t", 0.0),
-            sigma2_t=sec.get_float("sigma2_t", 0.0),
-        )
-    if kind == "clustered":
-        n_clusters = sec.get_int("n_clusters", 2)
-        if n_clusters < 1:
-            raise ConfigError("weights.n_clusters must be at least 1")
-        return WeightConfig(
-            kind=kind,
-            n_clusters=n_clusters,
-            w_in=sec.get_float("w_in", 0.0),
-            w_out=sec.get_float("w_out", 0.0),
-        )
-    if kind == "influencer":
-        raw = sec.get_list("influencers", [])
-        ids = []
-        for item in raw:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"weights.influencers must list unit ids, got {item!r}")
-            ids.append(item)
-        if not ids:
-            raise ConfigError("weights.influencers must be non-empty for influencer weights")
-        return WeightConfig(
-            kind=kind,
-            influencers=tuple(ids),
-            w_inf=sec.get_float("w_inf", 0.0),
-            w_base=sec.get_float("w_base", 0.0),
-        )
-    if kind == "explicit":
-        path = sec.get_str("matrix_path")
-        if not path:
-            raise ConfigError("weights.matrix_path required for explicit weights")
-        return WeightConfig(kind=kind, matrix_path=path)
-    raise ConfigError(f"weights.kind must be one of dense_gaussian, clustered, influencer, explicit; got {kind!r}")
+    if kind not in WEIGHT_KINDS:
+        raise ConfigError(f"weights.kind must be one of {', '.join(WEIGHT_KINDS)}; got {kind!r}")
+    params = {}
+    for key, default in WEIGHT_KINDS[kind].keys.items():
+        value = _READERS[type(default)](sec, key)
+        if value is not None:
+            params[key] = value
+    sec.check_read(f"kind = {kind}")
+    try:
+        return WeightConfig(kind, **params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_dynamics(sec: _Section) -> DynamicsSpec:
     unit_kind = sec.get_str("unit", "linear")
-    x_coef = sec.get_list("x_coef", [])
-    x_coef = tuple(float(c) for c in x_coef)
     common = dict(
         w_coef=sec.get_float("w_coef", 0.0),
         y_coef=sec.get_float("y_coef", 1.0),
-        x_coef=x_coef,
+        x_coef=sec.get_numbers("x_coef", ()),
         intercept=sec.get_float("intercept", 0.0),
         trend=sec.get_float("trend", 0.0),
     )
     if unit_kind == "linear":
         unit = LinearUnit(**common)
     elif unit_kind == "saturating":
-        unit = SaturatingUnit(**common, scale=sec.get_float("scale", 1.0))
+        scale = sec.get_float("scale", 1.0)
+        with _keyed("dynamics.scale"):
+            unit = SaturatingUnit(**common, scale=scale)
     else:
         raise ConfigError(f"dynamics.unit must be linear or saturating, got {unit_kind!r}")
 
@@ -314,41 +291,32 @@ def _parse_dynamics(sec: _Section) -> DynamicsSpec:
     if expo_kind == "weighted_sum":
         exposure = WeightedSumExposure()
     elif expo_kind == "threshold":
-        tau = sec.get_float("tau", 0.5)
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"dynamics.tau must lie strictly inside (0, 1), got {tau}")
-        exposure = MeanFieldThreshold(tau=tau, strength=sec.get_float("strength", 1.0))
+        tau, strength = sec.get_float("tau", 0.5), sec.get_float("strength", 1.0)
+        with _keyed("dynamics.tau"):
+            exposure = MeanFieldThreshold(tau=tau, strength=strength)
     else:
         raise ConfigError(f"dynamics.exposure must be weighted_sum or threshold, got {expo_kind!r}")
 
     noise_sd = sec.get_float("noise_sd", 0.0)
-    if noise_sd < 0:
-        raise ConfigError("dynamics.noise_sd must be non-negative")
-    return DynamicsSpec(unit=unit, peer=peer, exposure=exposure, noise_sd=noise_sd)
+    sec.check_read(f"unit = {unit_kind}, peer = {peer_kind}, exposure = {expo_kind}")
+    with _keyed("dynamics.noise_sd"):
+        return DynamicsSpec(unit=unit, peer=peer, exposure=exposure, noise_sd=noise_sd)
 
 
 def _parse_design(sec: _Section, n_units: int, n_rounds: int) -> DesignSpec:
     kind = sec.get_str("kind", "bernoulli")
     if kind == "bernoulli":
-        probs = sec.get_list("probs")
+        probs = sec.get_numbers("probs")
         if probs is None and n_rounds == len(RAMP_PROBS):
-            probs = list(RAMP_PROBS)  # the canonical ramp is the default
-        if probs is None or len(probs) != n_rounds:
-            raise ConfigError(f"design.probs must list {n_rounds} per-round probabilities")
-        clean = []
-        for p in probs:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise ConfigError(f"design.probs entries must be numbers, got {p!r}")
-            if not 0.0 <= float(p) <= 1.0:
-                raise ConfigError(f"design.probs entry {p} outside [0, 1]")
-            clean.append(float(p))
-        return DesignSpec(kind="bernoulli", n_units=n_units, n_rounds=n_rounds, probs=tuple(clean))
-    if kind == "constant":
-        value = sec.get_int("value", 0)
-        if value not in (0, 1):
-            raise ConfigError(f"design.value must be 0 or 1, got {value}")
-        return DesignSpec(kind="constant", n_units=n_units, n_rounds=n_rounds, value=value)
-    raise ConfigError(f"design.kind must be bernoulli or constant, got {kind!r}")
+            probs = RAMP_PROBS  # the canonical ramp is the default
+        key, params = "probs", {"probs": probs}
+    elif kind == "constant":
+        key, params = "value", {"value": sec.get_int("value", 0)}
+    else:
+        raise ConfigError(f"design.kind must be bernoulli or constant, got {kind!r}")
+    sec.check_read(f"kind = {kind}")
+    with _keyed(f"design.{key}"):
+        return DesignSpec(kind=kind, n_units=n_units, n_rounds=n_rounds, **params)
 
 
 def config_hash(text: str) -> str:

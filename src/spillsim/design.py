@@ -54,8 +54,6 @@ def assign(spec: DesignSpec, seed: int) -> TreatmentPanel:
 
 def ramp_design(n: int) -> DesignSpec:
     """Four-round ramp: probabilities 0%, 20%, 40%, 80%."""
-    if n < 1:
-        raise ValueError("population size must be at least 1")
     return DesignSpec(kind="bernoulli", n_units=n, n_rounds=4, probs=RAMP_PROBS)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import CovariatePanel, OutcomePanel, TreatmentPanel, column_mean
+from .panel import CovariatePanel, OutcomePanel, RoundPanel, TreatmentPanel, column_mean
 from .rng import substream
 from .weights import WeightSet
 
@@ -151,7 +151,7 @@ class DynamicsSpec:
 
 
 @dataclass(frozen=True)
-class ExposureMatrix:
+class ExposureMatrix(RoundPanel):
     """Realized exposures, shape (n_units, n_rounds) with rounds 1..T."""
 
     values: np.ndarray
@@ -165,19 +165,6 @@ class ExposureMatrix:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def n_units(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_rounds(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.n_rounds:
-            raise IndexError(f"round {t} outside 1..{self.n_rounds}")
-        return self.values[:, t - 1]
 
 
 class NonFiniteOutcome(FloatingPointError):
@@ -414,32 +401,6 @@ def ground_truth_tte(control: OutcomePanel, treated: OutcomePanel, t: int) -> fl
     """Mean outcome gap at round t between the universal-treatment panel and
     the no-treatment panel."""
     return column_mean(treated, t) - column_mean(control, t)
-
-
-def write_scenario_suite(
-    outdir,
-    spec: DynamicsSpec,
-    panels: Sequence[OutcomePanel],
-    scenario_ids: Sequence[str],
-    seed: int,
-) -> None:
-    """Write one outcome CSV per scenario plus a manifest naming each scenario
-    id alongside the seed and the dynamics spec hash."""
-    from pathlib import Path
-
-    from .panel import write_outcome_csv
-
-    if len(panels) != len(scenario_ids):
-        raise ValueError("one scenario id per panel required")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for panel, sid in zip(panels, scenario_ids):
-        fname = f"outcomes_{sid}.csv"
-        write_outcome_csv(outdir / fname, panel)
-        entries.append({"scenario": sid, "file": fname})
-    manifest = {"scenarios": entries, "seed": seed, "spec_hash": spec.spec_hash()}
-    (outdir / "suite_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def evolution_residual(

@@ -11,15 +11,13 @@ The pooled fit factors each round once: the round's distinct base columns
 and its outcome column go through a tall-skinny QR, and only the stacked R
 blocks, at most 5 rows per round, reach ``lstsq``. Fits on the same panels
 whose specs use the same base columns can share those factors. The N·T-row
-design matrix is built only by ``design_matrix``, the reference the fit is
-tested against.
+design matrix is never built.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,20 +30,31 @@ RANK_RTOL = 1e-10
 # call on the whole N-row block.
 TSQR_LEAF_ROWS = 1024
 
-FEATURE_KINDS = (
-    "intercept",
-    "own_treatment",
-    "lagged_outcome",
-    "treated_fraction",
-    "lagged_mean",
-    "own_times_lag",
-    "own_times_fraction",
-    "cluster_fraction",
-    "influencer_treatment",
-)
-# Features that are constant across units within a round; identified only
-# through across-round variation.
-SCENARIO_LEVEL_FEATURES = ("intercept", "treated_fraction", "lagged_mean", "cluster_fraction", "influencer_treatment")
+# Every feature at round t is a scale times one of four unit-level base
+# columns of (w_t, y_{t-1}); the constant column is the scalar 1.0. The scale
+# is a function of the round's columns and of the feature's argument: the
+# cluster mask or the influencer id. The third entry is the feature's
+# population mean under a scenario with treated fraction pi and lagged mean
+# m, as ``propagate`` needs it. This table is the one definition of the
+# feature kinds, for the fit and for propagation.
+_BASES = {
+    "one": lambda w, y: 1.0,
+    "w": lambda w, y: w,
+    "y": lambda w, y: y,
+    "wy": lambda w, y: w * y,
+}
+_TERMS = {
+    "intercept": ("one", lambda w, y, arg: 1.0, lambda pi, m: 1.0),
+    "own_treatment": ("w", lambda w, y, arg: 1.0, lambda pi, m: pi),
+    "lagged_outcome": ("y", lambda w, y, arg: 1.0, lambda pi, m: m),
+    "treated_fraction": ("one", lambda w, y, arg: w.mean(), lambda pi, m: pi),
+    "lagged_mean": ("one", lambda w, y, arg: y.mean(), lambda pi, m: m),
+    # Its mean uses the independence of a randomized assignment from the lagged outcome.
+    "own_times_lag": ("wy", lambda w, y, arg: 1.0, lambda pi, m: pi * m),
+    "own_times_fraction": ("w", lambda w, y, arg: w.mean(), lambda pi, m: pi * pi),
+    "cluster_fraction": ("one", lambda w, y, mask: w[mask].mean(), lambda pi, m: pi),
+    "influencer_treatment": ("one", lambda w, y, j: w[j], lambda pi, m: pi),
+}
 PARAMETERIZED_FEATURES = ("cluster_fraction", "influencer_treatment")
 
 
@@ -58,7 +67,7 @@ class Feature:
     index: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
+        if self.kind not in _TERMS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind in PARAMETERIZED_FEATURES:
             if self.index is None or self.index < 0:
@@ -99,7 +108,9 @@ class FeatureSpec:
         return tuple(f.name for f in self.features)
 
     def n_scenario_level(self) -> int:
-        return sum(1 for f in self.features if f.kind in SCENARIO_LEVEL_FEATURES)
+        """Features on the constant base: the same for every unit within a
+        round, so identified only through across-round variation."""
+        return sum(1 for f in self.features if _TERMS[f.kind][0] == "one")
 
     @classmethod
     def parse(cls, items: Sequence[str]) -> "FeatureSpec":
@@ -151,9 +162,6 @@ class ESECoefficients:
     def to_dict(self) -> dict:
         return {"coefficients": self.by_name(), "rss": self.rss, "n_rows": self.n_rows}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 # --- single-round estimators -------------------------------------------------
 
@@ -190,30 +198,6 @@ def ht_estimate(y_t: np.ndarray, w_t: np.ndarray, pi_t: float) -> float:
 # --- pooled regression fit ----------------------------------------------------
 
 
-# Every feature at round t is a scale times one of four unit-level base
-# columns of (w_t, y_{t-1}); the constant column is the scalar 1.0. The scale
-# is a function of the round's columns and of the feature's argument: the
-# cluster mask or the influencer id. This table is the one definition of the
-# features for both the fit and the design_matrix reference.
-_BASES = {
-    "one": lambda w, y: 1.0,
-    "w": lambda w, y: w,
-    "y": lambda w, y: y,
-    "wy": lambda w, y: w * y,
-}
-_TERMS = {
-    "intercept": ("one", lambda w, y, arg: 1.0),
-    "own_treatment": ("w", lambda w, y, arg: 1.0),
-    "lagged_outcome": ("y", lambda w, y, arg: 1.0),
-    "treated_fraction": ("one", lambda w, y, arg: w.mean()),
-    "lagged_mean": ("one", lambda w, y, arg: y.mean()),
-    "own_times_lag": ("wy", lambda w, y, arg: 1.0),
-    "own_times_fraction": ("w", lambda w, y, arg: w.mean()),
-    "cluster_fraction": ("one", lambda w, y, mask: w[mask].mean()),
-    "influencer_treatment": ("one", lambda w, y, j: w[j]),
-}
-
-
 def _feature_terms(
     spec: FeatureSpec,
     w: TreatmentPanel,
@@ -237,27 +221,9 @@ def _feature_terms(
             if feature.index not in structure.require_influencers():
                 raise ValueError(f"unit {feature.index} is not a listed influencer")
             arg = feature.index
-        terms.append((*_TERMS[feature.kind], arg))
+        base, scale, _ = _TERMS[feature.kind]
+        terms.append((base, scale, arg))
     return terms
-
-
-def design_matrix(
-    spec: FeatureSpec,
-    w: TreatmentPanel,
-    y: OutcomePanel,
-    structure: StructureMetadata | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack one regression row per (unit, round) for rounds 1..T; the target
-    is the round-t outcome. ``fit_ese`` never builds this matrix; it is the
-    reference its factored fit is tested against."""
-    terms = _feature_terms(spec, w, y, structure)
-    n = w.n_units
-    x = np.empty((n * w.n_rounds, len(terms)))
-    for t in range(1, w.n_rounds + 1):
-        w_t, y_prev = w.column(t), y.column(t - 1)
-        for f, (base, scale, arg) in enumerate(terms):
-            x[(t - 1) * n : t * n, f] = scale(w_t, y_prev, arg) * _BASES[base](w_t, y_prev)
-    return x, np.concatenate([y.column(t) for t in range(1, w.n_rounds + 1)])
 
 
 def _r_factor(block: np.ndarray) -> np.ndarray:
@@ -347,12 +313,10 @@ def fit_ese(
 @dataclass(frozen=True)
 class ScenarioPath:
     """Per-round description of an assignment scenario at the population
-    level: global treated fraction, optional per-cluster fractions, optional
-    individual influencer assignments (unit id -> value)."""
+    level: the treated fraction of each round. Cluster fractions and
+    influencer assignments take the same value under it."""
 
     fractions: tuple[float, ...]
-    cluster_fractions: tuple[tuple[float, ...], ...] | None = None
-    influencer_treatments: tuple[Mapping[int, float], ...] | None = None
 
     def __post_init__(self):
         fr = tuple(float(p) for p in self.fractions)
@@ -362,10 +326,6 @@ class ScenarioPath:
             if not (np.isfinite(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"treated fraction {p} outside [0, 1]")
         object.__setattr__(self, "fractions", fr)
-        if self.cluster_fractions is not None and len(self.cluster_fractions) != len(fr):
-            raise ValueError("cluster fractions must cover every round")
-        if self.influencer_treatments is not None and len(self.influencer_treatments) != len(fr):
-            raise ValueError("influencer assignments must cover every round")
 
     @property
     def n_rounds(self) -> int:
@@ -384,47 +344,6 @@ class ScenarioPath:
         return cls.constant(0.0, n_rounds)
 
 
-def _feature_mean(feature: Feature, path: ScenarioPath, t: int, m_prev: float) -> float:
-    """Population mean of a feature under the scenario at round t, with the
-    lagged mean trajectory value m_prev.
-
-    Unit-level products with the assignment use independence of the draw from
-    the lagged outcome, so own_treatment * lagged_outcome averages to
-    fraction * m_prev exactly under randomized assignment.
-    """
-    pi = path.fractions[t - 1]
-    kind = feature.kind
-    if kind == "intercept":
-        return 1.0
-    if kind == "own_treatment":
-        return pi
-    if kind == "lagged_outcome":
-        return m_prev
-    if kind == "treated_fraction":
-        return pi
-    if kind == "lagged_mean":
-        return m_prev
-    if kind == "own_times_lag":
-        return pi * m_prev
-    if kind == "own_times_fraction":
-        return pi * pi
-    if kind == "cluster_fraction":
-        if path.cluster_fractions is None:
-            return pi
-        row = path.cluster_fractions[t - 1]
-        if feature.index >= len(row):
-            raise ValueError(f"scenario provides no fraction for cluster {feature.index} at round {t}")
-        return float(row[feature.index])
-    if kind == "influencer_treatment":
-        if path.influencer_treatments is None:
-            return pi
-        row = path.influencer_treatments[t - 1]
-        if feature.index not in row:
-            raise ValueError(f"scenario provides no assignment for influencer {feature.index} at round {t}")
-        return float(row[feature.index])
-    raise AssertionError(f"unhandled feature kind {kind}")
-
-
 def propagate(
     coeffs: ESECoefficients,
     spec: FeatureSpec,
@@ -433,15 +352,16 @@ def propagate(
 ) -> np.ndarray:
     """Mean outcome trajectory, rounds 0..T, under the scenario path.
 
-    Round t applies m_t = sum_f coef_f * feature_mean(f; path, m_{t-1}),
-    starting from the observed pre-treatment mean.
+    Round t applies m_t = sum_f coef_f * mean_f(pi_t, m_{t-1}), starting from
+    the observed pre-treatment mean, where mean_f is the feature's population
+    mean in ``_TERMS`` and pi_t the path's treated fraction.
     """
     if tuple(coeffs.names) != spec.names:
         raise ValueError("coefficients and feature spec are misaligned")
     out = np.empty(path.n_rounds + 1)
     out[0] = float(y0_mean)
     for t in range(1, path.n_rounds + 1):
-        means = np.array([_feature_mean(f, path, t, out[t - 1]) for f in spec.features])
+        means = np.array([_TERMS[f.kind][2](path.fractions[t - 1], out[t - 1]) for f in spec.features])
         out[t] = float(coeffs.values @ means)
     return out
 
@@ -451,20 +371,13 @@ def tte_from_coeffs(
     spec: FeatureSpec,
     y0_mean: float,
     t: int,
-    treated_path: ScenarioPath | None = None,
-    control_path: ScenarioPath | None = None,
 ) -> float:
     """Evolution-based effect estimate at round t: the universal-treatment
     trajectory minus the no-treatment trajectory, both anchored at y0_mean."""
     if t < 0:
         raise ValueError("round must be non-negative")
-    n_rounds = max(t, 1)
-    treated_path = treated_path or ScenarioPath.all_treated(n_rounds)
-    control_path = control_path or ScenarioPath.all_control(n_rounds)
-    if t > treated_path.n_rounds or t > control_path.n_rounds:
-        raise ValueError(f"scenario paths do not cover round {t}")
-    hi = propagate(coeffs, spec, y0_mean, treated_path)
-    lo = propagate(coeffs, spec, y0_mean, control_path)
+    hi = propagate(coeffs, spec, y0_mean, ScenarioPath.all_treated(max(t, 1)))
+    lo = propagate(coeffs, spec, y0_mean, ScenarioPath.all_control(max(t, 1)))
     return float(hi[t] - lo[t])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -49,69 +50,40 @@ from .estimators import (
 from .estimators import fit_ese
 from .panel import OutcomePanel, TreatmentPanel, column_mean, round_index_covariates
 from .rng import substream
-from .weights import (
-    ClusteredWeights,
-    GaussianWeightParams,
-    InfluencerWeights,
-    LazyGaussianWeights,
-    WeightSet,
-    gen_clustered,
-    gen_dense_gaussian,
-    gen_influencer,
-)
+from .weights import WEIGHT_KINDS, WeightConfig, WeightSet, kind_of
 
-CLASSICAL_ESTIMATORS = ("dm", "ht")
-ESE_ESTIMATORS = ("ese_basic", "ese_cluster", "ese_influencer")
-KNOWN_ESTIMATORS = CLASSICAL_ESTIMATORS + ESE_ESTIMATORS
 # The counterfactual suite of one replication, in evolution order.
 SCENARIOS = ("observed", "none", "all")
 
 
+def _ht_or_none(design: DesignSpec, y: OutcomePanel, w: TreatmentPanel, t: int) -> float | None:
+    """HT contrast at round t; None when the round's assignment probability is
+    0 or 1, which leaves nothing to reweight."""
+    pi = design.probs[t - 1] if design.kind == "bernoulli" else float(design.value)
+    return ht_estimate(y.column(t), w.column(t), pi) if 0.0 < pi < 1.0 else None
+
+
 @dataclass(frozen=True)
-class WeightConfig:
-    """Declarative weight-set choice; built once per run unless it depends on
-    the seed, then once per replication."""
+class Estimator:
+    """One estimator ``estimators.use`` can name: a classical contrast
+    ``(design, y, w, t) -> estimate or None``, or an ESE fit with default
+    features for the run's structure metadata, which may need one weight
+    kind. Estimator functions are looked up in this module at call time."""
 
-    kind: str  # dense_gaussian | clustered | influencer | explicit
-    mu: float = 0.0
-    sigma2: float = 0.0
-    mu_t: float = 0.0
-    sigma2_t: float = 0.0
-    n_clusters: int = 2
-    w_in: float = 0.0
-    w_out: float = 0.0
-    influencers: tuple[int, ...] = ()
-    w_inf: float = 0.0
-    w_base: float = 0.0
-    matrix_path: str | None = None
+    contrast: Callable | None = None
+    features: Callable[[StructureMetadata], FeatureSpec] | None = None
+    weight_kind: str | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("dense_gaussian", "clustered", "influencer", "explicit"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
 
-    def depends_on_seed(self, shared: bool = False) -> bool:
-        """Whether ``build`` draws a new weight set for each seed. Only the
-        lazy Gaussian does; a shared (fixed) network is drawn once."""
-        return self.kind == "dense_gaussian" and not shared
-
-    def build(self, n_units: int, n_rounds: int, seed: int, shared: bool = False) -> WeightSet:
-        """The weight set for one forward pass, or for several when ``shared``
-        (a fixed network): only the materialized Gaussian can serve those."""
-        if self.kind == "dense_gaussian":
-            params = GaussianWeightParams(self.mu, self.sigma2, self.mu_t, self.sigma2_t)
-            if shared:
-                return gen_dense_gaussian(n_units, params, n_rounds, seed)
-            return LazyGaussianWeights(n_units, params, n_rounds, seed)
-        if self.kind == "clustered":
-            return gen_clustered(n_units, self.n_clusters, self.w_in, self.w_out)
-        if self.kind == "influencer":
-            return gen_influencer(n_units, self.influencers, self.w_inf, self.w_base)
-        from .weights import read_explicit_csv
-
-        ws = read_explicit_csv(self.matrix_path)
-        if ws.n_units != n_units:
-            raise ValueError(f"explicit matrix is {ws.n_units}x{ws.n_units}, population is {n_units}")
-        return ws
+ESTIMATORS = {
+    "dm": Estimator(contrast=lambda design, y, w, t: dm_estimate(y.column(t), w.column(t))),
+    "ht": Estimator(contrast=_ht_or_none),
+    "ese_basic": Estimator(features=lambda structure: basic_feature_spec()),
+    "ese_cluster": Estimator(features=lambda s: cluster_feature_spec(s.require_clusters()[1]), weight_kind="clustered"),
+    "ese_influencer": Estimator(
+        features=lambda s: influencer_feature_spec(s.require_influencers()), weight_kind="influencer"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -130,33 +102,38 @@ class ScenarioConfig:
     fixed_network: bool = False
 
     def __post_init__(self):
+        # Errors name the config key at fault, as in a scenario config file.
         if self.n_units < 1 or self.n_rounds < 1:
             raise ValueError("population and round counts must be positive")
         if self.design.n_units != self.n_units or self.design.n_rounds != self.n_rounds:
             raise ValueError("design dimensions disagree with the population")
         if self.n_reps < 1:
-            raise ValueError("replication count must be at least 1")
-        for est in self.estimators:
-            if est not in KNOWN_ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r}")
-        if "ese_cluster" in self.estimators and self.weights.kind != "clustered":
-            raise ValueError("ese_cluster requires clustered weights")
-        if "ese_influencer" in self.estimators and self.weights.kind != "influencer":
-            raise ValueError("ese_influencer requires influencer weights")
-        if not (np.isfinite(self.baseline_mean) and np.isfinite(self.baseline_sd) and self.baseline_sd >= 0):
-            raise ValueError("baseline outcome moments must be finite, sd non-negative")
+            raise ValueError(f"run.reps: replication count must be at least 1, got {self.n_reps}")
+        self.weights.check(self.n_units)
+        for name in self.estimators:
+            if name not in ESTIMATORS:
+                raise ValueError(f"estimators.use: unknown estimator {name!r}")
+            needs = ESTIMATORS[name].weight_kind
+            if needs is not None and self.weights.kind != needs:
+                raise ValueError(f"estimators.use: {name} requires {needs} weights")
+        if not np.isfinite(self.baseline_mean):
+            raise ValueError("population.baseline_mean: must be finite")
+        if not (np.isfinite(self.baseline_sd) and self.baseline_sd >= 0):
+            raise ValueError(f"population.baseline_sd: must be finite and non-negative, got {self.baseline_sd}")
 
     def feature_spec(self, estimator: str, structure: StructureMetadata) -> FeatureSpec:
         if estimator in self.feature_overrides:
             return self.feature_overrides[estimator]
-        if estimator == "ese_basic":
-            return basic_feature_spec()
-        if estimator == "ese_cluster":
-            _, k = structure.require_clusters()
-            return cluster_feature_spec(k)
-        if estimator == "ese_influencer":
-            return influencer_feature_spec(structure.require_influencers())
-        raise ValueError(f"{estimator} has no feature spec")
+        features = ESTIMATORS[estimator].features
+        if features is None:
+            raise ValueError(f"{estimator} has no feature spec")
+        return features(structure)
+
+    @functools.cached_property
+    def _constant_scenarios(self) -> tuple[TreatmentPanel, TreatmentPanel]:
+        """The nobody-treated and everybody-treated panels. They depend on no
+        seed, so the replications of a run share one read-only pair."""
+        return tuple(design_mod.assign(design_mod.constant_design(self.n_units, self.n_rounds, v), 0) for v in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -196,20 +173,14 @@ class BenchmarkReport:
     records: tuple[RunRecord, ...]
     runtime_seconds: float
 
-    def to_dict(self, include_records: bool = True, include_runtime: bool = True) -> dict:
+    def to_dict(self, include_runtime: bool = True) -> dict:
         out = {
             "n_reps": self.n_reps,
             "gt_tte_mean": self.gt_tte_mean,
             "gt_control_trajectory": list(self.gt_control),
             "gt_treated_trajectory": list(self.gt_treated),
             "estimators": {
-                name: {
-                    "n_used": s.n_used,
-                    "n_excluded": s.n_excluded,
-                    "mean_estimate": s.mean_estimate,
-                    "bias": s.bias,
-                    "rmse": s.rmse,
-                }
+                name: {key: value for key, value in dataclasses.asdict(s).items() if key != "name"}
                 for name, s in self.summaries.items()
             },
             "ese_trajectories": {
@@ -218,10 +189,7 @@ class BenchmarkReport:
         }
         if include_runtime:
             out["runtime_seconds"] = self.runtime_seconds
-        if include_records:
-            out["records"] = [
-                {"seed": r.seed, "gt_tte": r.gt_tte, "estimates": r.estimates} for r in self.records
-            ]
+        out["records"] = [{"seed": r.seed, "gt_tte": r.gt_tte, "estimates": r.estimates} for r in self.records]
         return out
 
     def write_json(self, path) -> None:
@@ -247,11 +215,9 @@ class BenchmarkReport:
 
 
 def structure_of(weights: WeightSet) -> StructureMetadata:
-    if isinstance(weights, ClusteredWeights):
-        return StructureMetadata(membership=weights.membership, n_clusters=weights.n_clusters)
-    if isinstance(weights, InfluencerWeights):
-        return StructureMetadata(influencers=weights.influencers)
-    return StructureMetadata()
+    """The structure metadata that the kind of ``weights`` exposes."""
+    fields = WEIGHT_KINDS[kind_of(weights)].structure
+    return StructureMetadata(**{name: getattr(weights, name) for name in fields})
 
 
 def run_once(
@@ -275,8 +241,7 @@ def run_once(
     structure = structure_of(weights)
 
     w_obs = design_mod.assign(config.design, seed)
-    w_none = design_mod.assign(design_mod.constant_design(n, t_max, 0), seed)
-    w_all = design_mod.assign(design_mod.constant_design(n, t_max, 1), seed)
+    w_none, w_all = config._constant_scenarios
     x = round_index_covariates(n, t_max)
     y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(n)
 
@@ -372,11 +337,10 @@ def estimate_rounds(
     coefficients: dict[str, ESECoefficients] = {}
     round_factors: dict = {}
     for name in config.estimators:
+        contrast = ESTIMATORS[name].contrast
         with _overflow_as(name, lambda: where):
-            if name == "dm":
-                estimates[name] = tuple(dm_estimate(y.column(t), w.column(t)) for t in rounds)
-            elif name == "ht":
-                estimates[name] = tuple(_ht_or_none(config.design, y, w, t) for t in rounds)
+            if contrast is not None:
+                estimates[name] = tuple(contrast(config.design, y, w, t) for t in rounds)
             else:
                 spec = config.feature_spec(name, structure)
                 coeffs = fit_ese(y, w, spec, structure, round_factors)
@@ -387,13 +351,6 @@ def estimate_rounds(
                 trajectories[name] = (tuple(map(float, lo)), tuple(map(float, hi)))
                 coefficients[name] = coeffs
     return estimates, trajectories, coefficients
-
-
-def _ht_or_none(design: DesignSpec, y: OutcomePanel, w: TreatmentPanel, t: int) -> float | None:
-    """HT contrast at round t; None when the round's assignment probability is
-    0 or 1, which leaves nothing to reweight."""
-    pi = design.probs[t - 1] if design.kind == "bernoulli" else float(design.value)
-    return ht_estimate(y.column(t), w.column(t), pi) if 0.0 < pi < 1.0 else None
 
 
 def replicate(config: ScenarioConfig, n_reps: int | None = None) -> BenchmarkReport:
@@ -436,7 +393,7 @@ def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float,
             name=name, n_used=len(used), n_excluded=len(records) - len(used), mean_estimate=mean_est, bias=bias,
             rmse=rmse,
         )
-        if name in ESE_ESTIMATORS:
+        if ESTIMATORS[name].contrast is None:
             with _overflow_as(name, seed_of_largest(records, lambda r: sum(r.ese_trajectories[name], ()))):
                 lows = [r.ese_trajectories[name][0] for r in records]
                 highs = [r.ese_trajectories[name][1] for r in records]
@@ -459,7 +416,12 @@ def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float,
     )
 
 
-SWEEP_PARAMETERS = ("trend", "threshold_strength")
+# Sweepable parameter -> (the part of the dynamics spec that holds it, the
+# class that part must be, its field there, what the class is).
+SWEEP_PARAMETERS = {
+    "trend": ("unit", LinearUnit, "trend", "a linear or saturating unit response"),
+    "threshold_strength": ("exposure", MeanFieldThreshold, "strength", "the mean-field threshold mechanism"),
+}
 
 
 @dataclass(frozen=True)
@@ -500,20 +462,17 @@ def _sweep_grid(config: ScenarioConfig, parameter: str, grid: Sequence[float]) -
     values = tuple(float(v) for v in grid)
     if not values:
         raise ValueError("sweep grid must be non-empty")
-    dyn = config.dynamics
     if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
-    if parameter == "trend" and not isinstance(dyn.unit, LinearUnit):
-        raise ValueError("trend sweeps need a linear or saturating unit response")
-    if parameter == "threshold_strength" and not isinstance(dyn.exposure, MeanFieldThreshold):
-        raise ValueError("threshold sweeps need the mean-field threshold mechanism")
+        raise ValueError(f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEP_PARAMETERS)}")
+    part, cls, name, needs = SWEEP_PARAMETERS[parameter]
+    dyn = config.dynamics
+    if not isinstance(getattr(dyn, part), cls):
+        raise ValueError(f"{parameter} sweeps need {needs}")
     specs = []
     for value in values:
         try:
-            if parameter == "trend":
-                specs.append(dataclasses.replace(dyn, unit=dataclasses.replace(dyn.unit, trend=value)))
-            else:
-                specs.append(dataclasses.replace(dyn, exposure=dataclasses.replace(dyn.exposure, strength=value)))
+            varied = dataclasses.replace(getattr(dyn, part), **{name: value})
+            specs.append(dataclasses.replace(dyn, **{part: varied}))
         except ValueError as exc:
             raise ValueError(f"{parameter}={value!r}: {exc}") from None
     return SweepGrid(parameter, values, tuple(specs))

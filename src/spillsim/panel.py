@@ -1,5 +1,5 @@
-"""Panel data model: treatment assignments, outcomes, covariates, and the
-empirical distribution of per-unit round tuples.
+"""Panel data model: treatment assignments, outcomes and covariates, and
+their CSV interchange.
 
 Conventions used throughout the package:
 
@@ -29,8 +29,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class RoundPanel:
+    """Round-indexed accessors over ``values``: one row per unit, one column
+    per round from ``first_round`` through ``n_rounds`` (any further axes
+    belong to each entry)."""
+
+    first_round = 1
+
+    @property
+    def n_units(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_rounds(self) -> int:
+        return self.values.shape[1] - 1 + self.first_round
+
+    def column(self, t: int) -> np.ndarray:
+        """Values of round t, for t in first_round..n_rounds."""
+        if not self.first_round <= t <= self.n_rounds:
+            raise IndexError(f"round {t} outside {self.first_round}..{self.n_rounds}")
+        return self.values[:, t - self.first_round]
+
+
 @dataclass(frozen=True)
-class TreatmentPanel:
+class TreatmentPanel(RoundPanel):
     """Binary assignment matrix with shape (n_units, n_rounds)."""
 
     values: np.ndarray
@@ -46,27 +68,14 @@ class TreatmentPanel:
             raise ValueError("treatment panel entries must be exactly 0 or 1")
         object.__setattr__(self, "values", _freeze(vals))
 
-    @property
-    def n_units(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_rounds(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, t: int) -> np.ndarray:
-        """Assignment vector of round t, for t in 1..T."""
-        if not 1 <= t <= self.n_rounds:
-            raise IndexError(f"round {t} outside 1..{self.n_rounds}")
-        return self.values[:, t - 1]
-
 
 @dataclass(frozen=True)
-class OutcomePanel:
+class OutcomePanel(RoundPanel):
     """Real outcome matrix with shape (n_units, n_rounds + 1); column 0 is the
     pre-intervention baseline."""
 
     values: np.ndarray
+    first_round = 0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -96,24 +105,11 @@ class OutcomePanel:
             panels.append(panel)
         return panels
 
-    @property
-    def n_units(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_rounds(self) -> int:
-        return self.values.shape[1] - 1
-
-    def column(self, t: int) -> np.ndarray:
-        """Outcome vector of round t, for t in 0..T."""
-        if not 0 <= t <= self.n_rounds:
-            raise IndexError(f"round {t} outside 0..{self.n_rounds}")
-        return self.values[:, t]
-
 
 @dataclass(frozen=True)
-class CovariatePanel:
-    """Covariate array with shape (n_units, n_rounds, dim), rounds 1..T."""
+class CovariatePanel(RoundPanel):
+    """Covariate array with shape (n_units, n_rounds, dim), rounds 1..T; a
+    round's column has shape (n_units, dim)."""
 
     values: np.ndarray
 
@@ -129,22 +125,8 @@ class CovariatePanel:
         object.__setattr__(self, "values", _freeze(vals))
 
     @property
-    def n_units(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_rounds(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-    def column(self, t: int) -> np.ndarray:
-        """Covariate slice of round t, shape (n_units, dim), for t in 1..T."""
-        if not 1 <= t <= self.n_rounds:
-            raise IndexError(f"round {t} outside 1..{self.n_rounds}")
-        return self.values[:, t - 1, :]
 
 
 def round_index_covariates(n_units: int, n_rounds: int) -> CovariatePanel:
@@ -154,118 +136,9 @@ def round_index_covariates(n_units: int, n_rounds: int) -> CovariatePanel:
     return CovariatePanel(vals)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Size-N multiset of per-unit tuples (w, y_prev, x, e, y) from one round."""
-
-    w: np.ndarray
-    y_prev: np.ndarray
-    x: np.ndarray
-    e: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        w = _freeze(self.w)
-        y_prev = _freeze(self.y_prev)
-        xraw = np.asarray(self.x, dtype=np.float64)
-        x = _freeze(xraw.reshape(-1, 1) if xraw.ndim == 1 else xraw)
-        e = _freeze(self.e)
-        y = _freeze(self.y)
-        n = w.shape[0]
-        if n < 1:
-            raise ValueError("empirical distribution must contain at least one tuple")
-        if not (y_prev.shape[0] == x.shape[0] == e.shape[0] == y.shape[0] == n):
-            raise ValueError("tuple components disagree on the number of units")
-        for name, arr in (("w", w), ("y_prev", y_prev), ("e", e), ("y", y)):
-            if arr.ndim != 1:
-                raise ValueError(f"component {name} must be 1-d")
-        if x.ndim != 2:
-            raise ValueError("component x must be 2-d (units, dim)")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "y_prev", y_prev)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n_units(self) -> int:
-        return self.w.shape[0]
-
-    def sorted_rows(self) -> np.ndarray:
-        """Rows (w, y_prev, x..., e, y) in lexicographic order; the canonical
-        multiset representation."""
-        rows = np.column_stack([self.w, self.y_prev, self.x, self.e, self.y])
-        order = np.lexsort(rows.T[::-1])
-        return rows[order]
-
-    def same_multiset(self, other: "EmpiricalDistribution") -> bool:
-        a, b = self.sorted_rows(), other.sorted_rows()
-        return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
-def build_panel(n_units: int, n_rounds: int, entries: Sequence[float]) -> OutcomePanel:
-    """Build an OutcomePanel from a flat unit-major list of length N*(T+1).
-
-    Each unit contributes its rounds 0..T consecutively.
-    """
-    flat = np.asarray(entries, dtype=np.float64)
-    expected = n_units * (n_rounds + 1)
-    if flat.ndim != 1 or flat.size != expected:
-        raise ValueError(f"expected {expected} entries for {n_units} units and rounds 0..{n_rounds}, got {flat.size}")
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("panel entries must all be finite")
-    return OutcomePanel(flat.reshape(n_units, n_rounds + 1))
-
-
 def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
     """Arithmetic mean of a panel column; round indexing per the panel type."""
     return float(panel.column(t).mean())
-
-
-def tuple_distribution(
-    w: TreatmentPanel,
-    y: OutcomePanel,
-    x: CovariatePanel,
-    exposure: np.ndarray,
-    t: int,
-) -> EmpiricalDistribution:
-    """Empirical distribution of (W_t, Y_{t-1}, X_t, E_t, Y_t) across units.
-
-    ``exposure`` is an (n_units, n_rounds) array with rounds 1..T in columns
-    0..T-1, or any object exposing such an array as ``.values`` (the layout
-    produced by the dynamics engine).
-    """
-    exposure = np.asarray(getattr(exposure, "values", exposure), dtype=np.float64)
-    n = w.n_units
-    if not (y.n_units == x.n_units == exposure.shape[0] == n):
-        raise ValueError("panels disagree on the number of units")
-    if not (w.n_rounds == y.n_rounds == x.n_rounds == exposure.shape[1]):
-        raise ValueError("panels disagree on the number of rounds")
-    if not 1 <= t <= w.n_rounds:
-        raise IndexError(f"round {t} outside 1..{w.n_rounds}")
-    return EmpiricalDistribution(
-        w=w.column(t),
-        y_prev=y.column(t - 1),
-        x=x.column(t),
-        e=exposure[:, t - 1],
-        y=y.column(t),
-    )
-
-
-def w1_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Mean absolute difference of order statistics between two equally sized
-    samples. Zero iff the inputs are identical as multisets.
-
-    A one-dimensional transport distance; resampling to a common size is the
-    caller's responsibility.
-    """
-    av = np.sort(np.asarray(a, dtype=np.float64))
-    bv = np.sort(np.asarray(b, dtype=np.float64))
-    if av.size == 0 or bv.size == 0:
-        raise ValueError("w1_distance requires non-empty inputs")
-    if av.size != bv.size:
-        raise ValueError(f"w1_distance requires equal lengths, got {av.size} and {bv.size}")
-    return float(np.mean(np.abs(av - bv)))
 
 
 # --- CSV interchange -------------------------------------------------------

@@ -24,6 +24,9 @@ import numpy as np
 from .estimators import ESECoefficients
 
 EXPANSION_NAMES = ("w", "y_prev", "v", "w_y_prev", "w_v", "const")
+# The partials the coefficients are assembled from, with their (w, y, v)
+# derivative orders.
+_PARTIALS = {"dx": (1, 0, 0), "dy": (0, 1, 0), "dz": (0, 0, 1), "dxx": (2, 0, 0), "dxy": (1, 1, 0), "dxz": (1, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -77,23 +80,15 @@ def expansion_coefficients(mapping: PolynomialMapping, y0: float, v0: float) -> 
     """Exact expansion coefficients of ``mapping`` at the no-treatment point
     (0, y0, v0), named per EXPANSION_NAMES."""
     at = (0.0, float(y0), float(v0))
-    dx = mapping.partial((1, 0, 0), at)
-    dy = mapping.partial((0, 1, 0), at)
-    dz = mapping.partial((0, 0, 1), at)
-    dxx = mapping.partial((2, 0, 0), at)
-    dxy = mapping.partial((1, 1, 0), at)
-    dxz = mapping.partial((1, 0, 1), at)
-    if not np.all(np.isfinite([dx, dy, dz, dxx, dxy, dxz])):
+    partials = {name: mapping.partial(orders, at) for name, orders in _PARTIALS.items()}
+    if not np.all(np.isfinite(list(partials.values()))):
         raise ValueError("mapping derivatives undefined at the baseline point")
-    c_w = dx + 0.5 * dxx - y0 * dxy - v0 * dxz
-    c_0 = mapping.value(*at) - y0 * dy - v0 * dz
-    values = np.array([c_w, dy, dz, dxy, dxz, c_0])
-    return ESECoefficients(names=EXPANSION_NAMES, values=values, rss=0.0, n_rows=0)
+    return coefficients_from_partials(partials, mapping.value(*at), y0, v0)
 
 
 def coefficients_from_partials(partials: Mapping[str, float], mapping_value: float, y0: float, v0: float) -> ESECoefficients:
-    """Assemble the same six coefficients from a partials table (for checking
-    the analytic route against finite differences)."""
+    """Assemble the six coefficients from a table of the ``_PARTIALS``, exact
+    or (for checking the analytic route) finite differences."""
     c_w = partials["dx"] + 0.5 * partials["dxx"] - y0 * partials["dxy"] - v0 * partials["dxz"]
     c_0 = mapping_value - y0 * partials["dy"] - v0 * partials["dz"]
     values = np.array([c_w, partials["dy"], partials["dz"], partials["dxy"], partials["dxz"], c_0])

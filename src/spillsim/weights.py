@@ -10,11 +10,11 @@ weighted peer sums ``apply(gv, t)``. Five representations are provided:
   products W @ G are drawn with exactly the joint law of the materialized
   matrix by Gaussian conditioning. Memory and work per round are O(n k), where
   k is the number of distinct signal columns seen so far. It serves one
-  forward pass through the rounds and has no point lookups.
+  forward pass through the rounds.
 * ``DenseGaussianWeights``: the same law, materialized (8 n^2 bytes). It is
-  the small-n oracle the lazy engine is tested against, the only Gaussian kind
-  with point lookups, and the engine for a network shared by several
-  replications (``fixed_network``), whose signals differ.
+  the small-n oracle the lazy engine is tested against and the engine for a
+  network shared by several replications (``fixed_network``), whose signals
+  differ.
 * ``ClusteredWeights``: block structure, w_in/n within a cluster and w_out/n
   across clusters.
 * ``InfluencerWeights``: a small set of m high-reach units whose columns carry
@@ -41,21 +41,25 @@ column on every column it is given, and the BLAS kinds (explicit, and the
 materialized Gaussian that serves ``fixed_network``) use a matrix-matrix
 product for several columns but a matrix-vector product for one.
 
-Structured kinds never materialize an n x n matrix; their row sums and point
-lookups are computed lazily. Dense kinds check the 8 n^2 bytes they need
-against physical memory before allocating. All weight sets except the lazy
-Gaussian are immutable after construction.
+Structured kinds never materialize an n x n matrix. Dense kinds check the
+8 n^2 bytes they need against physical memory before allocating. All weight
+sets except the lazy Gaussian are immutable after construction.
+
+``WEIGHT_KINDS`` is the one table of the kinds a config file can name: each
+kind's keys and defaults, how it is built, whether it draws per seed, and
+what structure its sets expose. ``WeightConfig`` is a kind plus its values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .panel import read_cells, write_cells
+from .panel import read_cells
 from .rng import substream
 
 
@@ -93,13 +97,9 @@ def _check_dense_fits(n: int, what: str) -> None:
 
 
 class WeightSet:
-    """Common interface: point lookups and row-sum application."""
+    """Common interface: row-sum application and a description."""
 
     n_units: int
-
-    def effective_weight(self, i: int, j: int, t: int) -> float:
-        """Total weight of j's influence on i in round t."""
-        raise NotImplementedError
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         """Weighted peer sums for round t.
@@ -111,18 +111,18 @@ class WeightSet:
         raise NotImplementedError
 
     def to_descriptor(self) -> dict:
-        """JSON-serializable description (kind, parameters, seed)."""
-        raise NotImplementedError
-
-    def _check_indices(self, i: int, j: int) -> None:
-        n = self.n_units
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"unit pair ({i}, {j}) outside 0..{n - 1}")
+        """JSON-serializable description: the kind, the population size and
+        the parameters the set was built from."""
+        name = kind_of(self)
+        kind = WEIGHT_KINDS[name]
+        params = kind.describe(self) if kind.describe else {key: getattr(self, key) for key in kind.keys}
+        return {"kind": name, "n_units": self.n_units, **params}
 
 
 @dataclass(frozen=True)
 class DenseGaussianWeights(WeightSet):
-    """The dense Gaussian law materialized: 8 n^2 bytes, point lookups."""
+    """The dense Gaussian law materialized (8 n^2 bytes): the small-n oracle
+    and the engine of a network shared by several replications."""
 
     n_units: int
     params: GaussianWeightParams
@@ -133,7 +133,7 @@ class DenseGaussianWeights(WeightSet):
     def __post_init__(self):
         if self.static is None:
             n = self.n_units
-            _check_dense_fits(n, "materialized dense_gaussian weights (needed by fixed_network and point lookups)")
+            _check_dense_fits(n, "materialized dense_gaussian weights (needed by fixed_network)")
             rng = substream(self.seed, "weights", "static")
             a = rng.normal(self.params.mu / n, np.sqrt(self.params.sigma2 / n), size=(n, n))
             a.setflags(write=False)
@@ -149,26 +149,12 @@ class DenseGaussianWeights(WeightSet):
         rng = substream(self.seed, "weights", "delta", t)
         return rng.normal(p.mu_t / n, np.sqrt(p.sigma2_t / n), size=(n, n))
 
-    def effective_weight(self, i: int, j: int, t: int) -> float:
-        self._check_indices(i, j)
-        delta = self._delta(t)
-        extra = 0.0 if delta is None else float(delta[i, j])
-        return float(self.static[i, j]) + extra
-
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         delta = self._delta(t)
         out = self.static @ gv
         if delta is not None:
             out = out + delta @ gv
         return out
-
-    def dense(self, t: int) -> np.ndarray:
-        """Materialized matrix for round t (diagnostics; O(n^2) memory)."""
-        delta = self._delta(t)
-        return self.static.copy() if delta is None else self.static + delta
-
-    def to_descriptor(self) -> dict:
-        return _gaussian_descriptor(self)
 
 
 class _ConditionedGaussian:
@@ -212,21 +198,6 @@ def _combine(coef: list, vectors: list[np.ndarray], shape) -> np.ndarray:
     return out
 
 
-def _gaussian_descriptor(ws: DenseGaussianWeights | LazyGaussianWeights) -> dict:
-    # Both engines share one schema; weights_from_descriptor rebuilds the oracle.
-    p = ws.params
-    return {
-        "kind": "dense_gaussian",
-        "n_units": ws.n_units,
-        "n_rounds": ws.n_rounds,
-        "mu": p.mu,
-        "sigma2": p.sigma2,
-        "mu_t": p.mu_t,
-        "sigma2_t": p.sigma2_t,
-        "seed": ws.seed,
-    }
-
-
 @dataclass(eq=False)
 class LazyGaussianWeights(WeightSet):
     """``DenseGaussianWeights``'s law without the n x n matrix.
@@ -257,16 +228,6 @@ class LazyGaussianWeights(WeightSet):
             raise ValueError("need at least one round")
         self.static = _ConditionedGaussian(substream(self.seed, "weights", "static"))
 
-    def effective_weight(self, i: int, j: int, t: int) -> float:
-        raise NotImplementedError(
-            "lazy Gaussian weights have no point lookups; use gen_dense_gaussian (the materialized oracle)"
-        )
-
-    def dense(self, t: int) -> np.ndarray:
-        raise NotImplementedError(
-            "lazy Gaussian weights are never materialized; use gen_dense_gaussian (the materialized oracle)"
-        )
-
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         if not 1 <= t <= self.n_rounds:
             raise IndexError(f"round {t} outside 1..{self.n_rounds}")
@@ -281,6 +242,9 @@ class LazyGaussianWeights(WeightSet):
         n = self.n_units
         if g.ndim != 2 or g.shape[0] != n:
             raise ValueError(f"signals of shape {gv.shape} do not match {n} units")
+        # The projections' bits depend on the strides BLAS sees; one layout
+        # for every input makes them a function of the values alone.
+        g = np.ascontiguousarray(g)
         self.last_round = t
         keys = [g[:, j].tobytes() for j in range(g.shape[1])]
         lead: dict[bytes, int] = {}  # distinct column -> its first index, in canonical order
@@ -305,9 +269,6 @@ class LazyGaussianWeights(WeightSet):
             if src != j:
                 out[:, j] = out[:, src]
         return out[:, 0] if squeeze else out
-
-    def to_descriptor(self) -> dict:
-        return _gaussian_descriptor(self)
 
 
 def _unit_order_sums(g: np.ndarray, index: np.ndarray, bins: int) -> np.ndarray:
@@ -339,11 +300,6 @@ class ClusteredWeights(WeightSet):
         mem.setflags(write=False)
         object.__setattr__(self, "membership", mem)
 
-    def effective_weight(self, i: int, j: int, t: int) -> float:
-        self._check_indices(i, j)
-        same = self.membership[i] == self.membership[j]
-        return (self.w_in if same else self.w_out) / self.n_units
-
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         gv = np.asarray(gv, dtype=np.float64)
         squeeze = gv.ndim == 1
@@ -355,15 +311,6 @@ class ClusteredWeights(WeightSet):
         table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
         out = table.take(self.membership, axis=0)
         return out[:, 0] if squeeze else out
-
-    def to_descriptor(self) -> dict:
-        return {
-            "kind": "clustered",
-            "n_units": self.n_units,
-            "n_clusters": self.n_clusters,
-            "w_in": self.w_in,
-            "w_out": self.w_out,
-        }
 
 
 @dataclass(frozen=True)
@@ -377,15 +324,7 @@ class InfluencerWeights(WeightSet):
     row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = tuple(sorted(int(i) for i in self.influencers))
-        if len(ids) == 0:
-            raise ValueError("influencer set must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValueError("influencer ids must be distinct")
-        if ids[0] < 0 or ids[-1] >= self.n_units:
-            raise ValueError(f"influencer ids must lie in 0..{self.n_units - 1}")
-        if len(ids) >= self.n_units:
-            raise ValueError("influencers must be a strict subset of the population")
+        ids = _influencer_ids(self.influencers, self.n_units)
         if not (np.isfinite(self.w_inf) and np.isfinite(self.w_base)):
             raise ValueError("influencer weights must be finite")
         object.__setattr__(self, "influencers", ids)
@@ -394,21 +333,11 @@ class InfluencerWeights(WeightSet):
         row.setflags(write=False)
         object.__setattr__(self, "row", row)
 
-    @property
-    def n_influencers(self) -> int:
-        return len(self.influencers)
-
-    def effective_weight(self, i: int, j: int, t: int) -> float:
-        self._check_indices(i, j)
-        if j in self.influencers and j != i:
-            return self.w_inf / self.n_influencers
-        return self.w_base / self.n_units
-
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         gv = np.asarray(gv, dtype=np.float64)
         squeeze = gv.ndim == 1
         g = gv[:, None] if squeeze else gv
-        m, n = self.n_influencers, self.n_units
+        m, n = len(self.influencers), self.n_units
         total = _unit_order_sums(g, np.zeros(n, dtype=np.intp), 1)
         # Row 0 serves every non-influencer receiver; row r + 1 serves the
         # r-th influencer, whose own column falls back to the base rate.
@@ -418,15 +347,6 @@ class InfluencerWeights(WeightSet):
         table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
         out = table.take(self.row, axis=0)
         return out[:, 0] if squeeze else out
-
-    def to_descriptor(self) -> dict:
-        return {
-            "kind": "influencer",
-            "n_units": self.n_units,
-            "influencers": list(self.influencers),
-            "w_inf": self.w_inf,
-            "w_base": self.w_base,
-        }
 
 
 @dataclass(frozen=True)
@@ -448,15 +368,8 @@ class ExplicitDenseWeights(WeightSet):
     def n_units(self) -> int:
         return self.matrix.shape[0]
 
-    def effective_weight(self, i: int, j: int, t: int) -> float:
-        self._check_indices(i, j)
-        return float(self.matrix[i, j])
-
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         return self.matrix @ np.asarray(gv, dtype=np.float64)
-
-    def to_descriptor(self) -> dict:
-        return {"kind": "explicit", "n_units": self.n_units, "matrix": self.matrix.tolist()}
 
 
 def gen_dense_gaussian(
@@ -473,10 +386,7 @@ def gen_dense_gaussian(
 
 def gen_clustered(n: int, k: int, w_in: float, w_out: float) -> ClusteredWeights:
     """Equal-size cluster blocks; the last cluster absorbs any remainder."""
-    if k < 1:
-        raise ValueError("need at least one cluster")
-    if k > n:
-        raise ValueError(f"cannot split {n} units into {k} clusters")
+    _check_cluster_count(k, n)
     size = n // k
     membership = np.minimum(np.arange(n) // size, k - 1)
     return ClusteredWeights(n_units=n, membership=membership, n_clusters=k, w_in=w_in, w_out=w_out)
@@ -487,32 +397,8 @@ def gen_influencer(n: int, influencers: Sequence[int], w_inf: float, w_base: flo
     return InfluencerWeights(n_units=n, influencers=tuple(influencers), w_inf=w_inf, w_base=w_base)
 
 
-def weights_from_descriptor(desc: dict, default_n_rounds: int | None = None) -> WeightSet:
-    """Rebuild a weight set from its JSON descriptor. A ``dense_gaussian``
-    descriptor rebuilds the materialized oracle: the same law as a lazy set
-    with that descriptor, not the same realization."""
-    kind = desc.get("kind")
-    if kind == "dense_gaussian":
-        params = GaussianWeightParams(
-            mu=desc["mu"], sigma2=desc["sigma2"], mu_t=desc.get("mu_t", 0.0), sigma2_t=desc.get("sigma2_t", 0.0)
-        )
-        n_rounds = desc.get("n_rounds", default_n_rounds)
-        return gen_dense_gaussian(desc["n_units"], params, n_rounds, desc["seed"])
-    if kind == "clustered":
-        return gen_clustered(desc["n_units"], desc["n_clusters"], desc["w_in"], desc["w_out"])
-    if kind == "influencer":
-        return gen_influencer(desc["n_units"], desc["influencers"], desc["w_inf"], desc["w_base"])
-    if kind == "explicit":
-        return ExplicitDenseWeights(np.asarray(desc["matrix"], dtype=np.float64))
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
+# Explicit matrices interchange as rows i,j,weight, in panel CSV form.
 EXPLICIT_HEADER = ("i", "j", "weight")
-
-
-def write_explicit_csv(path, ws: ExplicitDenseWeights) -> None:
-    """Explicit matrices interchange as rows i,j,weight, in panel CSV form."""
-    write_cells(path, ws.matrix, header=EXPLICIT_HEADER)
 
 
 def read_explicit_csv(path) -> ExplicitDenseWeights:
@@ -522,3 +408,160 @@ def read_explicit_csv(path) -> ExplicitDenseWeights:
         return n, n
 
     return ExplicitDenseWeights(read_cells(path, header=EXPLICIT_HEADER, shape=square))
+
+
+# --- weight kinds ------------------------------------------------------------
+
+
+def _check_cluster_count(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("need at least one cluster")
+    if k > n:
+        raise ValueError(f"cannot split {n} units into {k} clusters")
+
+
+def _influencer_ids(ids: Sequence[int], n: int) -> tuple[int, ...]:
+    """The influencer ids, sorted, after checking them against n units."""
+    ids = tuple(sorted(int(i) for i in ids))
+    if len(ids) == 0:
+        raise ValueError("influencer set must be non-empty")
+    if len(set(ids)) != len(ids):
+        raise ValueError("influencer ids must be distinct")
+    if ids[0] < 0 or ids[-1] >= n:
+        raise ValueError(f"influencer ids must lie in 0..{n - 1}")
+    if len(ids) >= n:
+        raise ValueError("influencers must be a strict subset of the population")
+    return ids
+
+
+def _build_gaussian(p: dict, n: int, n_rounds: int, seed: int, shared: bool) -> WeightSet:
+    params = GaussianWeightParams(**p)
+    # Only the materialized oracle can serve several forward passes.
+    if shared:
+        return gen_dense_gaussian(n, params, n_rounds, seed)
+    return LazyGaussianWeights(n, params, n_rounds, seed)
+
+
+def _build_explicit(p: dict, n: int, n_rounds: int, seed: int, shared: bool) -> WeightSet:
+    ws = read_explicit_csv(p["matrix_path"])
+    if ws.n_units != n:
+        raise ValueError(f"explicit matrix is {ws.n_units}x{ws.n_units}, population is {n}")
+    return ws
+
+
+@dataclass(frozen=True)
+class WeightKind:
+    """One kind a config file's ``[weights] kind`` can name.
+
+    ``keys`` maps each key the kind reads to its default (None: required).
+    ``build(params, n_units, n_rounds, seed, shared)`` makes the set, one that
+    several replications can reuse when ``shared`` (a fixed network);
+    ``per_seed`` says whether it draws a new set for every seed. ``checks``
+    test single values against the population size before any build.
+    ``engines`` are the classes ``build`` returns; ``structure`` names their
+    attributes that estimators may use as structure metadata, and
+    ``describe`` the parameters a descriptor records (by default the
+    attributes named as the keys). ``files`` are the keys naming input files.
+    """
+
+    keys: dict
+    build: Callable[..., WeightSet]
+    engines: tuple[type, ...]
+    per_seed: bool = False
+    checks: dict = field(default_factory=dict)
+    structure: tuple[str, ...] = ()
+    describe: Callable[[WeightSet], dict] | None = None
+    files: tuple[str, ...] = ()
+
+
+WEIGHT_KINDS = {
+    "dense_gaussian": WeightKind(
+        keys={"mu": 0.0, "sigma2": 0.0, "mu_t": 0.0, "sigma2_t": 0.0},
+        build=_build_gaussian,
+        engines=(LazyGaussianWeights, DenseGaussianWeights),
+        per_seed=True,
+        describe=lambda ws: {"n_rounds": ws.n_rounds, **dataclasses.asdict(ws.params), "seed": ws.seed},
+    ),
+    "clustered": WeightKind(
+        keys={"n_clusters": 2, "w_in": 0.0, "w_out": 0.0},
+        build=lambda p, n, *_: gen_clustered(n, p["n_clusters"], p["w_in"], p["w_out"]),
+        engines=(ClusteredWeights,),
+        checks={"n_clusters": _check_cluster_count},
+        structure=("membership", "n_clusters"),
+    ),
+    "influencer": WeightKind(
+        keys={"influencers": (), "w_inf": 0.0, "w_base": 0.0},
+        build=lambda p, n, *_: gen_influencer(n, p["influencers"], p["w_inf"], p["w_base"]),
+        engines=(InfluencerWeights,),
+        checks={"influencers": _influencer_ids},
+        structure=("influencers",),
+    ),
+    "explicit": WeightKind(
+        keys={"matrix_path": None},
+        build=_build_explicit,
+        engines=(ExplicitDenseWeights,),
+        describe=lambda ws: {},
+        files=("matrix_path",),
+    ),
+}
+
+
+def kind_of(weights: WeightSet) -> str:
+    """The name of the kind whose engines include ``weights``'s class."""
+    for name, kind in WEIGHT_KINDS.items():
+        if isinstance(weights, kind.engines):
+            return name
+    raise ValueError(f"{type(weights).__name__} is not the engine of any weight kind")
+
+
+@dataclass(frozen=True, init=False)
+class WeightConfig:
+    """Declarative weight-set choice: a kind of ``WEIGHT_KINDS`` and a value
+    for each of its keys, the kind's default where none is given. Values read
+    as attributes (``config.n_clusters``). Built once per run unless the kind
+    draws per seed, then once per replication. Errors name the config key."""
+
+    kind: str
+    params: dict
+
+    def __init__(self, kind: str, **params):
+        if kind not in WEIGHT_KINDS:
+            raise ValueError(f"weights.kind must be one of {', '.join(WEIGHT_KINDS)}; got {kind!r}")
+        values = dict(WEIGHT_KINDS[kind].keys)
+        for key, value in params.items():
+            if key not in values:
+                raise ValueError(f"weights.{key} is not read by kind = {kind}")
+            values[key] = value
+        for key, value in values.items():
+            if value is None:
+                raise ValueError(f"weights.{key} is required by kind = {kind}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", values)
+
+    def __getattr__(self, key: str):
+        params = self.__dict__.get("params", {})
+        if key in params:
+            return params[key]
+        raise AttributeError(f"weights of kind {self.__dict__.get('kind')!r} have no key {key!r}")
+
+    def check(self, n_units: int) -> None:
+        """Raise, naming the key, where a value cannot serve ``n_units`` units."""
+        for key, check in WEIGHT_KINDS[self.kind].checks.items():
+            try:
+                check(self.params[key], n_units)
+            except ValueError as exc:
+                raise ValueError(f"weights.{key}: {exc}") from None
+
+    def input_files(self) -> list[str]:
+        """The input files ``build`` reads, as the config names them."""
+        return [self.params[key] for key in WEIGHT_KINDS[self.kind].files]
+
+    def depends_on_seed(self, shared: bool = False) -> bool:
+        """Whether ``build`` draws a new weight set for each seed; a shared
+        (fixed) network is drawn once."""
+        return WEIGHT_KINDS[self.kind].per_seed and not shared
+
+    def build(self, n_units: int, n_rounds: int, seed: int, shared: bool = False) -> WeightSet:
+        """The weight set for one forward pass, or for several when ``shared``
+        (a fixed network)."""
+        return WEIGHT_KINDS[self.kind].build(self.params, n_units, n_rounds, seed, shared)

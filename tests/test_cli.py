@@ -192,38 +192,6 @@ def test_benchmark_outputs_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_scenario_suite_emission(tmp_path):
-    import numpy as np
-
-    from spillsim.dynamics import (
-        DynamicsSpec,
-        LinearPeer,
-        LinearUnit,
-        WeightedSumExposure,
-        counterfactual_suite,
-        write_scenario_suite,
-    )
-    from spillsim.panel import TreatmentPanel, round_index_covariates
-    from spillsim.weights import ExplicitDenseWeights
-
-    spec = DynamicsSpec(
-        unit=LinearUnit(w_coef=1.0, y_coef=0.5),
-        peer=LinearPeer(w_coef=1.0, y_coef=0.0),
-        exposure=WeightedSumExposure(),
-    )
-    weights = ExplicitDenseWeights(np.full((3, 3), 1 / 3))
-    x = round_index_covariates(3, 2)
-    scenarios = [TreatmentPanel(np.zeros((3, 2))), TreatmentPanel(np.ones((3, 2)))]
-    panels = counterfactual_suite(spec, weights, scenarios, x, np.zeros(3), seed=1)
-    write_scenario_suite(tmp_path / "suite", spec, panels, ["all_control", "all_treated"], seed=1)
-    manifest = json.loads((tmp_path / "suite" / "suite_manifest.json").read_text())
-    assert manifest["seed"] == 1
-    assert manifest["spec_hash"] == spec.spec_hash()
-    assert {e["scenario"] for e in manifest["scenarios"]} == {"all_control", "all_treated"}
-    got = read_outcome_csv(tmp_path / "suite" / "outcomes_all_treated.csv")
-    assert np.array_equal(got.values, panels[1].values)
-
-
 def test_benchmark_seed_and_reps_overrides(tmp_path):
     cfg = _write_config(tmp_path, NULL_CONFIG)
     out = tmp_path / "bench2"
@@ -360,3 +328,57 @@ def test_simulate_writes_the_observed_panel_of_run_once(tmp_path, monkeypatch, n
     harness.run_once(config, config.base_seed)
     simulated = read_outcome_csv(tmp_path / "outcomes.csv").values
     assert np.array_equal(simulated.view(np.uint64), observed[0].view(np.uint64))
+
+
+EXPLICIT_CONFIG = """
+[population]
+n_units = 3
+n_rounds = 4
+
+[weights]
+kind = explicit
+matrix_path = {path}
+
+[dynamics]
+unit = linear
+w_coef = 1.0
+y_coef = 0.5
+peer = linear
+peer_w = 1.0
+
+[design]
+kind = bernoulli
+"""
+
+
+def test_manifests_record_the_sha256_of_every_input(tmp_path):
+    import hashlib
+
+    from spillsim.panel import write_cells
+    from spillsim.weights import EXPLICIT_HEADER
+
+    matrix = tmp_path / "w.csv"
+    write_cells(matrix, np.full((3, 3), 0.25), header=EXPLICIT_HEADER)
+    cfg = _write_config(tmp_path, EXPLICIT_CONFIG.format(path=matrix))
+
+    def simulate_manifest(out):
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "manifest.json").read_text()
+
+    before = simulate_manifest("a")
+    manifest = json.loads(before)
+    assert manifest["input_sha256"] == {str(matrix): hashlib.sha256(matrix.read_bytes()).hexdigest()}
+    assert manifest["weights"] == {"kind": "explicit", "n_units": 3}  # the matrix itself is not embedded
+    assert simulate_manifest("b") == before
+    # One byte of the matrix CSV: same config text, different manifest.
+    matrix.write_bytes(matrix.read_bytes().replace(b"0.25\r\n", b"0.35\r\n", 1))
+    assert simulate_manifest("c") != before
+
+    sim = tmp_path / "a"
+    args = ["--outcomes", str(sim / "outcomes.csv"), "--treatments", str(sim / "treatments.csv")]
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "est"), *args]) == 0
+    recorded = json.loads((tmp_path / "est" / "manifest.json").read_text())["input_sha256"]
+    assert recorded == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (sim / "outcomes.csv", sim / "treatments.csv", matrix)
+    }

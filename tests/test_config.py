@@ -155,3 +155,75 @@ def test_fuzzed_unknown_keys_always_fail(section, key):
     text = f"[{section}]\n{key} = 1\n"
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def _weights_config(n_units, weights):
+    return f"[population]\nn_units = {n_units}\n\n[weights]\n{weights}\n\n[design]\nkind = bernoulli\n"
+
+
+@pytest.mark.parametrize(
+    "text, pattern",
+    [
+        (_weights_config(10, "kind = clustered\nmu = 5.0"), r"weights\.mu is not read with kind = clustered"),
+        (_weights_config(10, "kind = dense_gaussian\nn_clusters = 2"), r"weights\.n_clusters .* kind = dense_gaussian"),
+        (
+            MINIMAL + "\n[dynamics]\nexposure = weighted_sum\ntau = 0.3\n",
+            r"dynamics\.tau is not read with .*exposure = weighted_sum",
+        ),
+        (MINIMAL + "\n[dynamics]\nunit = linear\nscale = 2.0\n", r"dynamics\.scale is not read with unit = linear"),
+        (MINIMAL + "\n[dynamics]\npeer = zero\npeer_w = 1.0\n", r"dynamics\.peer_w is not read with .*peer = zero"),
+        (MINIMAL + "value = 1\n", r"design\.value is not read with kind = bernoulli"),
+    ],
+)
+def test_keys_the_chosen_kind_never_reads_are_rejected(text, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "n_units, weights, pattern",
+    [
+        (1500, "kind = influencer\ninfluencers = 0, 1500", r"weights\.influencers: .* must lie in 0\.\.1499"),
+        (1500, "kind = influencer\ninfluencers = 4, 4", r"weights\.influencers: influencer ids must be distinct"),
+        (1500, "kind = influencer", r"weights\.influencers: influencer set must be non-empty"),
+        (1200, "kind = clustered\nn_clusters = 5000", r"weights\.n_clusters: cannot split 1200 units into 5000"),
+        (1200, "kind = clustered\nn_clusters = 0", r"weights\.n_clusters: need at least one cluster"),
+        (10, "kind = explicit", r"weights\.matrix_path is required by kind = explicit"),
+        (10, "kind = ring", r"weights\.kind must be one of dense_gaussian, clustered, influencer, explicit"),
+        (10, "mu = inf", r"weights\.mu must be a finite number"),
+    ],
+)
+def test_bad_weight_parameters_fail_at_parse_time_naming_the_key(n_units, weights, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(_weights_config(n_units, weights))
+
+
+@pytest.mark.parametrize(
+    "extra, pattern",
+    [
+        ("\n[dynamics]\nnoise_sd = -0.5\n", r"dynamics\.noise_sd: noise_sd must be non-negative"),
+        ("\n[dynamics]\nexposure = threshold\ntau = 0.0\n", r"dynamics\.tau: threshold tau"),
+        ("\n[run]\nreps = 0\n", r"run\.reps: replication count must be at least 1"),
+        ("baseline_sd = -1.0\n", r"population\.baseline_sd: must be finite and non-negative"),
+    ],
+)
+def test_dataclass_errors_are_prefixed_with_the_key(extra, pattern):
+    text = MINIMAL + extra if extra.startswith("\n[") else MINIMAL.replace("n_units = 10\n", "n_units = 10\n" + extra)
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(text)
+
+
+def test_probs_out_of_range_names_key():
+    text = MINIMAL.replace("0.0, 0.2, 0.4, 0.8", "0.0, 0.2, 1.5, 0.8")
+    with pytest.raises(ConfigError, match=r"design\.probs: assignment probability 1\.5 outside \[0, 1\]"):
+        parse_config(text)
+
+
+def test_weight_keys_come_from_the_kind_table():
+    from spillsim.weights import WEIGHT_KINDS
+
+    assert SECTIONS["weights"] == {"kind"}.union(*(kind.keys for kind in WEIGHT_KINDS.values()))
+    config = parse_config(_weights_config(10, "kind = clustered\nw_in = 0.5"))
+    assert (config.weights.n_clusters, config.weights.w_in, config.weights.w_out) == (2, 0.5, 0.0)
+    with pytest.raises(AttributeError, match="mu"):
+        config.weights.mu

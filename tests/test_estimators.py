@@ -11,8 +11,9 @@ from spillsim.estimators import (
     ScenarioPath,
     StructureMetadata,
     basic_feature_spec,
+    _BASES,
+    _feature_terms,
     cluster_feature_spec,
-    design_matrix,
     dm_estimate,
     fit_ese,
     ht_estimate,
@@ -21,6 +22,22 @@ from spillsim.estimators import (
     tte_from_coeffs,
 )
 from spillsim.panel import OutcomePanel, TreatmentPanel, column_mean
+
+
+def design_matrix(spec, w, y, structure=None):
+    """One regression row per (unit, round) for rounds 1..T and the round-t
+    outcomes as the target: the N·T-row problem ``fit_ese`` solves from
+    per-round factors without building it, and the reference it is tested
+    against."""
+    terms = _feature_terms(spec, w, y, structure)
+    n = w.n_units
+    x = np.empty((n * w.n_rounds, len(terms)))
+    for t in range(1, w.n_rounds + 1):
+        w_t, y_prev = w.column(t), y.column(t - 1)
+        for f, (base, scale, arg) in enumerate(terms):
+            x[(t - 1) * n : t * n, f] = scale(w_t, y_prev, arg) * _BASES[base](w_t, y_prev)
+    return x, np.concatenate([y.column(t) for t in range(1, w.n_rounds + 1)])
+
 
 # --- difference in means ------------------------------------------------------
 
@@ -493,5 +510,3 @@ def test_scenario_path_validation():
         ScenarioPath(fractions=())
     with pytest.raises(ValueError):
         ScenarioPath(fractions=(1.5,))
-    with pytest.raises(ValueError):
-        ScenarioPath(fractions=(0.5, 0.5), cluster_fractions=((0.1,),))

@@ -598,3 +598,24 @@ def test_ground_truth_overflow_names_the_grid_value_and_seed():
     message = r"^ground truth at trend=1e\+306, seed 60: overflow encountered in reduce$"
     with pytest.raises(EstimatorOverflow, match=message):
         failure_sweep(_trend_config(INFLUENCER_WEIGHTS, reps=1), "trend", [0.0, 1e306])
+
+
+def test_constant_scenarios_are_built_once_per_run(monkeypatch):
+    # The nobody- and everybody-treated panels depend on no seed: a run of
+    # several replications assigns each of them once.
+    from spillsim import design as design_mod
+
+    calls = []
+    original = design_mod.assign
+
+    def counted(spec, seed):
+        calls.append(spec.kind)
+        return original(spec, seed)
+
+    monkeypatch.setattr(design_mod, "assign", counted)
+    config = linear_config(n=37, reps=3)
+    report = replicate(config)
+    assert calls.count("constant") == 2 and calls.count("bernoulli") == 3
+    assert report.n_reps == 3
+    none, everyone = config._constant_scenarios
+    assert not none.values.any() and everyone.values.all()

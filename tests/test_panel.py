@@ -12,44 +12,15 @@ from hypothesis import strategies as st
 
 from spillsim import panel as panel_mod
 from spillsim.panel import (
-    CovariatePanel,
-    EmpiricalDistribution,
     OutcomePanel,
     TreatmentPanel,
-    build_panel,
     column_mean,
     read_outcome_csv,
     read_treatment_csv,
-    round_index_covariates,
-    tuple_distribution,
-    w1_distance,
     write_matrix_csv,
     write_outcome_csv,
     write_treatment_csv,
 )
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-def test_build_panel_minimal():
-    panel = build_panel(1, 1, [0.0, 1.0])
-    assert panel.column(0)[0] == 0.0
-    assert panel.column(1)[0] == 1.0
-
-
-def test_build_panel_length_mismatch():
-    with pytest.raises(ValueError):
-        build_panel(2, 1, [0, 1, 0])
-
-
-def test_build_panel_duplicate_rows_column_means():
-    panel = build_panel(2, 2, [0, 1, 2, 0, 1, 2])
-    assert [column_mean(panel, t) for t in range(3)] == [0.0, 1.0, 2.0]
-
-
-def test_build_panel_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        build_panel(1, 1, [0.0, float("nan")])
 
 
 def test_treatment_panel_rejects_nonbinary():
@@ -88,95 +59,6 @@ def test_treatment_column_mean_in_unit_interval(bits):
     assert 0.0 <= m <= 1.0
     assert (m == 0.0) == all(b == 0 for b in bits)
     assert (m == 1.0) == all(b == 1 for b in bits)
-
-
-def _tiny_fixture():
-    # Two units, two rounds, exposures and outcomes from the worked linear
-    # recursion used across the dynamics tests.
-    w = TreatmentPanel(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    y = OutcomePanel(np.array([[0.0, 1.5, 3.0], [0.0, 0.5, 1.0]]))
-    x = round_index_covariates(2, 2)
-    e = np.array([[0.5, 0.5], [0.5, 0.5]])
-    return w, y, x, e
-
-
-def test_tuple_distribution_singleton():
-    w = TreatmentPanel(np.array([[1.0]]))
-    y = OutcomePanel(np.array([[2.0, 3.0]]))
-    x = round_index_covariates(1, 1)
-    dist = tuple_distribution(w, y, x, np.array([[0.25]]), 1)
-    assert dist.n_units == 1
-    assert dist.w[0] == 1.0 and dist.y_prev[0] == 2.0 and dist.e[0] == 0.25 and dist.y[0] == 3.0
-
-
-def test_tuple_distribution_matches_hand_fixture():
-    w, y, x, e = _tiny_fixture()
-    dist = tuple_distribution(w, y, x, e, 1)
-    expected = {(1.0, 0.0, 1.0, 0.5, 1.5), (0.0, 0.0, 1.0, 0.5, 0.5)}
-    got = {tuple(row) for row in dist.sorted_rows()}
-    assert got == expected
-
-
-def test_tuple_distribution_permutation_invariant():
-    w, y, x, e = _tiny_fixture()
-    dist = tuple_distribution(w, y, x, e, 2)
-    perm = [1, 0]
-    w2 = TreatmentPanel(w.values[perm])
-    y2 = OutcomePanel(y.values[perm])
-    x2 = CovariatePanel(x.values[perm])
-    dist2 = tuple_distribution(w2, y2, x2, e[perm], 2)
-    assert dist.same_multiset(dist2)
-
-
-def test_tuple_distribution_round_range():
-    w, y, x, e = _tiny_fixture()
-    with pytest.raises(IndexError):
-        tuple_distribution(w, y, x, e, 0)
-    with pytest.raises(IndexError):
-        tuple_distribution(w, y, x, e, 3)
-
-
-def test_tuple_distribution_dimension_mismatch():
-    w, y, x, e = _tiny_fixture()
-    bad_y = OutcomePanel(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        tuple_distribution(w, bad_y, x, e, 1)
-
-
-def test_w1_identity_and_hand_values():
-    assert w1_distance([0, 1], [0, 1]) == 0.0
-    assert w1_distance([0, 0], [1, 1]) == 1.0
-    assert w1_distance([0, 2], [1, 1]) == 1.0
-
-
-def test_w1_rejects_bad_input():
-    with pytest.raises(ValueError):
-        w1_distance([], [])
-    with pytest.raises(ValueError):
-        w1_distance([1.0], [1.0, 2.0])
-
-
-@given(
-    st.lists(finite_floats, min_size=1, max_size=20),
-    st.lists(finite_floats, min_size=1, max_size=20),
-    st.lists(finite_floats, min_size=1, max_size=20),
-)
-@settings(max_examples=100)
-def test_w1_metric_properties(a, b, c):
-    n = min(len(a), len(b), len(c))
-    a, b, c = a[:n], b[:n], c[:n]
-    dab, dba = w1_distance(a, b), w1_distance(b, a)
-    assert dab >= 0.0
-    assert dab == dba
-    assert w1_distance(a, a) == 0.0
-    assert w1_distance(a, c) <= dab + w1_distance(b, c) + 1e-9
-
-
-def test_empirical_distribution_requires_alignment():
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(
-            w=np.array([1.0]), y_prev=np.array([0.0, 1.0]), x=np.zeros((1, 1)), e=np.array([0.0]), y=np.array([1.0])
-        )
 
 
 def test_csv_roundtrip(tmp_path):
