@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -80,16 +81,18 @@ reps = 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (ConfigError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use. Each subcommand runs the
+    module's ``_cmd_<name>`` as it is at call time."""
     parser = argparse.ArgumentParser(prog="spillsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,29 +102,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--reps", type=int, default=None, help="override run.reps")
 
-    p_sim = sub.add_parser("simulate", help="simulate one observed experiment")
-    common(p_sim)
-    p_sim.set_defaults(handler=_cmd_simulate)
+    common(sub.add_parser("simulate", help="simulate one observed experiment"))
 
     p_est = sub.add_parser("estimate", help="fit estimators on existing panel CSVs")
     common(p_est)
     p_est.add_argument("--outcomes", type=Path, required=True, help="outcome panel CSV")
     p_est.add_argument("--treatments", type=Path, required=True, help="treatment panel CSV")
-    p_est.set_defaults(handler=_cmd_estimate)
 
-    p_bench = sub.add_parser("benchmark", help="Monte Carlo estimator comparison")
-    common(p_bench)
-    p_bench.set_defaults(handler=_cmd_benchmark)
+    common(sub.add_parser("benchmark", help="Monte Carlo estimator comparison"))
 
     p_sweep = sub.add_parser("sweep", help="benchmark along a parameter grid")
     common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
-    p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_demo = sub.add_parser("demo", help="run the built-in demo scenario")
-    common(p_demo, config_required=False)
-    p_demo.set_defaults(handler=_cmd_demo)
+    common(sub.add_parser("demo", help="run the built-in demo scenario"), config_required=False)
 
     return parser
 

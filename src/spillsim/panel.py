@@ -130,10 +130,16 @@ class CovariatePanel(RoundPanel):
 
 
 def round_index_covariates(n_units: int, n_rounds: int) -> CovariatePanel:
-    """Default covariates: dim 1, carrying the round number t."""
-    vals = np.zeros((n_units, n_rounds, 1))
-    vals[:, :, 0] = np.arange(1, n_rounds + 1)
-    return CovariatePanel(vals)
+    """Default covariates: dim 1, carrying the round number t.
+
+    The values are a read-only broadcast of rounds 1..T over the units, so no
+    (n_units, n_rounds) array is allocated or scanned."""
+    if n_units < 1 or n_rounds < 1:
+        raise ValueError(f"covariate panel has degenerate shape {(n_units, n_rounds, 1)}")
+    panel = object.__new__(CovariatePanel)
+    rounds = np.arange(1.0, n_rounds + 1.0)
+    object.__setattr__(panel, "values", np.broadcast_to(rounds[None, :, None], (n_units, n_rounds, 1)))
+    return panel
 
 
 def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:

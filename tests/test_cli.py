@@ -382,3 +382,35 @@ def test_manifests_record_the_sha256_of_every_input(tmp_path):
         str(path): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (sim / "outcomes.csv", sim / "treatments.csv", matrix)
     }
+
+
+def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
+    # The parser is built once per process: no flag of the first call may
+    # reach the second.
+    import os
+    import subprocess
+    import sys
+
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+
+    def argvs(root):
+        return [
+            ["sweep", "--config", str(cfg), "--out", str(root / "sweep"), "--seed", "3", "--reps", "1",
+             "--param", "trend", "--grid", "0,1"],
+            ["benchmark", "--config", str(cfg), "--out", str(root / "benchmark")],
+        ]
+
+    for argv in argvs(tmp_path / "one"):
+        assert main(argv) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in argvs(tmp_path / "fresh"):
+        subprocess.run([sys.executable, "-m", "spillsim.cli", *argv], env=env, check=True, capture_output=True)
+
+    def tree(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    one = tree(tmp_path / "one")
+    assert sorted(one) == ["benchmark/manifest.json", "benchmark/report.csv", "benchmark/report.json",
+                           "sweep/manifest.json", "sweep/sweep.csv"]
+    assert one == tree(tmp_path / "fresh")

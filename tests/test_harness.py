@@ -619,3 +619,76 @@ def test_constant_scenarios_are_built_once_per_run(monkeypatch):
     assert report.n_reps == 3
     none, everyone = config._constant_scenarios
     assert not none.values.any() and everyone.values.all()
+
+
+# --- one estimator pass per distinct observed panel -----------------------------
+
+
+def _ramp_below_tau_config(reps=3, seed=40) -> ScenarioConfig:
+    # The observed ramp (at most 0.8 treated) stays below tau, so the swept
+    # strength never reaches the observed panel.
+    import dataclasses
+
+    cfg = _threshold_config(reps=reps, seed=seed)
+    exposure = MeanFieldThreshold(tau=0.95, strength=0.0)
+    return dataclasses.replace(cfg, dynamics=dataclasses.replace(cfg.dynamics, exposure=exposure))
+
+
+def _count_fits(monkeypatch, overflow_at: int | None = None) -> list:
+    """Count ``harness.fit_ese`` calls; call number ``overflow_at`` raises."""
+    from spillsim import harness
+
+    calls, fit = [], harness.fit_ese
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) == overflow_at:
+            raise FloatingPointError("overflow encountered in matmul")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_ese", counted)
+    return calls
+
+
+GRID = [0.0, 0.5, 1.0, 2.0, 3.0]
+CLUSTER_ESTIMATORS = ("dm", "ht", "ese_basic", "ese_cluster")
+
+
+@pytest.mark.parametrize(
+    "config, parameter, grid, passes",
+    [
+        (_ramp_below_tau_config(), "threshold_strength", GRID, 1),
+        (_trend_config(CLUSTERED_WEIGHTS, estimators=CLUSTER_ESTIMATORS), "trend", GRID, len(GRID)),
+        (_trend_config(CLUSTERED_WEIGHTS, estimators=CLUSTER_ESTIMATORS), "trend", [0.0, 0.5, 1.0, 0.5, 3.0], 4),
+    ],
+    ids=["threshold_below_tau", "trend", "trend_repeated_value"],
+)
+def test_sweep_fits_each_distinct_observed_panel_once_per_seed(monkeypatch, config, parameter, grid, passes):
+    calls = _count_fits(monkeypatch)
+    table = failure_sweep(config, parameter, grid)
+    assert len(calls) == passes * config.n_reps * 2  # two ESE estimators
+    for r in range(config.n_reps):
+        records = [report.records[r] for report in table.reports]
+        for attr in ("estimates", "ese_trajectories", "coefficients"):
+            assert len({id(getattr(rec, attr)) for rec in records}) == len(grid), attr
+    for value, report in zip(grid, table.reports):
+        _assert_same_report(report, replicate(_at_value(config, parameter, value)))
+
+
+def test_replicate_fits_once_per_seed(monkeypatch):
+    calls = _count_fits(monkeypatch)
+    config = _ramp_below_tau_config(reps=3)
+    replicate(config)
+    assert len(calls) == 3 * 2
+
+
+def test_overflow_in_a_shared_pass_names_the_first_grid_value_and_the_seed(monkeypatch):
+    import dataclasses
+
+    _count_fits(monkeypatch, overflow_at=2)
+    config = dataclasses.replace(_ramp_below_tau_config(reps=2), estimators=("dm", "ese_basic"))
+    # Seed 40 fits once for all three values; the second fit is seed 41's,
+    # made for the first grid value.
+    message = r"^ese_basic at threshold_strength=2\.0, seed 41: overflow encountered in matmul$"
+    with pytest.raises(EstimatorOverflow, match=message):
+        failure_sweep(config, "threshold_strength", [2.0, 0.0, 1.0])

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from spillsim import panel as panel_mod
 from spillsim.panel import (
+    CovariatePanel,
     OutcomePanel,
     TreatmentPanel,
     column_mean,
     read_outcome_csv,
     read_treatment_csv,
+    round_index_covariates,
     write_matrix_csv,
     write_outcome_csv,
     write_treatment_csv,
@@ -200,3 +202,38 @@ def test_csv_reader_header_only_file_warns_nothing(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no data rows"):
             read_outcome_csv(path)
+
+
+@pytest.mark.parametrize("n, t", [(1, 1), (5, 4), (3, 9)])
+def test_round_index_covariates_broadcast_the_round_numbers(n, t):
+    x = round_index_covariates(n, t)
+    materialized = np.zeros((n, t, 1))
+    materialized[:, :, 0] = np.arange(1, t + 1)
+    assert (x.n_units, x.n_rounds, x.dim) == (n, t, 1)
+    assert x.values.dtype == np.float64 and x.values.shape == materialized.shape
+    assert x.values.strides[0] == 0  # one row of round numbers serves every unit
+    assert np.array_equal(x.values.view(np.uint64), materialized.view(np.uint64))
+    for r in range(1, t + 1):
+        assert np.array_equal(x.column(r), materialized[:, r - 1])
+    with pytest.raises(ValueError, match="read-only"):
+        x.values[0, 0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        x.column(t)[:] = 7.0
+
+
+def test_round_index_covariates_reject_an_empty_population():
+    with pytest.raises(ValueError, match="degenerate shape"):
+        round_index_covariates(0, 3)
+
+
+def test_covariate_panel_checks_and_freezes_outside_arrays():
+    outside = np.ones((2, 3, 1))
+    x = CovariatePanel(outside)
+    outside[0, 0, 0] = 5.0
+    assert x.values[0, 0, 0] == 1.0 and not x.values.flags.writeable
+    with pytest.raises(ValueError, match="3-d"):
+        CovariatePanel(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="degenerate"):
+        CovariatePanel(np.ones((2, 0, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        CovariatePanel(np.full((2, 3, 1), np.nan))
