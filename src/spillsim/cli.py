@@ -20,7 +20,6 @@ line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -31,19 +30,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import design as design_mod
 from .config import ConfigError, config_hash, parse_config
 from .dynamics import simulate_panel
-from .harness import SWEEP_PARAMETERS, ScenarioConfig, estimate_rounds, failure_sweep, replicate, structure_of
+from .harness import SWEEP_PARAMETERS, ScenarioConfig, estimate_rounds, failure_sweep, observed_inputs, replicate
+from .harness import structure_of
 from .panel import (
     read_outcome_csv,
     read_treatment_csv,
-    round_index_covariates,
     write_matrix_csv,
     write_outcome_csv,
+    write_rows,
     write_treatment_csv,
 )
-from .rng import substream
 
 DEMO_CONFIG = """\
 [population]
@@ -168,12 +166,8 @@ def _sha256(path) -> str:
 def _cmd_simulate(args) -> int:
     config, text = _load(args)
     outdir = _ensure_outdir(args.out)
-    seed = config.base_seed
-    weights = config.weights.build(config.n_units, config.n_rounds, seed, shared=config.fixed_network)
-    w_obs = design_mod.assign(config.design, seed)
-    x = round_index_covariates(config.n_units, config.n_rounds)
-    y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(config.n_units)
-    panel, exposure = simulate_panel(config.dynamics, weights, w_obs, x, y0, seed)
+    weights, w_obs, x, y0 = observed_inputs(config, config.base_seed)
+    panel, exposure = simulate_panel(config.dynamics, weights, w_obs, x, y0, config.base_seed)
     write_outcome_csv(outdir / "outcomes.csv", panel)
     write_treatment_csv(outdir / "treatments.csv", w_obs)
     write_matrix_csv(outdir / "exposure.csv", exposure.values)
@@ -197,21 +191,13 @@ def _cmd_estimate(args) -> int:
     rounds = range(1, config.n_rounds + 1)
     estimates, _, coefficients = estimate_rounds(config, y, w, structure_of(weights), rounds, str(args.outcomes))
     coeff_payload = {name: coeffs.to_dict() for name, coeffs in coefficients.items()}
-    rows = [(name, t, est) for name, values in estimates.items() for t, est in zip(rounds, values)]
+    rows = [(name, t, est) for name, values in sorted(estimates.items()) for t, est in zip(rounds, values)]
 
     (outdir / "coefficients.json").write_text(json.dumps(coeff_payload, sort_keys=True, indent=2) + "\n")
-    _write_estimates_csv(outdir / "estimates.csv", rows)
+    write_rows(outdir / "estimates.csv", ["estimator", "round", "estimate"], rows)
     inputs = [args.outcomes, args.treatments]
     _manifest(outdir, text, config, {"inputs": [str(path) for path in inputs]}, inputs)
     return 0
-
-
-def _write_estimates_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "round", "estimate"])
-        for name, t, est in sorted(rows, key=lambda r: (r[0], r[1])):
-            writer.writerow([name, t, "" if est is None else repr(est)])
 
 
 def _cmd_benchmark(args) -> int:
@@ -254,33 +240,19 @@ def _cmd_demo(args) -> int:
 
     trajectories = sorted(record.ese_trajectories.items())
     header = ["round", "gt_control", "gt_treated"]
-    for name, _ in trajectories:
-        header += [f"{name}_control", f"{name}_treated"]
-    with open(outdir / "trajectories.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(config.n_rounds + 1):
-            values = [record.gt_control[t], record.gt_treated[t]]
-            for _, (lo, hi) in trajectories:
-                values += [lo[t], hi[t]]
-            writer.writerow([t, *(repr(float(v)) for v in values)])
+    header += [f"{name}_{side}" for name, _ in trajectories for side in ("control", "treated")]
+    rows = [
+        [t, record.gt_control[t], record.gt_treated[t], *(v for _, (lo, hi) in trajectories for v in (lo[t], hi[t]))]
+        for t in range(config.n_rounds + 1)
+    ]
+    write_rows(outdir / "trajectories.csv", header, rows)
 
-    with open(outdir / "estimates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "estimate", "gt", "bias", "mean_bias", "rmse"])
-        for name in sorted(record.estimates):
-            est = record.estimates[name]
-            summary = report.summaries[name]
-            writer.writerow(
-                [
-                    name,
-                    "" if est is None else repr(est),
-                    repr(record.gt_tte),
-                    "" if est is None else repr(est - record.gt_tte),
-                    repr(summary.bias),
-                    repr(summary.rmse),
-                ]
-            )
+    rows = []
+    for name, est in sorted(record.estimates.items()):
+        summary = report.summaries[name]
+        bias = None if est is None else est - record.gt_tte
+        rows.append([name, est, record.gt_tte, bias, summary.bias, summary.rmse])
+    write_rows(outdir / "estimates.csv", ["estimator", "estimate", "gt", "bias", "mean_bias", "rmse"], rows)
     _manifest(outdir, text, config, {"scenario": "demo"})
     return 0
 

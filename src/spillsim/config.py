@@ -246,7 +246,8 @@ _READERS = {float: _Section.get_float, int: _Section.get_int, tuple: _Section.ge
 
 
 def _parse_weights(sec: _Section) -> WeightConfig:
-    kind = sec.get_str("kind", "dense_gaussian")
+    # The first kind of WEIGHT_KINDS, the dense Gaussian one, is the default.
+    kind = sec.get_str("kind", next(iter(WEIGHT_KINDS)))
     if kind not in WEIGHT_KINDS:
         raise ConfigError(f"weights.kind must be one of {', '.join(WEIGHT_KINDS)}; got {kind!r}")
     params = {}

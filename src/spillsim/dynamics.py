@@ -53,7 +53,7 @@ class LinearUnit:
             raise ValueError("unit response parameters must be finite")
         object.__setattr__(self, "x_coef", tuple(float(c) for c in self.x_coef))
 
-    def _linear(self, w, y, x, t):
+    def value(self, w, y, x, t):
         # Accumulates in place into the fresh first product, in the order the
         # formula reads, so no step of the sum allocates another array.
         out = self.w_coef * w
@@ -64,9 +64,6 @@ class LinearUnit:
             if c != 0.0:
                 out += c * x[..., k]
         return out
-
-    def value(self, w, y, x, t):
-        return self._linear(w, y, x, t)
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ class SaturatingUnit(LinearUnit):
             raise ValueError("saturation scale must be positive")
 
     def value(self, w, y, x, t):
-        return self.scale * np.tanh(self._linear(w, y, x, t) / self.scale)
+        return self.scale * np.tanh(super().value(w, y, x, t) / self.scale)
 
 
 @dataclass(frozen=True)
@@ -150,21 +147,10 @@ class DynamicsSpec:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class ExposureMatrix(RoundPanel):
     """Realized exposures, shape (n_units, n_rounds) with rounds 1..T."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("exposure matrix must be 2-d")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("exposure entries must all be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+    name = "exposure matrix"
 
 
 class NonFiniteOutcome(FloatingPointError):

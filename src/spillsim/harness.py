@@ -15,7 +15,6 @@ flag asserting that isolation.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -48,7 +47,7 @@ from .estimators import (
     propagate,
 )
 from .estimators import fit_ese
-from .panel import OutcomePanel, TreatmentPanel, column_mean, round_index_covariates
+from .panel import CovariatePanel, OutcomePanel, TreatmentPanel, column_mean, round_index_covariates, write_rows
 from .rng import substream
 from .weights import WEIGHT_KINDS, WeightConfig, WeightSet, kind_of
 
@@ -93,7 +92,8 @@ class ScenarioConfig:
     weights: WeightConfig
     dynamics: DynamicsSpec
     design: DesignSpec
-    estimators: tuple[str, ...] = ("dm", "ht", "ese_basic")
+    # By default every estimator that needs no particular weight kind.
+    estimators: tuple[str, ...] = tuple(name for name, est in ESTIMATORS.items() if est.weight_kind is None)
     feature_overrides: dict = field(default_factory=dict)
     baseline_mean: float = 0.0
     baseline_sd: float = 1.0
@@ -103,8 +103,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Errors name the config key at fault, as in a scenario config file.
-        if self.n_units < 1 or self.n_rounds < 1:
-            raise ValueError("population and round counts must be positive")
+        # DesignSpec rejects empty populations and panels without rounds.
         if self.design.n_units != self.n_units or self.design.n_rounds != self.n_rounds:
             raise ValueError("design dimensions disagree with the population")
         if self.n_reps < 1:
@@ -173,8 +172,10 @@ class BenchmarkReport:
     records: tuple[RunRecord, ...]
     runtime_seconds: float
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """Everything but the runtime: emitted files must be reproducible from
+        (config, seed), so wall time is reported on stdout instead."""
+        return {
             "n_reps": self.n_reps,
             "gt_tte_mean": self.gt_tte_mean,
             "gt_control_trajectory": list(self.gt_control),
@@ -186,38 +187,48 @@ class BenchmarkReport:
             "ese_trajectories": {
                 name: {"control": list(c), "treated": list(t)} for name, (c, t) in self.ese_trajectories.items()
             },
+            "records": [{"seed": r.seed, "gt_tte": r.gt_tte, "estimates": r.estimates} for r in self.records],
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        out["records"] = [{"seed": r.seed, "gt_tte": r.gt_tte, "estimates": r.estimates} for r in self.records]
-        return out
 
     def write_json(self, path) -> None:
-        # Emitted files must be reproducible from (config, seed); wall time is
-        # reported on stdout instead.
         with open(path, "w") as fh:
-            json.dump(self.to_dict(include_runtime=False), fh, sort_keys=True, indent=2)
+            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
     def write_csv(self, path, scenario: str = "scenario") -> None:
         """Flat rows: scenario, estimator, rep seed, estimate, truth, bias."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "estimator", "rep", "estimate", "gt", "bias"])
-            for rec in self.records:
-                for name, est in sorted(rec.estimates.items()):
-                    if est is None:
-                        writer.writerow([scenario, name, rec.seed, "", repr(rec.gt_tte), ""])
-                    else:
-                        writer.writerow(
-                            [scenario, name, rec.seed, repr(est), repr(rec.gt_tte), repr(est - rec.gt_tte)]
-                        )
+        write_rows(
+            path,
+            ["scenario", "estimator", "rep", "estimate", "gt", "bias"],
+            [
+                [scenario, name, rec.seed, est, rec.gt_tte, None if est is None else est - rec.gt_tte]
+                for rec in self.records
+                for name, est in sorted(rec.estimates.items())
+            ],
+        )
 
 
 def structure_of(weights: WeightSet) -> StructureMetadata:
     """The structure metadata that the kind of ``weights`` exposes."""
     fields = WEIGHT_KINDS[kind_of(weights)].structure
     return StructureMetadata(**{name: getattr(weights, name) for name in fields})
+
+
+def observed_inputs(
+    config: ScenarioConfig, seed: int, weights: WeightSet | None = None
+) -> tuple[WeightSet, TreatmentPanel, CovariatePanel, np.ndarray]:
+    """The observed experiment's inputs for one seed: the weight set, the
+    assignment, the covariates and the baseline outcomes. ``weights`` is a
+    weight set the caller built once for the whole run; by default the seed
+    builds its own (the base seed's, for a fixed network)."""
+    n, t_max = config.n_units, config.n_rounds
+    if weights is None:
+        weight_seed = config.base_seed if config.fixed_network else seed
+        weights = config.weights.build(n, t_max, weight_seed, shared=config.fixed_network)
+    w_obs = design_mod.assign(config.design, seed)
+    x = round_index_covariates(n, t_max)
+    y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(n)
+    return weights, w_obs, x, y0
 
 
 def run_once(
@@ -233,18 +244,11 @@ def run_once(
     lockstep pass on this seed's weights, assignments, baseline and noise, and
     one record per value comes back, in grid order. Values whose observed
     panels are bit-identical share one estimator pass, so overflow in it names
-    the first of them. ``weights`` is a weight set the caller built once for
-    the whole run; by default the replication builds its own."""
-    n, t_max = config.n_units, config.n_rounds
-    if weights is None:
-        weight_seed = config.base_seed if config.fixed_network else seed
-        weights = config.weights.build(n, t_max, weight_seed, shared=config.fixed_network)
+    the first of them. ``weights`` is passed on to ``observed_inputs``."""
+    t_max = config.n_rounds
+    weights, w_obs, x, y0 = observed_inputs(config, seed, weights)
     structure = structure_of(weights)
-
-    w_obs = design_mod.assign(config.design, seed)
     w_none, w_all = config._constant_scenarios
-    x = round_index_covariates(n, t_max)
-    y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(n)
 
     specs = (config.dynamics,) if sweep is None else sweep.specs
     columns = config.dynamics if sweep is None else [spec for spec in specs for _ in SCENARIOS]
@@ -365,15 +369,12 @@ def estimate_rounds(
     return estimates, trajectories, coefficients
 
 
-def replicate(config: ScenarioConfig, n_reps: int | None = None) -> BenchmarkReport:
+def replicate(config: ScenarioConfig) -> BenchmarkReport:
     """Run replications under seeds base_seed .. base_seed + n_reps - 1 and
     aggregate. Missing estimates are excluded with an explicit count."""
-    n_reps = config.n_reps if n_reps is None else n_reps
-    if n_reps < 1:
-        raise ValueError("replication count must be at least 1")
     started = time.perf_counter()
     shared = _run_weights(config)
-    records = [run_once(config, config.base_seed + r, **shared) for r in range(n_reps)]
+    records = [run_once(config, config.base_seed + r, **shared) for r in range(config.n_reps)]
     return _aggregate(config, records, started)
 
 
@@ -452,13 +453,11 @@ class SweepTable:
     reports: tuple[BenchmarkReport, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "value", "estimator", "bias", "rmse", "n_excluded"])
-            for row in self.rows:
-                writer.writerow(
-                    [self.parameter, repr(row.value), row.estimator, repr(row.bias), repr(row.rmse), row.n_excluded]
-                )
+        write_rows(
+            path,
+            ["parameter", "value", "estimator", "bias", "rmse", "n_excluded"],
+            [[self.parameter, row.value, row.estimator, row.bias, row.rmse, row.n_excluded] for row in self.rows],
+        )
 
 
 @dataclass(frozen=True)

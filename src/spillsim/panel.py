@@ -23,18 +23,41 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
-
-
+@dataclass(frozen=True)
 class RoundPanel:
     """Round-indexed accessors over ``values``: one row per unit, one column
     per round from ``first_round`` through ``n_rounds`` (any further axes
-    belong to each entry)."""
+    belong to each entry).
 
+    Construction copies ``values`` to a read-only float64 array and checks
+    that it has ``ndim`` non-empty axes, a round 1 and finite entries."""
+
+    values: np.ndarray
+    ndim = 2
     first_round = 1
+    name = "panel"
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
+        self._check_shape()
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"{self.name} entries must all be finite")
+        self.values.setflags(write=False)
+
+    @classmethod
+    def _built(cls, values: np.ndarray):
+        """A panel over ``values``, an array the package built, scanned and
+        made read-only itself: only its shape is checked, nothing is copied."""
+        panel = object.__new__(cls)
+        object.__setattr__(panel, "values", values)
+        panel._check_shape()
+        return panel
+
+    def _check_shape(self) -> None:
+        if self.values.ndim != self.ndim:
+            raise ValueError(f"{self.name} must be a {self.ndim}-d array, got {self.values.ndim}-d")
+        if min(self.values.shape) < 1 or self.n_rounds < 1:
+            raise ValueError(f"{self.name} has degenerate shape {self.values.shape}")
 
     @property
     def n_units(self) -> int:
@@ -51,42 +74,23 @@ class RoundPanel:
         return self.values[:, t - self.first_round]
 
 
-@dataclass(frozen=True)
 class TreatmentPanel(RoundPanel):
     """Binary assignment matrix with shape (n_units, n_rounds)."""
 
-    values: np.ndarray
+    name = "treatment panel"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("treatment panel must be a 2-d array")
-        n, t = vals.shape
-        if n < 1 or t < 1:
-            raise ValueError(f"treatment panel needs at least one unit and one round, got {vals.shape}")
-        if not np.all((vals == 0.0) | (vals == 1.0)):
+        super().__post_init__()
+        if not np.all((self.values == 0.0) | (self.values == 1.0)):
             raise ValueError("treatment panel entries must be exactly 0 or 1")
-        object.__setattr__(self, "values", _freeze(vals))
 
 
-@dataclass(frozen=True)
 class OutcomePanel(RoundPanel):
     """Real outcome matrix with shape (n_units, n_rounds + 1); column 0 is the
     pre-intervention baseline."""
 
-    values: np.ndarray
     first_round = 0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("outcome panel must be a 2-d array")
-        n, cols = vals.shape
-        if n < 1 or cols < 2:
-            raise ValueError("outcome panel needs at least one unit and rounds 0..1")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("outcome panel entries must all be finite")
-        object.__setattr__(self, "values", _freeze(vals))
+    name = "outcome panel"
 
     @classmethod
     def views(cls, buffer: np.ndarray) -> list["OutcomePanel"]:
@@ -95,34 +99,16 @@ class OutcomePanel(RoundPanel):
 
         The caller hands the buffer over after checking that every entry is
         finite: it is made read-only here and must not be written again."""
-        if buffer.dtype != np.float64 or buffer.ndim != 3 or buffer.shape[1] < 1 or buffer.shape[2] < 2:
-            raise ValueError(f"outcome buffer of shape {buffer.shape} holds no panels")
         buffer.setflags(write=False)
-        panels = []
-        for k in range(buffer.shape[0]):
-            panel = object.__new__(cls)
-            object.__setattr__(panel, "values", buffer[k])
-            panels.append(panel)
-        return panels
+        return [cls._built(values) for values in buffer]
 
 
-@dataclass(frozen=True)
 class CovariatePanel(RoundPanel):
     """Covariate array with shape (n_units, n_rounds, dim), rounds 1..T; a
     round's column has shape (n_units, dim)."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 3:
-            raise ValueError("covariate panel must be a 3-d array (units, rounds, dim)")
-        n, t, d = vals.shape
-        if n < 1 or t < 1 or d < 1:
-            raise ValueError(f"covariate panel has degenerate shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("covariate entries must all be finite")
-        object.__setattr__(self, "values", _freeze(vals))
+    ndim = 3
+    name = "covariate panel"
 
     @property
     def dim(self) -> int:
@@ -134,12 +120,8 @@ def round_index_covariates(n_units: int, n_rounds: int) -> CovariatePanel:
 
     The values are a read-only broadcast of rounds 1..T over the units, so no
     (n_units, n_rounds) array is allocated or scanned."""
-    if n_units < 1 or n_rounds < 1:
-        raise ValueError(f"covariate panel has degenerate shape {(n_units, n_rounds, 1)}")
-    panel = object.__new__(CovariatePanel)
     rounds = np.arange(1.0, n_rounds + 1.0)
-    object.__setattr__(panel, "values", np.broadcast_to(rounds[None, :, None], (n_units, n_rounds, 1)))
-    return panel
+    return CovariatePanel._built(np.broadcast_to(rounds[None, :, None], (n_units, n_rounds, 1)))
 
 
 def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
@@ -183,6 +165,16 @@ def read_outcome_csv(path) -> OutcomePanel:
 
 def read_treatment_csv(path) -> TreatmentPanel:
     return TreatmentPanel(read_cells(path, first_col=1))
+
+
+def write_rows(path, header: Sequence[str], rows) -> None:
+    """Write a result table: the header, then one CSV row per entry of
+    ``rows``. ``csv.writer`` writes each float as its repr (numpy's too) and
+    None as an empty field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_cells(path, values: np.ndarray, first_col: int = 0, header: Sequence[str] = PANEL_HEADER) -> None:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,7 +177,8 @@ def test_replicate_deterministic():
     config = linear_config(n=50, noise=0.3, seed=77, reps=4)
     a = replicate(config)
     b = replicate(config)
-    assert a.to_dict(include_runtime=False) == b.to_dict(include_runtime=False)
+    assert a.to_dict() == b.to_dict()
+    assert "runtime_seconds" not in a.to_dict()
 
 
 def test_fixed_network_mode_shares_weights_across_reps():
@@ -284,6 +286,32 @@ def test_config_cross_validation():
         dataclasses.replace(base, estimators=("ese_cluster",))
     with pytest.raises(ValueError, match="ese_influencer"):
         dataclasses.replace(base, estimators=("ese_influencer",))
+
+
+def test_empty_population_is_still_rejected():
+    import dataclasses
+
+    # DesignSpec rejects it, and a config must match its design's dimensions.
+    with pytest.raises(ValueError, match="design dimensions disagree"):
+        dataclasses.replace(linear_config(n=20), n_units=0)
+    with pytest.raises(ValueError, match="at least one unit"):
+        dataclasses.replace(
+            linear_config(n=20), n_units=0, design=DesignSpec(kind="constant", n_units=0, n_rounds=4, value=0)
+        )
+
+
+def test_each_estimator_and_weight_kind_name_is_listed_once_in_the_source():
+    # The one exception: an estimator's weight_kind= names the kind it needs.
+    import spillsim
+    from spillsim.harness import ESTIMATORS, WEIGHT_KINDS
+
+    lines = [line for path in Path(spillsim.__file__).parent.glob("*.py") for line in path.read_text().splitlines()]
+    names = [*ESTIMATORS, *WEIGHT_KINDS]
+    assert len(names) == 9
+    counts = {name: sum(f'"{name}"' in line for line in lines) for name in names}
+    needed = {name: sum(est.weight_kind == name for est in ESTIMATORS.values()) for name in names}
+    assert needed["clustered"] == needed["influencer"] == 1
+    assert counts == {name: 1 + needed[name] for name in names}
 
 
 def test_cluster_and_influencer_estimators_run():

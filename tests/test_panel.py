@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillsim import panel as panel_mod
+from spillsim.dynamics import ExposureMatrix
 from spillsim.panel import (
     CovariatePanel,
     OutcomePanel,
@@ -21,13 +22,15 @@ from spillsim.panel import (
     round_index_covariates,
     write_matrix_csv,
     write_outcome_csv,
+    write_rows,
     write_treatment_csv,
 )
 
 
 def test_treatment_panel_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        TreatmentPanel(np.array([[0.5]]))
+    for bad in (0.5, -1.0, 2.0):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            TreatmentPanel(np.array([[0.0, bad], [1.0, 1.0]]))
 
 
 def test_treatment_column_mean():
@@ -226,14 +229,53 @@ def test_round_index_covariates_reject_an_empty_population():
         round_index_covariates(0, 3)
 
 
-def test_covariate_panel_checks_and_freezes_outside_arrays():
-    outside = np.ones((2, 3, 1))
-    x = CovariatePanel(outside)
-    outside[0, 0, 0] = 5.0
-    assert x.values[0, 0, 0] == 1.0 and not x.values.flags.writeable
-    with pytest.raises(ValueError, match="3-d"):
-        CovariatePanel(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="degenerate"):
-        CovariatePanel(np.ones((2, 0, 1)))
-    with pytest.raises(ValueError, match="finite"):
-        CovariatePanel(np.full((2, 3, 1), np.nan))
+@pytest.mark.parametrize(
+    "cls, shape",
+    [(TreatmentPanel, (2, 3)), (OutcomePanel, (2, 3)), (CovariatePanel, (2, 3, 1)), (ExposureMatrix, (2, 3))],
+)
+def test_every_round_panel_checks_copies_and_freezes_its_values(cls, shape):
+    outside = np.ones(shape)
+    panel = cls(outside)
+    outside[0, 0] = 0.0
+    assert np.all(panel.values == 1.0) and panel.values.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        panel.values[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        panel.values = outside
+    assert cls(np.ones(shape, dtype=np.int64)).values.dtype == np.float64
+
+    with pytest.raises(ValueError, match=f"{len(shape)}-d"):
+        cls(np.ones(shape[:-1]))
+    with pytest.raises(ValueError, match=f"{len(shape)}-d"):
+        cls(np.ones((*shape, 1)))
+    for empty_axis in range(len(shape)):
+        degenerate = list(shape)
+        degenerate[empty_axis] = 0
+        with pytest.raises(ValueError, match="degenerate shape"):
+            cls(np.ones(degenerate))
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.ones(shape)
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cls(vals)
+
+
+def test_outcome_panel_needs_a_round_after_the_baseline():
+    assert OutcomePanel(np.zeros((2, 2))).n_rounds == 1
+    with pytest.raises(ValueError, match="degenerate shape"):
+        OutcomePanel(np.zeros((2, 1)))
+
+
+def test_write_rows_gives_the_bytes_of_repr_formatting(tmp_path):
+    floats = [float("nan"), -0.0, 1e300, 1e-310, float("inf"), -float("inf"), 0.1 + 0.2, 1e16, 1e-5, 123456.789, 5e-324]
+    floats += list(np.random.default_rng(5).standard_normal(50) * 10.0 ** np.arange(-25, 25))
+    rows = [["name", k, float(v), np.float64(v), None, "" if k % 2 else None] for k, v in enumerate(floats)]
+    header = ["estimator", "round", "python", "numpy", "none", "empty"]
+    write_rows(tmp_path / "rows.csv", header, rows)
+
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for name, k, v, nv, _, _ in rows:
+            writer.writerow([name, k, repr(v), repr(float(nv)), "", ""])
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
