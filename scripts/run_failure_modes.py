@@ -69,8 +69,9 @@ def main() -> None:
     table.write_csv(args.out / "trend_sweep.csv")
     print("trend sweep (weak treatment signal):")
     print(f"{'trend':>6} {'estimator':<12} {'bias':>9} {'rmse':>9}")
-    for row in table.rows:
-        print(f"{row.value:>6.2f} {row.estimator:<12} {row.bias:>9.4f} {row.rmse:>9.4f}")
+    for value, report in zip(table.values, table.reports):
+        for name, summary in report.summaries.items():
+            print(f"{value:>6.2f} {name:<12} {summary.bias:>9.4f} {summary.rmse:>9.4f}")
 
     print("\nthreshold interference, doubling the population:")
     for n in (args.n_units, 2 * args.n_units):

@@ -254,13 +254,13 @@ def _evolve(
     """Evolve all scenarios in lockstep, sharing weights and noise draws.
 
     ``spec`` is one DynamicsSpec for every scenario or a sequence with one per
-    scenario. Per round, each distinct treatment panel's treated fraction is
-    computed once, every weighted-sum column goes through one
-    ``weights.apply`` call, and consecutive columns with the same unit
-    response respond as one block. Outcomes are written to one buffer that is
-    scanned for finiteness once; the panels are read-only views of it. The
-    exposure matrices are built only when keep_exposures is set; otherwise
-    the list is empty."""
+    scenario. Columns that evolve alike (see ``_distinct_columns``) are evolved
+    once and get the same panel and exposure matrix. Per round, every
+    weighted-sum column goes through one ``weights.apply`` call, and
+    consecutive columns with the same unit response respond as one block.
+    Outcomes are written to one buffer that is scanned for finiteness once;
+    the panels are read-only views of it. The exposure matrices are built
+    only when keep_exposures is set; otherwise the list is empty."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -276,20 +276,15 @@ def _evolve(
         raise ValueError("covariate panel does not match the scenarios")
     if weights.n_units != n:
         raise ValueError("columns disagree with the weight set population size")
-    s = len(scenarios)
-    specs = [spec] * s if isinstance(spec, DynamicsSpec) else list(spec)
-    if len(specs) != s:
-        raise ValueError(f"{len(specs)} dynamics specs for {s} scenarios")
+    specs = [spec] * len(scenarios) if isinstance(spec, DynamicsSpec) else list(spec)
+    if len(specs) != len(scenarios):
+        raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
 
-    # Scenarios repeated by identity share their treated fractions.
-    first: dict[int, int] = {}
-    distinct = []
-    for w in scenarios:
-        if id(w) not in first:
-            first[id(w)] = len(distinct)
-            distinct.append(w)
-    source = np.array([first[id(w)] for w in scenarios])
-    exposure_runs = _runs(specs, lambda sp: (sp.exposure, sp.peer))
+    index, lead, levels = _distinct_columns(specs, scenarios)
+    scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
+    s = len(lead)
+    exposure_runs = [run for run in _runs(specs, lambda sp: (sp.exposure, sp.peer))
+                     if not isinstance(run[0].exposure, MeanFieldThreshold)]
     response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
     noisy = any(sp.noise_sd > 0.0 for sp in specs)
 
@@ -298,11 +293,8 @@ def _evolve(
     exposures = np.empty((s, n, t_max)) if keep_exposures else None
     outcomes[:, :, 0] = y_cur.T
     for t in range(1, t_max + 1):
-        w_distinct = np.column_stack([w.column(t) for w in distinct])
-        # take() keeps C order, which every array derived from w_cols
-        # inherits, so weights.apply sees the layout of a pass without
-        # repeated scenarios; the lazy Gaussian engine's bits depend on it.
-        w_cols = w_distinct if len(distinct) == s else w_distinct.take(source, axis=1)
+        # C order, kept by every array derived from it; BLAS bits depend on it.
+        w_cols = np.column_stack([w.column(t) for w in scenarios])
         x_t = x.column(t)
         x_t = x_t[:, None, :] if x_t.ndim == 2 else x_t
         if noisy:
@@ -311,7 +303,7 @@ def _evolve(
             noise = np.zeros((n, 1))
         # A non-finite outcome is named by the scan after the last round.
         with np.errstate(over="ignore", invalid="ignore"):
-            e_t = _exposures(weights, exposure_runs, w_distinct, source, w_cols, y_cur, t)
+            e_t = _exposures(weights, exposure_runs, levels[t - 1], w_cols, y_cur, t)
             blocks = [
                 _respond(sp, w_cols[:, cols], y_cur[:, cols], x_t, e_t[:, cols], noise, t)
                 for sp, cols in response_runs
@@ -320,37 +312,57 @@ def _evolve(
         outcomes[:, :, t] = y_cur.T
         if keep_exposures:
             exposures[:, :, t - 1] = e_t.T
-    if not np.isfinite(outcomes).all():
-        t = int(np.argmax(~np.isfinite(outcomes).all(axis=(0, 1))))
-        _check_finite(outcomes[:, :, t].T, t)
+    finite = np.isfinite(outcomes)
+    if not finite.all():
+        t, unit, column = np.argwhere(~finite.transpose(2, 1, 0))[0]  # first round, then unit-major
+        raise NonFiniteOutcome(int(unit), int(t), lead[column])
     panels = OutcomePanel.views(outcomes)
-    mats = [ExposureMatrix(exposures[k]) for k in range(s)] if keep_exposures else []
-    return panels, mats
+    mats = [ExposureMatrix(e) for e in exposures] if keep_exposures else []
+    return [panels[d] for d in index], ([mats[d] for d in index] if keep_exposures else [])
 
 
-def _exposures(weights, runs, w_distinct, source, w_cols, y_prev, t: int) -> np.ndarray:
-    """Round-t exposures of every column, shape (n, s)."""
-    n, s = w_cols.shape
-    level = np.zeros(s)
-    fraction = None
-    signals, summed = [], []
-    for sp, cols in runs:
-        mech = sp.exposure
-        if isinstance(mech, MeanFieldThreshold):
-            if fraction is None:
-                fraction = w_distinct.mean(axis=0)[source]
-            level[cols] = _threshold_level(mech, fraction[cols])
+def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel]) -> tuple:
+    """Per requested column, the distinct column that evolves alike; per
+    distinct column (in order of first appearance), its first requested
+    column; and the distinct columns' threshold levels, (n_rounds, d).
+
+    Columns share the weights, baseline and noise, so a column is fixed by
+    its treatment panel, unit response, noise scale and exposure: the
+    weighted-sum spec, or the threshold level of each round, which the
+    treatment panel alone decides. Spec parts compare with ``==`` as in
+    ``_runs``: parameters 0.0 and -0.0 share a column, evolved with the
+    first one's spec, which changes no bit unless another term of the unit
+    response is -0.0 (an intercept of -0.0)."""
+    fractions: dict[int, np.ndarray] = {}  # treatment panel -> treated fraction per round
+    distinct: dict = {}  # key -> (its distinct column, its first requested column)
+    index, levels = [], np.zeros((scenarios[0].n_rounds, len(scenarios)))
+    for k, (sp, w) in enumerate(zip(specs, scenarios)):
+        if isinstance(sp.exposure, MeanFieldThreshold):
+            if id(w) not in fractions:
+                fractions[id(w)] = w.values.mean(axis=0)
+            levels[:, k] = _threshold_level(sp.exposure, fractions[id(w)])
+            exposure = levels[:, k].tobytes()
         else:
-            signals.append(sp.peer.value(w_cols[:, cols], y_prev[:, cols]))
-            summed.append(cols)
-    if not signals:
+            exposure = (sp.exposure, sp.peer)
+        index.append(distinct.setdefault((id(w), sp.unit, sp.noise_sd, exposure), (len(distinct), k))[0])
+    lead = [k for _, k in distinct.values()]
+    return index, lead, levels[:, lead]
+
+
+def _exposures(weights, runs, level, w_cols, y_prev, t: int) -> np.ndarray:
+    """Round-t exposures of every column, shape (n, s): ``level`` in the
+    threshold columns, and one ``weights.apply`` call over the weighted-sum
+    ``runs``."""
+    n, s = w_cols.shape
+    if not runs:
         return np.broadcast_to(level, (n, s))
+    signals = [sp.peer.value(w_cols[:, cols], y_prev[:, cols]) for sp, cols in runs]
     summed_e = weights.apply(signals[0] if len(signals) == 1 else np.hstack(signals), t)
     if summed_e.shape[1] == s:
         return summed_e
     e_t = np.empty((n, s))
     e_t[:] = level
-    e_t[:, np.r_[tuple(summed)]] = summed_e
+    e_t[:, np.r_[tuple(cols for _, cols in runs)]] = summed_e
     return e_t
 
 
@@ -378,7 +390,9 @@ def counterfactual_suite(
     """Simulate several scenarios under one weight realization and one noise
     stream, with one dynamics spec for all of them or one per scenario.
     Scenario order does not affect any output panel. The panels are read-only
-    views of one buffer."""
+    views of one buffer, and columns that evolve alike return the same panel:
+    the same treatment panel, unit response and noise scale, and the same
+    exposure (weighted-sum spec, or threshold level in every round)."""
     panels, _ = _evolve(spec, weights, scenarios, x, y0, seed, keep_exposures=False)
     return panels
 

@@ -243,8 +243,9 @@ def run_once(
     With ``sweep``, the three scenarios of every grid value evolve in one
     lockstep pass on this seed's weights, assignments, baseline and noise, and
     one record per value comes back, in grid order. Values whose observed
-    panels are bit-identical share one estimator pass, so overflow in it names
-    the first of them. ``weights`` is passed on to ``observed_inputs``."""
+    columns evolve alike get one panel from ``counterfactual_suite`` and share
+    one estimator pass, so overflow in it names the first of them.
+    ``weights`` is passed on to ``observed_inputs``."""
     t_max = config.n_rounds
     weights, w_obs, x, y0 = observed_inputs(config, seed, weights)
     structure = structure_of(weights)
@@ -261,9 +262,7 @@ def run_once(
             f"{where}non-finite outcome for unit {exc.unit} at round {exc.round} in scenario {SCENARIOS[scenario]}"
         ) from exc
     records = []
-    # (observed bits, estimator pass) of each distinct observed panel; a
-    # threshold that the observed ramp never crosses repeats them.
-    passes: list[tuple[np.ndarray, tuple]] = []
+    passes: dict[int, tuple] = {}  # observed panel -> its estimator pass
     for k in range(len(specs)):
         observed, control, treated = panels[len(SCENARIOS) * k : len(SCENARIOS) * (k + 1)]
         where = f"seed {seed}" if sweep is None else f"{sweep.parameter}={sweep.values[k]!r}, seed {seed}"
@@ -274,17 +273,9 @@ def run_once(
 
         # Estimators receive the observed panel and design probabilities only.
         isolated = observed is not control and observed is not treated
-        bits = observed.values.view(np.uint64) if len(specs) > 1 else None
-        shared = next((result for seen, result in passes if np.array_equal(seen, bits)), None)
-        if shared is None:
-            estimates, trajectories, coefficients = estimate_rounds(
-                config, observed, w_obs, structure, (t_max,), where
-            )
-            if bits is not None:
-                passes.append((bits, (estimates, trajectories, coefficients)))
-        else:
-            estimates, trajectories, coefficients = shared
-            trajectories, coefficients = dict(trajectories), dict(coefficients)
+        if id(observed) not in passes:
+            passes[id(observed)] = estimate_rounds(config, observed, w_obs, structure, (t_max,), where)
+        estimates, trajectories, coefficients = passes[id(observed)]
         records.append(
             RunRecord(
                 seed=seed,
@@ -292,8 +283,8 @@ def run_once(
                 gt_tte=gt,
                 gt_control=gt_control,
                 gt_treated=gt_treated,
-                ese_trajectories=trajectories,
-                coefficients=coefficients,
+                ese_trajectories=dict(trajectories),
+                coefficients=dict(coefficients),
                 estimators_isolated=isolated,
             )
         )
@@ -438,25 +429,20 @@ SWEEP_PARAMETERS = {
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    value: float
-    estimator: str
-    bias: float
-    rmse: float
-    n_excluded: int
-
-
-@dataclass(frozen=True)
 class SweepTable:
     parameter: str
-    rows: tuple[SweepRow, ...]
+    values: tuple[float, ...]
     reports: tuple[BenchmarkReport, ...]
 
     def write_csv(self, path) -> None:
         write_rows(
             path,
             ["parameter", "value", "estimator", "bias", "rmse", "n_excluded"],
-            [[self.parameter, row.value, row.estimator, row.bias, row.rmse, row.n_excluded] for row in self.rows],
+            [
+                [self.parameter, value, name, s.bias, s.rmse, s.n_excluded]
+                for value, report in zip(self.values, self.reports)
+                for name, s in report.summaries.items()
+            ],
         )
 
 
@@ -500,19 +486,8 @@ def failure_sweep(config: ScenarioConfig, parameter: str, grid: Sequence[float])
     started = time.perf_counter()
     shared = _run_weights(config)
     per_seed = [run_once(config, config.base_seed + r, sweep=sweep, **shared) for r in range(config.n_reps)]
-    rows: list[SweepRow] = []
-    reports: list[BenchmarkReport] = []
-    for k, value in enumerate(sweep.values):
-        report = _aggregate(config, [records[k] for records in per_seed], started, f"{parameter}={value!r}, ")
-        reports.append(report)
-        for name, summary in report.summaries.items():
-            rows.append(
-                SweepRow(
-                    value=value,
-                    estimator=name,
-                    bias=summary.bias,
-                    rmse=summary.rmse,
-                    n_excluded=summary.n_excluded,
-                )
-            )
-    return SweepTable(parameter=parameter, rows=tuple(rows), reports=tuple(reports))
+    reports = tuple(
+        _aggregate(config, [records[k] for records in per_seed], started, f"{parameter}={value!r}, ")
+        for k, value in enumerate(sweep.values)
+    )
+    return SweepTable(parameter, sweep.values, reports)

@@ -9,6 +9,7 @@ from spillsim.dynamics import (
     LinearPeer,
     LinearUnit,
     MeanFieldThreshold,
+    NonFiniteOutcome,
     SaturatingUnit,
     WeightedSumExposure,
     ZeroPeer,
@@ -267,3 +268,54 @@ def test_counterfactual_suite_takes_one_spec_per_scenario():
         assert np.array_equal(mixed[k].values, alone[id(sp)][k].values), k
     with pytest.raises(ValueError, match="4 dynamics specs for 5 scenarios"):
         counterfactual_suite(specs[:4], weights, scenarios, x, y0, seed=6)
+
+
+def test_counterfactual_suite_returns_one_panel_for_columns_that_evolve_alike():
+    # Threshold columns share a panel when their treatment panel fixes the
+    # same level in every round; weighted-sum columns when their specs
+    # compare equal, as a trend of -0.0 does with 0.0.
+    from spillsim.dynamics import _evolve
+    from spillsim.weights import gen_clustered
+
+    n, t_max = 40, 4
+    weights = gen_clustered(n, 2, 1.0, 0.3)
+    x = round_index_covariates(n, t_max)
+    y0 = np.linspace(-1.0, 1.0, n)
+    ramp = TreatmentPanel((np.arange(n)[:, None] < np.array([0, 8, 16, 32])).astype(float))  # 0.8 < tau
+    nobody, everybody = (assign(DesignSpec(kind="constant", n_units=n, n_rounds=t_max, value=v), 0) for v in (0, 1))
+    unit = LinearUnit(w_coef=1.0, y_coef=0.7)
+    specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(0.9, strength), noise_sd=0.2)
+             for strength in (0.0, 1.5, 3.0)]
+    specs += [linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7, trend=trend), peer=LinearPeer(0.5, 0.3),
+                          noise_sd=0.2) for trend in (0.0, 0.5, 0.0, -0.0)]
+    columns = [sp for sp in specs for _ in range(3)]
+    scenarios = [ramp, nobody, everybody] * len(specs)
+    panels = counterfactual_suite(columns, weights, scenarios, x, y0, seed=6)
+
+    shared = [[0, 3, 6], [1, 4, 7], [9, 15, 18], [10, 16, 19], [11, 17, 20]]
+    alone = [[k] for k in (2, 5, 8, 12, 13, 14)]
+    assert _same_object_groups(panels) == sorted(shared + alone)
+    for k, (sp, w) in enumerate(zip(columns, scenarios)):
+        (solo,) = counterfactual_suite(sp, weights, [w], x, y0, seed=6)
+        assert np.array_equal(panels[k].values.view(np.uint64), solo.values.view(np.uint64)), k
+    again, mats = _evolve(columns, weights, scenarios, x, y0, 6, keep_exposures=True)
+    assert _same_object_groups(mats) == _same_object_groups(again) == sorted(shared + alone)
+
+
+def _same_object_groups(objects) -> list[list[int]]:
+    """The positions of each distinct object, sorted."""
+    groups: dict[int, list[int]] = {}
+    for k, obj in enumerate(objects):
+        groups.setdefault(id(obj), []).append(k)
+    return sorted(groups.values())
+
+
+def test_nonfinite_outcome_names_the_first_requested_column_of_a_shared_column():
+    n, t_max = 4, 2
+    spec = linear_spec(unit=LinearUnit(y_coef=10.0), exposure=MeanFieldThreshold(0.5, 1e308))
+    nobody, everybody = (assign(DesignSpec(kind="constant", n_units=n, n_rounds=t_max, value=v), 0) for v in (0, 1))
+    # The two nobody-treated columns are one; only the everybody-treated
+    # column, requested third and evolved second, overflows.
+    with pytest.raises(NonFiniteOutcome, match="unit 0 at round 2 in scenario 2"):
+        counterfactual_suite(spec, ExplicitDenseWeights(np.eye(n)), [nobody, nobody, everybody],
+                             round_index_covariates(n, t_max), np.zeros(n), seed=0)

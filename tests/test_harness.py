@@ -249,9 +249,10 @@ def test_sweep_degenerate_grid_reduces_to_replicate():
     config = linear_config(n=60, noise=0.1, seed=31, reps=2)
     table = failure_sweep(config, "trend", [0.0])
     base = replicate(config)
-    for row in table.rows:
-        assert row.bias == pytest.approx(base.summaries[row.estimator].bias)
-        assert row.rmse == pytest.approx(base.summaries[row.estimator].rmse)
+    (report,) = table.reports
+    for name, summary in report.summaries.items():
+        assert summary.bias == pytest.approx(base.summaries[name].bias)
+        assert summary.rmse == pytest.approx(base.summaries[name].rmse)
 
 
 def test_sweep_rejects_empty_grid_and_bad_parameter():
@@ -720,3 +721,22 @@ def test_overflow_in_a_shared_pass_names_the_first_grid_value_and_the_seed(monke
     message = r"^ese_basic at threshold_strength=2\.0, seed 41: overflow encountered in matmul$"
     with pytest.raises(EstimatorOverflow, match=message):
         failure_sweep(config, "threshold_strength", [2.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "name, parameter, grid, distinct",
+    [("threshold", "threshold_strength", [0, 1, 2, 3, 4], 7), ("trend_weak_signal", "trend", [0, 0.5, 1, 2, 3], 15)],
+)
+def test_sweep_evolves_each_distinct_column_once_per_seed(monkeypatch, name, parameter, grid, distinct):
+    # Below tau the observed ramp and the nobody-treated panel do not depend
+    # on the threshold strength, so a seed of the threshold sweep evolves 1 +
+    # 1 + 5 of its 15 columns; every trend value changes every column.
+    from spillsim import harness
+    from spillsim.config import parse_config
+
+    config = parse_config((Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text())
+    suites, suite = [], harness.counterfactual_suite
+    monkeypatch.setattr(harness, "counterfactual_suite", lambda *args: suites.append(suite(*args)) or suites[-1])
+    run_once(config, config.base_seed, sweep=harness._sweep_grid(config, parameter, grid))
+    (panels,) = suites
+    assert len(panels) == 3 * len(grid) and len({id(panel) for panel in panels}) == distinct
