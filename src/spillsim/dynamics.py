@@ -317,8 +317,10 @@ def _evolve(
         t, unit, column = np.argwhere(~finite.transpose(2, 1, 0))[0]  # first round, then unit-major
         raise NonFiniteOutcome(int(unit), int(t), lead[column])
     panels = OutcomePanel.views(outcomes)
-    mats = [ExposureMatrix(e) for e in exposures] if keep_exposures else []
-    return [panels[d] for d in index], ([mats[d] for d in index] if keep_exposures else [])
+    if not keep_exposures:
+        return [panels[d] for d in index], []
+    mats = [ExposureMatrix(e) for e in exposures]
+    return [panels[d] for d in index], [mats[d] for d in index]
 
 
 def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel]) -> tuple:
@@ -344,7 +346,10 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
             exposure = levels[:, k].tobytes()
         else:
             exposure = (sp.exposure, sp.peer)
-        index.append(distinct.setdefault((id(w), sp.unit, sp.noise_sd, exposure), (len(distinct), k))[0])
+        key = (id(w), sp.unit, sp.noise_sd, exposure)
+        if key not in distinct:
+            distinct[key] = (len(distinct), k)
+        index.append(distinct[key][0])
     lead = [k for _, k in distinct.values()]
     return index, lead, levels[:, lead]
 
