@@ -242,9 +242,10 @@ def run_once(
 
     With ``sweep``, the three scenarios of every grid value evolve in one
     lockstep pass on this seed's weights, assignments, baseline and noise, and
-    one record per value comes back, in grid order. Values whose observed
-    columns evolve alike get one panel from ``counterfactual_suite`` and share
-    one estimator pass, so overflow in it names the first of them.
+    one record per value comes back, in grid order. Values whose columns
+    evolve alike get one panel from ``counterfactual_suite``; they share one
+    estimator pass per observed panel and one ground truth per counterfactual
+    panel, so overflow in either names the first of them.
     ``weights`` is passed on to ``observed_inputs``."""
     t_max = config.n_rounds
     weights, w_obs, x, y0 = observed_inputs(config, seed, weights)
@@ -263,13 +264,17 @@ def run_once(
         ) from exc
     records = []
     passes: dict[int, tuple] = {}  # observed panel -> its estimator pass
+    means: dict[int, tuple[float, ...]] = {}  # counterfactual panel -> its mean per round
+    gaps: dict[tuple[int, int], float] = {}  # (control, treated) panels -> their ground truth
     for k in range(len(specs)):
         observed, control, treated = panels[len(SCENARIOS) * k : len(SCENARIOS) * (k + 1)]
         where = f"seed {seed}" if sweep is None else f"{sweep.parameter}={sweep.values[k]!r}, seed {seed}"
         with _overflow_as("ground truth", lambda: where):
-            gt_control = tuple(float(v) for v in control.values.mean(axis=0))
-            gt_treated = tuple(float(v) for v in treated.values.mean(axis=0))
-            gt = ground_truth_tte(control, treated, t_max)
+            for panel in (control, treated):
+                if id(panel) not in means:
+                    means[id(panel)] = tuple(float(v) for v in panel.values.mean(axis=0))
+            if (id(control), id(treated)) not in gaps:
+                gaps[id(control), id(treated)] = ground_truth_tte(control, treated, t_max)
 
         # Estimators receive the observed panel and design probabilities only.
         isolated = observed is not control and observed is not treated
@@ -280,9 +285,9 @@ def run_once(
             RunRecord(
                 seed=seed,
                 estimates={name: values[0] for name, values in estimates.items()},
-                gt_tte=gt,
-                gt_control=gt_control,
-                gt_treated=gt_treated,
+                gt_tte=gaps[id(control), id(treated)],
+                gt_control=means[id(control)],
+                gt_treated=means[id(treated)],
                 ese_trajectories=dict(trajectories),
                 coefficients=dict(coefficients),
                 estimators_isolated=isolated,

@@ -141,8 +141,11 @@ def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
 PANEL_HEADER = ("unit", "round", "value")
 
 _CELL = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
-# Cells formatted per ``fh.write``; bounds the text held in memory at once.
-_BLOCK_CELLS = 1 << 16
+# Cells formatted per ``fh.write``. Bounds what the writer holds at once: the
+# block's text plus one ``str`` (about 76 bytes) per distinct value in it.
+_BLOCK_CELLS = 1 << 14
+# ``repr`` of each entry of a float64 array, as an object array of str.
+_repr = np.frompyfunc(repr, 1, 1)
 _INT_FIELD = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
 
 
@@ -180,20 +183,36 @@ def write_rows(path, header: Sequence[str], rows) -> None:
 def write_cells(path, values: np.ndarray, first_col: int = 0, header: Sequence[str] = PANEL_HEADER) -> None:
     """Write a 2-d matrix as one CSV row "row,col,value" per cell, unit-major.
 
-    Columns are numbered from ``first_col``. Each block of units is one
+    Columns are numbered from ``first_col``. Units are written in blocks of
+    about ``_BLOCK_CELLS`` (2^14) cells, and only one block at a time is
+    copied or formatted, so memory is bounded by one block whatever the size
+    or memory order of ``values``. Within a block each distinct value, told
+    apart by its bits, is formatted by ``repr`` once, and the rows are one
     ``%``-format of a template stamped per unit, so no Python code runs per
-    cell.
+    cell. A 0/1 treatment matrix or an exposure matrix with a few values per
+    round thus costs little to write; noisy outcomes still cost one ``repr``
+    per cell.
     """
     values = np.asarray(values, dtype=np.float64)
     n, cols = values.shape
-    unit_rows = "".join(f"#,{first_col + c},%r\r\n" for c in range(cols))
+    unit_rows = "".join(f"#,{first_col + c},%s\r\n" for c in range(cols))
     per_block = max(1, _BLOCK_CELLS // max(cols, 1))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, per_block):
-            hi = min(n, lo + per_block)
-            template = "".join([unit_rows.replace("#", str(i)) for i in range(lo, hi)])
-            fh.write(template % tuple(values[lo:hi].ravel().tolist()))
+            fh.write(_block_rows(values, lo, min(n, lo + per_block), unit_rows))
+
+
+def _block_rows(values: np.ndarray, lo: int, hi: int, unit_rows: str) -> str:
+    """The CSV rows of units lo..hi-1, ``unit_rows`` stamped with each unit id
+    and filled with the repr of its values. Keying on bits keeps -0.0 apart
+    from 0.0; every NaN prints as ``nan``."""
+    bits = np.ascontiguousarray(values[lo:hi]).view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    del bits  # each transient goes before the next one is made
+    cells = tuple(_repr(distinct.view(np.float64))[inverse].tolist())
+    del distinct, inverse
+    return "".join([unit_rows.replace("#", str(i)) for i in range(lo, hi)]) % cells
 
 
 def read_cells(

@@ -704,6 +704,20 @@ def test_sweep_fits_each_distinct_observed_panel_once_per_seed(monkeypatch, conf
         _assert_same_report(report, replicate(_at_value(config, parameter, value)))
 
 
+def test_sweep_averages_each_shared_counterfactual_panel_once_per_seed():
+    # Below tau the nobody-treated panel does not depend on the threshold
+    # strength, so every grid value of a seed takes its round means from one
+    # average; each strength moves the everybody-treated panel.
+    config = _ramp_below_tau_config(reps=2)
+    table = failure_sweep(config, "threshold_strength", GRID)
+    for r in range(config.n_reps):
+        records = [report.records[r] for report in table.reports]
+        assert len({id(rec.gt_control) for rec in records}) == 1
+        assert len({id(rec.gt_treated) for rec in records}) == len(GRID)
+    for value, report in zip(GRID, table.reports):
+        _assert_same_report(report, replicate(_at_value(config, "threshold_strength", value)))
+
+
 def test_replicate_fits_once_per_seed(monkeypatch):
     calls = _count_fits(monkeypatch)
     config = _ramp_below_tau_config(reps=3)

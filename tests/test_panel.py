@@ -136,6 +136,56 @@ def test_csv_writer_memory_is_bounded_by_block(tmp_path, monkeypatch):
     assert peak < os.path.getsize(tmp_path / "big.csv") / 4
 
 
+def test_csv_writer_memory_is_bounded_by_block_for_fortran_order(tmp_path, monkeypatch):
+    # Only one block at a time is made contiguous, never the whole matrix.
+    monkeypatch.setattr(panel_mod, "_BLOCK_CELLS", 4096)
+    values = np.asfortranarray(np.random.default_rng(2).standard_normal((20_480, 4)))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "big.csv", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(tmp_path / "big.csv") / 4
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# Values that compare equal but print apart (the zeros), that print alike but
+# differ in their bits (the NaN payloads), and a few whose repr is long.
+_REPEATED_VALUES = [0.0, -0.0, _from_bits(0x7FF8000000000001), _from_bits(0xFFF8000000000000), 5e-324, 1e22, 0.1 + 0.2]
+
+
+@given(st.lists(st.sampled_from(_REPEATED_VALUES[2:]), max_size=2), st.integers(1, 7), st.integers(1, 6),
+       st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_writer_matches_reference_on_repeated_values(tmp_path_factory, others, block, n, cols, data):
+    # Both zeros are in every pool, so most examples put them in one block.
+    pool = [0.0, -0.0, *others]
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=n * cols, max_size=n * cols))
+    values = np.array(cells, dtype=np.float64).reshape(n, cols)
+    path = tmp_path_factory.mktemp("rep")
+    _reference_csv(path / "ref.csv", values, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panel_mod, "_BLOCK_CELLS", block)
+        write_matrix_csv(path / "new.csv", values)
+    assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+
+def test_csv_writer_repeats_a_value_across_a_block_boundary(tmp_path, monkeypatch):
+    # Blocks of two units, each holding both rows: every value repeats across
+    # each block boundary, and both zeros share every block.
+    monkeypatch.setattr(panel_mod, "_BLOCK_CELLS", 8)
+    zero, negzero, nan_a, nan_b, tiny, big, sum_ = _REPEATED_VALUES
+    first, second = [zero, negzero, nan_a, big], [nan_b, tiny, sum_, negzero]
+    values = np.array([first, second, second, first, first, second, second])
+    _reference_csv(tmp_path / "ref.csv", values, 1)
+    write_matrix_csv(tmp_path / "new.csv", values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 _any_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
