@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, config_hash, parse_config
 from .dynamics import simulate_panel
+from .estimators import StructureMetadata
 from .harness import SWEEP_PARAMETERS, ScenarioConfig, estimate_rounds, failure_sweep, observed_inputs, replicate
 from .harness import structure_of
 from .panel import (
@@ -42,6 +43,7 @@ from .panel import (
     write_rows,
     write_treatment_csv,
 )
+from .weights import WEIGHT_KINDS
 
 DEMO_CONFIG = """\
 [population]
@@ -122,7 +124,12 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str]:
     if text is None:
         text = args.config.read_text()
-    config = parse_config(text)
+        try:
+            config = parse_config(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
+    else:
+        config = parse_config(text)
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be non-negative")
@@ -187,9 +194,13 @@ def _cmd_estimate(args) -> int:
                 f"{path}: panel is {panel.n_units} units x {panel.n_rounds} rounds,"
                 f" config says {config.n_units} x {config.n_rounds}"
             )
-    weights = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
+    # Only the structure metadata of the weights is used, so a kind that
+    # exposes none (an explicit matrix, say) is not built.
+    structure = StructureMetadata()
+    if WEIGHT_KINDS[config.weights.kind].structure:
+        structure = structure_of(config.weights.build(config.n_units, config.n_rounds, config.base_seed))
     rounds = range(1, config.n_rounds + 1)
-    estimates, _, coefficients = estimate_rounds(config, y, w, structure_of(weights), rounds, str(args.outcomes))
+    estimates, _, coefficients = estimate_rounds(config, y, w, structure, rounds, str(args.outcomes))
     coeff_payload = {name: coeffs.to_dict() for name, coeffs in coefficients.items()}
     rows = [(name, t, est) for name, values in sorted(estimates.items()) for t, est in zip(rounds, values)]
 

@@ -13,7 +13,8 @@ grammar, in full:
 Unknown sections and unknown keys are rejected, never ignored, and so is a key
 that the section's chosen kind does not read (``mu`` under ``kind =
 clustered``, ``tau`` under ``exposure = weighted_sum``). Errors name the
-offending ``section.key``. See the README for the key reference and defaults.
+offending ``section.key``, and the line where a single line is at fault. See
+the README for the key reference and defaults.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ def parse_document(text: str) -> dict[str, dict[str, object]]:
     """Parse the raw document into {section: {key: typed value}}, enforcing the
     schema strictly."""
     data: dict[str, dict[str, object]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -107,10 +109,13 @@ def parse_document(text: str) -> dict[str, dict[str, object]]:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in SECTIONS[section]:
-            raise ConfigError(f"unknown key {section}.{key}")
+            raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
         if key in data[section]:
-            raise ConfigError(f"duplicate key {section}.{key}")
+            raise ConfigError(
+                f"line {lineno}: duplicate key {section}.{key} (first set on line {first_line[section, key]})"
+            )
         data[section][key] = _parse_value(raw)
+        first_line[section, key] = lineno
     return data
 
 

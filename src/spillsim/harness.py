@@ -195,13 +195,13 @@ class BenchmarkReport:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    def write_csv(self, path, scenario: str = "scenario") -> None:
-        """Flat rows: scenario, estimator, rep seed, estimate, truth, bias."""
+    def write_csv(self, path) -> None:
+        """Flat rows: the literal "scenario", estimator, rep seed, estimate, truth, bias."""
         write_rows(
             path,
             ["scenario", "estimator", "rep", "estimate", "gt", "bias"],
             [
-                [scenario, name, rec.seed, est, rec.gt_tte, None if est is None else est - rec.gt_tte]
+                ["scenario", name, rec.seed, est, rec.gt_tte, None if est is None else est - rec.gt_tte]
                 for rec in self.records
                 for name, est in sorted(rec.estimates.items())
             ],

@@ -274,6 +274,22 @@ def test_cli_error_is_single_json_line(tmp_path, capsys):
     assert "population.n_units" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("peer_w = 0.6", "duplicate key dynamics.peer_w (first set on line {first})"),
+        ("colour = red", "unknown key dynamics.colour"),
+    ],
+    ids=["duplicate", "unknown"],
+)
+def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, line, message):
+    first = LINEAR_CONFIG.splitlines().index("peer_w = 0.6") + 1
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("peer_w = 0.6\n", f"peer_w = 0.6\n{line}\n"))
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == f"ConfigError: {cfg}: line {first + 1}: " + message.format(first=first)
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -382,6 +398,36 @@ def test_manifests_record_the_sha256_of_every_input(tmp_path):
         str(path): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (sim / "outcomes.csv", sim / "treatments.csv", matrix)
     }
+
+
+def test_estimate_does_not_parse_an_explicit_matrix(tmp_path, monkeypatch):
+    # Explicit weights expose no structure metadata, so estimate has no use
+    # for the N x N matrix; its manifest still records the matrix's sha256.
+    from spillsim import weights
+    from spillsim.panel import write_cells
+    from spillsim.weights import EXPLICIT_HEADER
+
+    n = 20
+    matrix = tmp_path / "w.csv"
+    write_cells(matrix, np.random.default_rng(0).random((n, n)) / n, header=EXPLICIT_HEADER)
+    cfg = _write_config(tmp_path, EXPLICIT_CONFIG.format(path=matrix).replace("n_units = 3", f"n_units = {n}"))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+
+    def estimate(out):
+        args = ["--outcomes", str(sim / "outcomes.csv"), "--treatments", str(sim / "treatments.csv")]
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / out), *args]) == 0
+        names = ("coefficients.json", "estimates.csv", "manifest.json")
+        return {name: (tmp_path / out / name).read_bytes() for name in names}
+
+    parsed = estimate("parsed")
+    assert str(matrix) in json.loads(parsed["manifest.json"])["input_sha256"]
+
+    def refuse(path):
+        raise AssertionError(f"estimate parsed {path}")
+
+    monkeypatch.setattr(weights, "read_explicit_csv", refuse)
+    assert estimate("unparsed") == parsed
 
 
 def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):

@@ -1,10 +1,12 @@
+import ast
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
-import pytest
+from spillsim.dynamics import DynamicsSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,19 +18,47 @@ def _run(script, args, cwd) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("run_concentration.py", ["--sizes", "50,100", "--reps", "3"]),
-        ("run_failure_modes.py", ["--n-units", "60", "--reps", "2", "--out", "out"]),
-        ("run_spillover_benchmark.py", ["--n-units", "60", "--reps", "2", "--out", "out"]),
-    ],
-)
-def test_script_runs_at_tiny_size(tmp_path, script, args):
-    # Only the exit status is checked: the scripts are thin drivers of the
-    # package, and this catches a caller left behind by an API change.
-    done = _run(script, args, tmp_path)
+def test_paper_runs_from_the_configs_it_is_given(tmp_path):
+    # Shrunken copies of the shipped configs: the threshold lines show the
+    # copies' N and 2N, so every size comes from the configs.
+    for name in ("spillover", "trend_weak_signal", "threshold"):
+        text = (ROOT / "configs" / f"{name}.cfg").read_text()
+        text = re.sub(r"(?m)^n_units\s*=.*$", "n_units = 60", text)
+        text = re.sub(r"(?m)^reps\s*=.*$", "reps = 2", text)
+        (tmp_path / f"{name}.cfg").write_text(text)
+    done = _run("paper.py", ["--configs", str(tmp_path)], tmp_path)
     assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "true effect (mean over 2 replications):" in done.stdout
+    assert "trend sweep (weak treatment signal):" in lines
+    assert "threshold interference, doubling the population:" in lines
+    assert [line.split(":")[0] for line in lines if line.startswith("  N=")] == ["  N=    60", "  N=   120"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spillover.cfg", "threshold.cfg", "trend_weak_signal.cfg"]
+
+
+# A scenario is described by a config file; a script that built one in Python
+# would drift from the shipped configs unseen.
+_HINTS = typing.get_type_hints(DynamicsSpec)
+SCENARIO_CLASSES = {"ScenarioConfig", "WeightConfig", "DynamicsSpec", "DesignSpec"} | {
+    cls.__name__ for part in ("unit", "peer", "exposure") for cls in typing.get_args(_HINTS[part])
+}
+
+
+def scenario_calls(path: Path) -> list[str]:
+    """``file:line name`` of every call in ``path`` to a scenario class."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SCENARIO_CLASSES:
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    return calls
+
+
+def test_no_script_builds_a_scenario():
+    assert "SaturatingUnit" in SCENARIO_CLASSES and "MeanFieldThreshold" in SCENARIO_CLASSES
+    assert [call for path in sorted((ROOT / "scripts").glob("*.py")) for call in scenario_calls(path)] == []
 
 
 def test_output_digests_lists_every_output_file_and_compares_trees(tmp_path):
