@@ -6,6 +6,8 @@ import sys
 import typing
 from pathlib import Path
 
+import pytest
+
 from spillsim.dynamics import DynamicsSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,22 +20,35 @@ def _run(script, args, cwd) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def test_paper_runs_from_the_configs_it_is_given(tmp_path):
-    # Shrunken copies of the shipped configs: the threshold lines show the
-    # copies' N and 2N, so every size comes from the configs.
+@pytest.fixture(scope="module")
+def paper_run(tmp_path_factory):
+    # One run of paper.py from shrunken copies of the shipped configs: the
+    # threshold lines show the copies' N and 2N, so every size comes from the
+    # configs.
+    configs = tmp_path_factory.mktemp("configs")
     for name in ("spillover", "trend_weak_signal", "threshold"):
         text = (ROOT / "configs" / f"{name}.cfg").read_text()
         text = re.sub(r"(?m)^n_units\s*=.*$", "n_units = 60", text)
         text = re.sub(r"(?m)^reps\s*=.*$", "reps = 2", text)
-        (tmp_path / f"{name}.cfg").write_text(text)
-    done = _run("paper.py", ["--configs", str(tmp_path)], tmp_path)
+        (configs / f"{name}.cfg").write_text(text)
+    done = _run("paper.py", ["--configs", str(configs)], configs)
+    return done, sorted(p.name for p in configs.iterdir())
+
+
+def test_paper_prints_the_spillover_table_from_its_config(paper_run):
+    done, files = paper_run
+    assert done.returncode == 0, done.stderr
+    assert "true effect (mean over 2 replications):" in done.stdout
+    assert files == ["spillover.cfg", "threshold.cfg", "trend_weak_signal.cfg"]
+
+
+def test_paper_prints_the_failure_modes_from_their_configs(paper_run):
+    done, _ = paper_run
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert "true effect (mean over 2 replications):" in done.stdout
     assert "trend sweep (weak treatment signal):" in lines
     assert "threshold interference, doubling the population:" in lines
     assert [line.split(":")[0] for line in lines if line.startswith("  N=")] == ["  N=    60", "  N=   120"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["spillover.cfg", "threshold.cfg", "trend_weak_signal.cfg"]
 
 
 # A scenario is described by a config file; a script that built one in Python
