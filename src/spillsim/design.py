@@ -42,14 +42,14 @@ class DesignSpec:
 
 
 def assign(spec: DesignSpec, seed: int) -> TreatmentPanel:
-    """Draw one treatment panel; a pure function of (spec, seed)."""
+    """Draw one treatment panel; a pure function of (spec, seed). The panel
+    is column-contiguous, as evolved outcome panels are, so each round's
+    column is one contiguous run of units."""
+    shape = (spec.n_units, spec.n_rounds)
     if spec.kind == "constant":
-        values = np.full((spec.n_units, spec.n_rounds), float(spec.value))
-        return TreatmentPanel(values)
-    rng = substream(seed, "design")
-    u = rng.random((spec.n_units, spec.n_rounds))
-    values = (u < np.asarray(spec.probs)[None, :]).astype(np.float64)
-    return TreatmentPanel(values)
+        return TreatmentPanel(np.full(shape, float(spec.value), order="F"))
+    u = substream(seed, "design").random(shape)
+    return TreatmentPanel(np.asfortranarray(u < np.asarray(spec.probs)))
 
 
 def ramp_design(n: int) -> DesignSpec:

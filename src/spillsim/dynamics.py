@@ -191,7 +191,8 @@ def compute_exposure(
 
 
 def _respond(spec: DynamicsSpec, w_t, y_prev, x_t, e_t, noise_t, t: int) -> np.ndarray:
-    """Unit response plus exposure plus scaled noise, unchecked."""
+    """Unit response plus exposure plus scaled noise, unchecked. ``noise_t``
+    is read only when noise_sd > 0."""
     y = spec.unit.value(w_t, y_prev, x_t, t)
     y += e_t
     if spec.noise_sd > 0.0:
@@ -258,9 +259,16 @@ def _evolve(
     once and get the same panel and exposure matrix. Per round, every
     weighted-sum column goes through one ``weights.apply`` call, and
     consecutive columns with the same unit response respond as one block.
-    Outcomes are written to one buffer that is scanned for finiteness once;
-    the panels are read-only views of it. The exposure matrices are built
-    only when keep_exposures is set; otherwise the list is empty."""
+
+    Outcomes go to one round-major (n_rounds + 1, s, n_units) buffer: each
+    (round, column) pair is one contiguous row of units. A round's rows,
+    read as a column-contiguous (n_units, s) array, are the state the next
+    round evolves from, and its treatments are gathered into rows the same
+    way, so every per-round read and write is contiguous. The buffer is
+    scanned for finiteness once, round by round and unit-major within a
+    round; the panels are read-only transposed views of it, whose round
+    columns are contiguous. The exposure matrices are built only when
+    keep_exposures is set; otherwise the list is empty."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -288,38 +296,33 @@ def _evolve(
     response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
     noisy = any(sp.noise_sd > 0.0 for sp in specs)
 
-    y_cur = np.tile(y0[:, None], (1, s))
-    outcomes = np.empty((s, n, t_max + 1))
-    exposures = np.empty((s, n, t_max)) if keep_exposures else None
-    outcomes[:, :, 0] = y_cur.T
+    outcomes = np.empty((t_max + 1, s, n))
+    exposures = np.empty((t_max, s, n)) if keep_exposures else None
+    outcomes[0] = y0
+    treated = np.empty((s, n))
+    w_cols = treated.T
     for t in range(1, t_max + 1):
-        # C order, kept by every array derived from it; BLAS bits depend on it.
-        w_cols = np.column_stack([w.column(t) for w in scenarios])
+        for k, w in enumerate(scenarios):
+            treated[k] = w.column(t)
+        y_prev = outcomes[t - 1].T
         x_t = x.column(t)
         x_t = x_t[:, None, :] if x_t.ndim == 2 else x_t
-        if noisy:
-            noise = substream(seed, "noise", t).standard_normal(n)[:, None]
-        else:
-            noise = np.zeros((n, 1))
+        noise = substream(seed, "noise", t).standard_normal(n)[:, None] if noisy else None
         # A non-finite outcome is named by the scan after the last round.
         with np.errstate(over="ignore", invalid="ignore"):
-            e_t = _exposures(weights, exposure_runs, levels[t - 1], w_cols, y_cur, t)
-            blocks = [
-                _respond(sp, w_cols[:, cols], y_cur[:, cols], x_t, e_t[:, cols], noise, t)
-                for sp, cols in response_runs
-            ]
-        y_cur = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        outcomes[:, :, t] = y_cur.T
+            e_t = _exposures(weights, exposure_runs, levels[t - 1], w_cols, y_prev, t)
+            for sp, cols in response_runs:
+                outcomes[t, cols] = _respond(sp, w_cols[:, cols], y_prev[:, cols], x_t, e_t[:, cols], noise, t).T
         if keep_exposures:
-            exposures[:, :, t - 1] = e_t.T
+            exposures[t - 1] = e_t.T
     finite = np.isfinite(outcomes)
     if not finite.all():
-        t, unit, column = np.argwhere(~finite.transpose(2, 1, 0))[0]  # first round, then unit-major
+        t, unit, column = np.argwhere(~finite.transpose(0, 2, 1))[0]  # first round, then unit-major
         raise NonFiniteOutcome(int(unit), int(t), lead[column])
-    panels = OutcomePanel.views(outcomes)
+    panels = OutcomePanel.views(outcomes.transpose(1, 2, 0))
     if not keep_exposures:
         return [panels[d] for d in index], []
-    mats = [ExposureMatrix(e) for e in exposures]
+    mats = [ExposureMatrix(e) for e in exposures.transpose(1, 2, 0)]
     return [panels[d] for d in index], [mats[d] for d in index]
 
 
@@ -365,7 +368,7 @@ def _exposures(weights, runs, level, w_cols, y_prev, t: int) -> np.ndarray:
     summed_e = weights.apply(signals[0] if len(signals) == 1 else np.hstack(signals), t)
     if summed_e.shape[1] == s:
         return summed_e
-    e_t = np.empty((n, s))
+    e_t = np.empty((n, s), order="F")
     e_t[:] = level
     e_t[:, np.r_[tuple(cols for _, cols in runs)]] = summed_e
     return e_t

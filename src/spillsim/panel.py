@@ -95,7 +95,10 @@ class OutcomePanel(RoundPanel):
     @classmethod
     def views(cls, buffer: np.ndarray) -> list["OutcomePanel"]:
         """One panel per ``buffer[k]`` of an (s, n_units, n_rounds + 1) float64
-        buffer, sharing its memory instead of copying it.
+        array, sharing its memory instead of copying it. The evolution engine
+        passes a transposed view of its round-major (n_rounds + 1, s, n_units)
+        buffer, so each panel is column-contiguous: ``column(t)`` is one
+        contiguous run of units.
 
         The caller hands the buffer over after checking that every entry is
         finite: it is made read-only here and must not be written again."""

@@ -34,12 +34,16 @@ Cost of ``apply`` on n units and s signal columns:
   influencers (a background row plus one row per influencer). One ``take``
   expands it to n rows; no other n x s array is built.
 
-Structured kinds sum in unit order, so ``apply(G)[:, j]`` is bit for bit
-``apply(G[:, j])`` whatever the width and memory layout of G. The other
-kinds promise no such column independence: the lazy engine conditions each
-column on every column it is given, and the BLAS kinds (explicit, and the
-materialized Gaussian that serves ``fixed_network``) use a matrix-matrix
-product for several columns but a matrix-vector product for one.
+No kind's bits depend on the memory layout of G: structured kinds sum in
+unit order, and the lazy engine and the BLAS kinds (explicit, and the
+materialized Gaussian that serves ``fixed_network``) make G C-contiguous
+before any product. Structured kinds also promise that ``apply(G)[:, j]`` is
+bit for bit ``apply(G[:, j])`` whatever the width of G. The other kinds
+promise no such column independence: the lazy engine conditions each column
+on every column it is given, and the BLAS kinds use a matrix-matrix product
+for several columns but a matrix-vector product for one. Structured kinds and
+the lazy engine return a column-contiguous (n, s) stack, the layout in which
+the evolution engine holds a round's columns.
 
 Structured kinds never materialize an n x n matrix. Dense kinds check the
 8 n^2 bytes they need against physical memory before allocating. All weight
@@ -151,9 +155,10 @@ class DenseGaussianWeights(WeightSet):
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         delta = self._delta(t)
-        out = self.static @ gv
+        g = np.ascontiguousarray(gv, dtype=np.float64)  # BLAS bits depend on the layout
+        out = self.static @ g
         if delta is not None:
-            out = out + delta @ gv
+            out = out + delta @ g
         return out
 
 
@@ -254,7 +259,7 @@ class LazyGaussianWeights(WeightSet):
         distinct = list(lead.values())
         del keys, lead
         p = self.params
-        out = np.empty(g.shape)
+        out = np.empty(g.shape, order="F")
         for j in distinct:
             out[:, j] = ((p.mu + p.mu_t) / n) * g[:, j].sum()
         if p.sigma2_t > 0.0:
@@ -309,7 +314,7 @@ class ClusteredWeights(WeightSet):
         per_cluster = _unit_order_sums(g, self.membership, self.n_clusters)
         # Row l holds the exposure of every unit in cluster l.
         table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
-        out = table.take(self.membership, axis=0)
+        out = table.T.take(self.membership, axis=1).T
         return out[:, 0] if squeeze else out
 
 
@@ -345,7 +350,7 @@ class InfluencerWeights(WeightSet):
         own[1:] = g[list(self.influencers)]
         inf_total = _unit_order_sums(own[1:], np.zeros(m, dtype=np.intp), 1)
         table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
-        out = table.take(self.row, axis=0)
+        out = table.T.take(self.row, axis=1).T
         return out[:, 0] if squeeze else out
 
 
@@ -369,7 +374,7 @@ class ExplicitDenseWeights(WeightSet):
         return self.matrix.shape[0]
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
-        return self.matrix @ np.asarray(gv, dtype=np.float64)
+        return self.matrix @ np.ascontiguousarray(gv, dtype=np.float64)  # BLAS bits depend on the layout
 
 
 def gen_dense_gaussian(

@@ -21,7 +21,14 @@ from spillsim.dynamics import (
     step,
 )
 from spillsim.panel import TreatmentPanel, column_mean, round_index_covariates
-from spillsim.weights import ExplicitDenseWeights, GaussianWeightParams, gen_dense_gaussian
+from spillsim.weights import (
+    ExplicitDenseWeights,
+    GaussianWeightParams,
+    LazyGaussianWeights,
+    gen_clustered,
+    gen_dense_gaussian,
+    gen_influencer,
+)
 
 UNIFORM_HALF = ExplicitDenseWeights(np.full((2, 2), 0.5))
 
@@ -319,3 +326,140 @@ def test_nonfinite_outcome_names_the_first_requested_column_of_a_shared_column()
     with pytest.raises(NonFiniteOutcome, match="unit 0 at round 2 in scenario 2"):
         counterfactual_suite(spec, ExplicitDenseWeights(np.eye(n)), [nobody, nobody, everybody],
                              round_index_covariates(n, t_max), np.zeros(n), seed=0)
+
+
+def test_nonfinite_outcome_names_the_lowest_unit_then_the_earliest_requested_column():
+    # Treated units overflow (1e308 + 1e308) from round 2 on, so several
+    # cells blow up in one round. The scan goes round by round, then unit by
+    # unit, then column by column in request order: round 3's unit 0 and a
+    # higher unit of an earlier column never win.
+    n, t_max = 4, 3
+    spec = linear_spec(unit=LinearUnit(w_coef=1e308, intercept=1e308), peer=ZeroPeer())
+
+    def treating(round_2, round_3=()):
+        values = np.zeros((n, t_max))
+        values[list(round_2), 1] = values[list(round_3), 2] = 1.0
+        return TreatmentPanel(values)
+
+    a, b, c = treating({2, 3}, {0}), treating({1, 2}), treating({1, 3})
+    cases = [([a, b], 1), ([b, a], 0), ([a, c, b], 1), ([a, b, c], 1), ([c, b, a, c], 0)]
+    for scenarios, column in cases:
+        with pytest.raises(NonFiniteOutcome) as info:
+            counterfactual_suite(spec, ExplicitDenseWeights(np.eye(n)), scenarios,
+                                 round_index_covariates(n, t_max), np.zeros(n), seed=0)
+        assert (info.value.unit, info.value.round, info.value.scenario) == (1, 2, column)
+
+
+# --- the evolution against a unit-major reference loop ----------------------
+
+
+def _reference_evolve(specs, weights, scenarios, x, y0, seed):
+    """The evolution loop in unit-major layout: a C-ordered (N, s) state,
+    treatments gathered by ``np.column_stack`` and an (s, N, T + 1) outcome
+    buffer. Columns that evolve alike are evolved once, as in the engine.
+    Returns the outcome and exposure matrix of every requested column."""
+    from spillsim.dynamics import _distinct_columns, _runs
+    from spillsim.rng import substream
+
+    index, lead, levels = _distinct_columns(specs, scenarios)
+    scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
+    n, t_max, s = y0.size, scenarios[0].n_rounds, len(lead)
+    weighted = [run for run in _runs(specs, lambda sp: (sp.exposure, sp.peer))
+                if not isinstance(run[0].exposure, MeanFieldThreshold)]
+    responses = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
+    y_cur = np.tile(y0[:, None], (1, s))
+    outcomes, exposures = np.empty((s, n, t_max + 1)), np.empty((s, n, t_max))
+    outcomes[:, :, 0] = y_cur.T
+    for t in range(1, t_max + 1):
+        w_cols = np.column_stack([w.column(t) for w in scenarios])
+        x_t = x.column(t)[:, None, :]
+        noise = substream(seed, "noise", t).standard_normal(n)[:, None]
+        e_t = np.empty((n, s))
+        e_t[:] = levels[t - 1]
+        if weighted:
+            signals = np.hstack([sp.peer.value(w_cols[:, cols], y_cur[:, cols]) for sp, cols in weighted])
+            e_t[:, np.r_[tuple(cols for _, cols in weighted)]] = weights.apply(signals, t)
+        blocks = []
+        for sp, cols in responses:
+            y = sp.unit.value(w_cols[:, cols], y_cur[:, cols], x_t, t) + e_t[:, cols]
+            blocks.append(y + sp.noise_sd * noise if sp.noise_sd > 0.0 else y)
+        y_cur = np.hstack(blocks)
+        outcomes[:, :, t] = y_cur.T
+        exposures[:, :, t - 1] = e_t.T
+    return [outcomes[d] for d in index], [exposures[d] for d in index]
+
+
+def _assert_same_bits(got, want, what):
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), what
+
+
+def _assert_evolves_as_reference(columns, make_weights, scenarios, x, y0, seed):
+    """``_evolve`` (with and without exposures) and ``counterfactual_suite``
+    match the reference bit for bit, and every panel's round columns are
+    contiguous. Lazy weights serve one pass, so each run gets a fresh set."""
+    from spillsim.dynamics import _evolve
+
+    want_y, want_e = _reference_evolve(columns, make_weights(), scenarios, x, y0, seed)
+    kept, mats = _evolve(columns, make_weights(), scenarios, x, y0, seed, keep_exposures=True)
+    bare, none = _evolve(columns, make_weights(), scenarios, x, y0, seed, keep_exposures=False)
+    suite = counterfactual_suite(columns, make_weights(), scenarios, x, y0, seed)
+    assert none == []
+    for k in range(len(scenarios)):
+        for panels in (kept, bare, suite):
+            _assert_same_bits(panels[k].values, want_y[k], f"outcomes of column {k}")
+            assert all(panels[k].column(t).flags.c_contiguous for t in range(panels[k].n_rounds + 1)), k
+        _assert_same_bits(mats[k].values, want_e[k], f"exposures of column {k}")
+
+
+_N, _T = 257, 4
+_GAUSSIAN = GaussianWeightParams(1.0, 1.0, 0.2, 0.5)
+_MAKE_WEIGHTS = {
+    "lazy_gaussian": lambda: LazyGaussianWeights(_N, _GAUSSIAN, _T, seed=8),
+    "materialized_gaussian": lambda: gen_dense_gaussian(_N, _GAUSSIAN, _T, seed=8),
+    "explicit": lambda: ExplicitDenseWeights(np.random.default_rng(8).normal(0.0, 1.0 / _N, (_N, _N))),
+    "clustered": lambda: gen_clustered(_N, 3, 1.5, 0.3),
+    "influencer": lambda: gen_influencer(_N, (1, 5, 200), 0.8, 0.4),
+}
+
+
+def _evolution_fixture():
+    x = round_index_covariates(_N, _T)
+    y0 = np.random.default_rng(3).normal(0.5, 1.0, _N)
+    observed = assign(DesignSpec(kind="bernoulli", n_units=_N, n_rounds=_T, probs=(0.0, 0.2, 0.4, 0.8)), 5)
+    nobody, everybody = (assign(DesignSpec(kind="constant", n_units=_N, n_rounds=_T, value=v), 0) for v in (0, 1))
+    return [observed, nobody, everybody], x, y0
+
+
+@pytest.mark.parametrize("kind", sorted(_MAKE_WEIGHTS))
+def test_evolution_matches_the_unit_major_reference(kind):
+    make_weights = _MAKE_WEIGHTS[kind]
+    scenarios, x, y0 = _evolution_fixture()
+    spec = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7, x_coef=(0.05,), intercept=0.2),
+                       peer=LinearPeer(1.2, 0.3))
+    _assert_evolves_as_reference([spec] * 3, make_weights, scenarios, x, y0, seed=4)
+    # One scenario, as simulate_panel evolves it, with noise.
+    noisy = linear_spec(unit=SaturatingUnit(w_coef=1.0, y_coef=0.9, scale=2.0), noise_sd=0.3)
+    (want_y,), (want_e,) = _reference_evolve([noisy], make_weights(), scenarios[:1], x, y0, 6)
+    panel, exposure = simulate_panel(noisy, make_weights(), scenarios[0], x, y0, seed=6)
+    _assert_same_bits(panel.values, want_y, "simulate_panel outcomes")
+    _assert_same_bits(exposure.values, want_e, "simulate_panel exposures")
+    # A sweep: exposure runs (A, B) and (C), response runs (A), (B, C) and
+    # (D), and a threshold column D beside the weighted-sum ones.
+    unit_1 = LinearUnit(w_coef=1.0, y_coef=0.7, trend=0.1)
+    unit_2 = SaturatingUnit(w_coef=0.8, y_coef=0.6, scale=3.0)
+    sweep = [
+        linear_spec(unit=unit_1, peer=LinearPeer(1.2, 0.3), noise_sd=0.2),
+        linear_spec(unit=unit_2, peer=LinearPeer(1.2, 0.3), noise_sd=0.2),
+        linear_spec(unit=unit_2, peer=LinearPeer(0.5, -0.4), noise_sd=0.2),
+        linear_spec(unit=unit_2, exposure=MeanFieldThreshold(0.3, 1.5)),
+    ]
+    columns = [sp for sp in sweep for _ in scenarios]
+    _assert_evolves_as_reference(columns, make_weights, scenarios * len(sweep), x, y0, seed=7)
+
+
+def test_threshold_evolution_matches_the_unit_major_reference():
+    scenarios, x, y0 = _evolution_fixture()
+    columns = [linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7), exposure=MeanFieldThreshold(tau, 2.0))
+               for tau in (0.1, 0.5, 0.9) for _ in scenarios]
+    _assert_evolves_as_reference(columns, _MAKE_WEIGHTS["clustered"], scenarios * 3, x, y0, seed=2)

@@ -585,9 +585,36 @@ def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estim
             assert got.rss == want.rss
 
 
+@pytest.mark.parametrize("block", [3, 500, 4096])
+def test_ground_truth_trajectories_add_units_in_sequence(monkeypatch, block):
+    # Evolved panels are column-contiguous, where numpy's mean adds a
+    # round's units pairwise; the trajectories add them in sequence, the
+    # order of a C-ordered reduction, whatever the block of units reduced at
+    # once. At this N the two orders disagree in some round, so the test
+    # tells them apart.
+    from spillsim import harness
+
+    monkeypatch.setattr(harness, "_MEAN_BLOCK", block)
+    panels, suite = [], harness.counterfactual_suite
+
+    def captured(*args):
+        panels.extend(suite(*args))
+        return panels
+
+    monkeypatch.setattr(harness, "counterfactual_suite", captured)
+    record = run_once(linear_config(n=2000, noise=0.3), 5)
+    pairwise_differs = False
+    for got, panel in ((record.gt_control, panels[1]), (record.gt_treated, panels[2])):
+        rounds = range(panel.n_rounds + 1)
+        want = np.array([np.cumsum(panel.column(t))[-1] / panel.n_units for t in rounds])
+        assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+        pairwise_differs |= any(panel.column(t).mean() != want[t] for t in rounds)
+    assert pairwise_differs
+
+
 def test_run_once_retains_no_outcome_buffer(monkeypatch):
     # The shared factors live for one estimator pass: once run_once returns,
-    # nothing may keep the (3, N, T + 1) outcome buffer alive.
+    # nothing may keep the (T + 1, 3, N) outcome buffer alive.
     import gc
     import weakref
 

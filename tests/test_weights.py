@@ -408,6 +408,25 @@ def test_lazy_gaussian_bits_do_not_depend_on_input_layout(n, width, seed, data):
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("kind", ["explicit", "materialized_gaussian"])
+def test_blas_kind_bits_do_not_depend_on_input_layout(kind):
+    # The same F-ordered, fancy-indexed and reversed-stride stacks as for the
+    # lazy engine; the BLAS kernels sum in a layout-dependent order unless
+    # the input is made C-contiguous first.
+    n, width = 500, 3
+    rng = np.random.default_rng(21)
+    if kind == "explicit":
+        ws = ExplicitDenseWeights(rng.normal(0.0, 1.0 / n, (n, n)))
+    else:
+        ws = gen_dense_gaussian(n, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=2, seed=21)
+    wide = rng.normal(size=(n, width + 2)) * 10.0 ** rng.integers(-8, 8, width + 2)
+    stacks = [np.asfortranarray(wide[:, :width]), wide[:, [4, 0, 4]], wide[:, width - 1 :: -1]]
+    for g in stacks:
+        for t in (1, 2):
+            want = ws.apply(np.ascontiguousarray(g), t)
+            assert np.array_equal(ws.apply(g, t).view(np.uint64), want.view(np.uint64)), t
+
+
 def test_lazy_gaussian_degenerate_variance_is_the_mean_field():
     ws = LazyGaussianWeights(4, GaussianWeightParams(2.0, 0.0, 1.0, 0.0), n_rounds=1, seed=3)
     g = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
