@@ -1,7 +1,7 @@
 """spillsim: simulation and estimation lab for randomized experiments with
 network spillovers."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .design import DesignSpec, assign, constant_design, ramp_design
 from .dynamics import (

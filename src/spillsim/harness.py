@@ -196,12 +196,12 @@ class BenchmarkReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        """Flat rows: the literal "scenario", estimator, rep seed, estimate, truth, bias."""
+        """Flat rows: estimator, rep seed, estimate, truth, bias."""
         write_rows(
             path,
-            ["scenario", "estimator", "rep", "estimate", "gt", "bias"],
+            ["estimator", "rep", "estimate", "gt", "bias"],
             [
-                ["scenario", name, rec.seed, est, rec.gt_tte, None if est is None else est - rec.gt_tte]
+                [name, rec.seed, est, rec.gt_tte, None if est is None else est - rec.gt_tte]
                 for rec in self.records
                 for name, est in sorted(rec.estimates.items())
             ],
@@ -272,7 +272,7 @@ def run_once(
         with _overflow_as("ground truth", lambda: where):
             for panel in (control, treated):
                 if id(panel) not in means:
-                    means[id(panel)] = _round_means(panel)
+                    means[id(panel)] = tuple(column_mean(panel, t) for t in range(t_max + 1))
             if (id(control), id(treated)) not in gaps:
                 gaps[id(control), id(treated)] = ground_truth_tte(control, treated, t_max)
 
@@ -294,27 +294,6 @@ def run_once(
             )
         )
     return records[0] if sweep is None else tuple(records)
-
-
-# Units per C-ordered block that ``_round_means`` reduces at once.
-_MEAN_BLOCK = 4096
-
-
-def _round_means(panel: OutcomePanel) -> tuple[float, ...]:
-    """Each round's mean outcome with the units added in sequence: the bits
-    of ``values.mean(axis=0)`` on a C-ordered panel. On a column-contiguous
-    panel that reduction adds units pairwise, so the units are copied to C
-    order ``_MEAN_BLOCK`` at a time and each block is reduced behind the sums
-    so far; no copy of the whole panel is made."""
-    values, n = panel.values, panel.n_units
-    sums = np.zeros(values.shape[1])
-    rows = np.empty((min(n, _MEAN_BLOCK) + 1, values.shape[1]))
-    for start in range(0, n, _MEAN_BLOCK):
-        block = values[start : start + _MEAN_BLOCK]
-        rows[0] = sums
-        rows[1 : len(block) + 1] = block
-        np.add.reduce(rows[: len(block) + 1], axis=0, out=sums)
-    return tuple(float(v) for v in sums / n)
 
 
 def _run_weights(config: ScenarioConfig) -> dict:

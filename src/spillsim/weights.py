@@ -28,22 +28,25 @@ Cost of ``apply`` on n units and s signal columns:
 * lazy Gaussian: O(n s k) time and O(n k) memory, k the distinct columns
   seen so far in the pass;
 * dense Gaussian and explicit: one n x n matrix product, O(n^2 s);
-* clustered and influencer: O(n s) time. Each column's total and its
-  per-cluster (per-influencer) sums are taken by ``np.bincount`` and combined
-  into a small exposure table, k x s for k clusters, or (m + 1) x s for m
-  influencers (a background row plus one row per influencer). One ``take``
-  expands it to n rows; no other n x s array is built.
+* clustered and influencer: O(n s) time. Each column's total and its sum
+  over each cluster (the influencer set) fill a small exposure table, k x s
+  for k clusters or (m + 1) x s for m influencers (a background row plus one
+  per influencer), which one ``take`` expands to n rows. Each sum is one
+  numpy reduction over a contiguous run: the column, or a cluster's segment
+  of it in cluster order (unit order for ``gen_clustered`` sets, which so
+  gather nothing). numpy adds it pairwise, with rounding error O(log n * eps)
+  where a sum in unit order has O(n * eps).
 
-No kind's bits depend on the memory layout of G: structured kinds sum in
-unit order, and the lazy engine and the BLAS kinds (explicit, and the
-materialized Gaussian that serves ``fixed_network``) make G C-contiguous
-before any product. Structured kinds also promise that ``apply(G)[:, j]`` is
-bit for bit ``apply(G[:, j])`` whatever the width of G. The other kinds
-promise no such column independence: the lazy engine conditions each column
-on every column it is given, and the BLAS kinds use a matrix-matrix product
-for several columns but a matrix-vector product for one. Structured kinds and
-the lazy engine return a column-contiguous (n, s) stack, the layout in which
-the evolution engine holds a round's columns.
+No kind's bits depend on the memory layout of G: each structured sum is a
+function of the values it adds alone, and the lazy engine and the BLAS kinds
+(explicit, and the materialized Gaussian that serves ``fixed_network``) make
+G C-contiguous before any product. Structured kinds also promise that
+``apply(G)[:, j]`` is bit for bit ``apply(G[:, j])`` whatever the width of G.
+The other kinds promise no such column independence: the lazy engine
+conditions each column on every column it is given, and the BLAS kinds use a
+matrix-matrix product for several columns but a matrix-vector product for
+one. Structured kinds and the lazy engine return a column-contiguous (n, s)
+stack, the layout in which the evolution engine holds a round's columns.
 
 Structured kinds never materialize an n x n matrix. Dense kinds check the
 8 n^2 bytes they need against physical memory before allocating. All weight
@@ -276,14 +279,20 @@ class LazyGaussianWeights(WeightSet):
         return out[:, 0] if squeeze else out
 
 
-def _unit_order_sums(g: np.ndarray, index: np.ndarray, bins: int) -> np.ndarray:
-    """(bins, s) sums of each column of ``g`` over the units in each bin.
-
-    ``np.bincount`` adds in unit order, so a column's sums do not depend on
-    the memory layout of ``g`` or on its other columns. ``g.sum(axis=0)``
-    does not promise that: it adds one column pairwise and a C-ordered stack
-    of several row by row."""
-    return np.column_stack([np.bincount(index, weights=g[:, j], minlength=bins) for j in range(g.shape[1])])
+def _column_sums(g: np.ndarray, gather: Sequence[int] | None, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's total (s,) and its sums (len(starts), s) over the
+    segments of its values in ``gather`` order (None: as they are), segment r
+    from ``starts[r]`` to the next start. Each sum is numpy's pairwise
+    reduction of one contiguous copy of its run, so its bits are a function
+    of the summed values alone, not of how numpy would iterate a strided
+    column of ``g``."""
+    total = np.empty(g.shape[1])
+    segments = np.empty((len(starts), g.shape[1]))
+    for j in range(g.shape[1]):
+        column = np.ascontiguousarray(g[:, j])
+        total[j] = np.add.reduce(column)
+        segments[:, j] = np.add.reduceat(column if gather is None else column.take(gather), starts)
+    return total, segments
 
 
 @dataclass(frozen=True)
@@ -293,6 +302,11 @@ class ClusteredWeights(WeightSet):
     n_clusters: int
     w_in: float
     w_out: float
+    # The units in cluster order (None: they are in it already), the
+    # non-empty clusters and where each one's segment starts in that order.
+    order: np.ndarray | None = field(init=False, repr=False, compare=False)
+    filled: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mem = np.asarray(self.membership, dtype=np.int64)
@@ -304,14 +318,21 @@ class ClusteredWeights(WeightSet):
             raise ValueError("cluster weights must be finite")
         mem.setflags(write=False)
         object.__setattr__(self, "membership", mem)
+        order = None if np.all(mem[1:] >= mem[:-1]) else np.argsort(mem, kind="stable")
+        bounds = np.searchsorted(mem if order is None else mem[order], np.arange(self.n_clusters + 1))
+        filled = np.flatnonzero(np.diff(bounds))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "filled", filled)
+        object.__setattr__(self, "starts", bounds[filled])
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         gv = np.asarray(gv, dtype=np.float64)
         squeeze = gv.ndim == 1
         g = gv[:, None] if squeeze else gv
         n = self.n_units
-        total = _unit_order_sums(g, np.zeros(n, dtype=np.intp), 1)
-        per_cluster = _unit_order_sums(g, self.membership, self.n_clusters)
+        total, sums = _column_sums(g, self.order, self.starts)
+        per_cluster = np.zeros((self.n_clusters, g.shape[1]))  # an empty cluster sums to 0.0
+        per_cluster[self.filled] = sums
         # Row l holds the exposure of every unit in cluster l.
         table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
         out = table.T.take(self.membership, axis=1).T
@@ -343,12 +364,11 @@ class InfluencerWeights(WeightSet):
         squeeze = gv.ndim == 1
         g = gv[:, None] if squeeze else gv
         m, n = len(self.influencers), self.n_units
-        total = _unit_order_sums(g, np.zeros(n, dtype=np.intp), 1)
+        total, inf_total = _column_sums(g, self.influencers, [0])
         # Row 0 serves every non-influencer receiver; row r + 1 serves the
         # r-th influencer, whose own column falls back to the base rate.
         own = np.zeros((m + 1, g.shape[1]))
         own[1:] = g[list(self.influencers)]
-        inf_total = _unit_order_sums(own[1:], np.zeros(m, dtype=np.intp), 1)
         table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
         out = table.T.take(self.row, axis=1).T
         return out[:, 0] if squeeze else out

@@ -90,6 +90,16 @@ def test_simulate_emits_panels_and_manifest(tmp_path):
     assert (out / "exposure.csv").exists()
 
 
+def test_package_version_matches_pyproject():
+    # Manifests record spillsim.__version__; a bump must reach both places.
+    # A regex, not tomllib, which Python 3.10 lacks.
+    import spillsim
+
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert spillsim.__version__ == re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+
+
 def test_estimate_matches_direct_fit(tmp_path):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     sim_dir = tmp_path / "sim"
@@ -180,7 +190,7 @@ def test_benchmark_null_scenario_reports_zero_gt(tmp_path):
     assert report["gt_tte_mean"] == 0.0
     assert report["n_reps"] == 2
     lines = (out / "report.csv").read_text().strip().splitlines()
-    assert lines[0] == "scenario,estimator,rep,estimate,gt,bias"
+    assert lines[0] == "estimator,rep,estimate,gt,bias"
 
 
 def test_benchmark_outputs_reproducible(tmp_path):

@@ -585,16 +585,12 @@ def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estim
             assert got.rss == want.rss
 
 
-@pytest.mark.parametrize("block", [3, 500, 4096])
-def test_ground_truth_trajectories_add_units_in_sequence(monkeypatch, block):
-    # Evolved panels are column-contiguous, where numpy's mean adds a
-    # round's units pairwise; the trajectories add them in sequence, the
-    # order of a C-ordered reduction, whatever the block of units reduced at
-    # once. At this N the two orders disagree in some round, so the test
-    # tells them apart.
+def test_ground_truth_trajectories_are_the_round_means_of_gt_tte(monkeypatch):
+    # The trajectories and gt_tte take a round's mean by one reduction, so
+    # the last round's gap is gt_tte bit for bit. At this N adding the units
+    # in sequence gives other bits in some round.
     from spillsim import harness
 
-    monkeypatch.setattr(harness, "_MEAN_BLOCK", block)
     panels, suite = [], harness.counterfactual_suite
 
     def captured(*args):
@@ -603,13 +599,11 @@ def test_ground_truth_trajectories_add_units_in_sequence(monkeypatch, block):
 
     monkeypatch.setattr(harness, "counterfactual_suite", captured)
     record = run_once(linear_config(n=2000, noise=0.3), 5)
-    pairwise_differs = False
     for got, panel in ((record.gt_control, panels[1]), (record.gt_treated, panels[2])):
-        rounds = range(panel.n_rounds + 1)
-        want = np.array([np.cumsum(panel.column(t))[-1] / panel.n_units for t in rounds])
+        want = np.array([panel.column(t).mean() for t in range(panel.n_rounds + 1)])
         assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
-        pairwise_differs |= any(panel.column(t).mean() != want[t] for t in rounds)
-    assert pairwise_differs
+    gap = np.float64(record.gt_treated[-1]) - np.float64(record.gt_control[-1])
+    assert np.float64(record.gt_tte).view(np.uint64) == gap.view(np.uint64)
 
 
 def test_run_once_retains_no_outcome_buffer(monkeypatch):

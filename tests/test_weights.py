@@ -89,30 +89,45 @@ def test_clustered_remainder_absorbed_by_last():
     assert list(ws.membership) == [0, 0, 1, 1, 2, 2, 2]
 
 
-def _clustered_apply_reference(ws, gv):
-    """ClusteredWeights.apply with the per-cluster sums and the total taken by
-    np.add.at, which adds in unit order."""
+def _segment_sum(values):
+    """One contiguous run of values summed as the structured kinds sum it."""
+    return np.add.reduceat(np.ascontiguousarray(values), [0])[0] if values.size else 0.0
+
+
+def _structured_apply_reference(ws, gv):
+    """A structured kind's exposures with each cluster's (the influencer
+    set's) sum taken over that run of the column alone, gathered by a mask in
+    unit order, and each column's total by ``np.add.reduce``."""
     g = gv[:, None] if gv.ndim == 1 else gv
-    per_cluster = np.zeros((ws.n_clusters, g.shape[1]))
-    np.add.at(per_cluster, ws.membership, g)
-    total = np.zeros((1, g.shape[1]))
-    np.add.at(total, np.zeros(ws.n_units, dtype=np.intp), g)
     n = ws.n_units
-    out = (ws.w_out / n) * total + ((ws.w_in - ws.w_out) / n) * per_cluster[ws.membership]
+    out = np.empty(g.shape)
+    for j in range(g.shape[1]):
+        column = np.ascontiguousarray(g[:, j])
+        total = np.add.reduce(column)
+        if isinstance(ws, ClusteredWeights):
+            per_cluster = np.array([_segment_sum(column[ws.membership == c]) for c in range(ws.n_clusters)])
+            out[:, j] = (ws.w_out / n) * total + ((ws.w_in - ws.w_out) / n) * per_cluster[ws.membership]
+        else:
+            m = len(ws.influencers)
+            inf_total = _segment_sum(column[list(ws.influencers)])
+            own = np.zeros(n)
+            own[list(ws.influencers)] = column[list(ws.influencers)]
+            out[:, j] = (ws.w_inf / m) * (inf_total - own) + (ws.w_base / n) * (total - inf_total + own)
     return out[:, 0] if gv.ndim == 1 else out
 
 
 @pytest.mark.parametrize("s", [1, 3])
-def test_clustered_apply_matches_add_at_bit_for_bit(s):
+def test_structured_apply_sums_each_contiguous_run_alone(s):
     rng = np.random.default_rng(s)
-    membership = rng.choice(4, size=1000, p=[0.6, 0.25, 0.1, 0.05])
+    membership = rng.choice([0, 2, 3], size=1000, p=[0.6, 0.3, 0.1])  # unsorted; cluster 1 is empty
     uneven = ClusteredWeights(n_units=1000, membership=membership, n_clusters=4, w_in=1.3, w_out=0.2)
     remainder = gen_clustered(1003, 7, w_in=0.9, w_out=-0.4)  # last cluster has 145 units, the others 143
-    for ws in (uneven, remainder):
+    influencer = gen_influencer(1000, rng.choice(1000, size=40, replace=False), w_inf=0.9, w_base=0.35)
+    for ws in (uneven, remainder, influencer):
         gv = rng.normal(size=(ws.n_units, s)) * 10.0 ** rng.integers(-8, 8, s)  # columns of unequal magnitude
         if s == 1:
             gv = gv[:, 0]
-        assert np.array_equal(ws.apply(gv, 1), _clustered_apply_reference(ws, gv))
+        assert np.array_equal(ws.apply(gv, 1), _structured_apply_reference(ws, gv))
 
 
 @st.composite
@@ -127,8 +142,9 @@ def _structured_weights(draw):
 @settings(max_examples=60, deadline=None)
 @given(ws=_structured_weights(), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_structured_apply_columns_do_not_depend_on_width_or_layout(ws, width, seed):
-    # Unit-order sums: a column's exposures are the same bits alone, in any
-    # stack and in either memory layout.
+    # Each sum reduces one contiguous run of a column's values: a column's
+    # exposures are the same bits alone, in any stack and in either memory
+    # layout.
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(ws.n_units, width)) * 10.0 ** rng.integers(-8, 8, width)
     stacked = ws.apply(g, 1).view(np.uint64)
