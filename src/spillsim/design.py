@@ -42,12 +42,14 @@ class DesignSpec:
 
 
 def assign(spec: DesignSpec, seed: int) -> TreatmentPanel:
-    """Draw one treatment panel; a pure function of (spec, seed). The panel
-    is column-contiguous, as evolved outcome panels are, so each round's
-    column is one contiguous run of units."""
+    """Draw one treatment panel; a pure function of (spec, seed). A Bernoulli
+    panel is column-contiguous, as evolved outcome panels are, so each
+    round's column is one contiguous run of units. A constant panel is a
+    read-only broadcast of its one value (strides 0), so no
+    (n_units, n_rounds) array is allocated or scanned."""
     shape = (spec.n_units, spec.n_rounds)
     if spec.kind == "constant":
-        return TreatmentPanel(np.full(shape, float(spec.value), order="F"))
+        return TreatmentPanel._built(np.broadcast_to(float(spec.value), shape))
     u = substream(seed, "design").random(shape)
     return TreatmentPanel(np.asfortranarray(u < np.asarray(spec.probs)))
 

@@ -344,7 +344,9 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
     for k, (sp, w) in enumerate(zip(specs, scenarios)):
         if isinstance(sp.exposure, MeanFieldThreshold):
             if id(w) not in fractions:
-                fractions[id(w)] = w.values.mean(axis=0)
+                # Reduced along the units of each round: numpy reduces a
+                # stride-0 broadcast panel over axis 0 row by row, 5-10x slower.
+                fractions[id(w)] = w.values.T.mean(axis=1)
             levels[:, k] = _threshold_level(sp.exposure, fractions[id(w)])
             exposure = levels[:, k].tobytes()
         else:

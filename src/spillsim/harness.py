@@ -130,8 +130,10 @@ class ScenarioConfig:
 
     @functools.cached_property
     def _constant_scenarios(self) -> tuple[TreatmentPanel, TreatmentPanel]:
-        """The nobody-treated and everybody-treated panels. They depend on no
-        seed, so the replications of a run share one read-only pair."""
+        """The nobody-treated and everybody-treated panels: read-only
+        broadcasts of 0.0 and 1.0, which allocate no (n_units, n_rounds)
+        array. They depend on no seed, so the replications of a run share
+        one pair."""
         return tuple(design_mod.assign(design_mod.constant_design(self.n_units, self.n_rounds, v), 0) for v in (0, 1))
 
 

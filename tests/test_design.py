@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,26 @@ def test_degenerate_probs():
 
 
 def test_constant_design():
-    assert assign(constant_design(5, 2, 1), 0).values.all()
-    assert not assign(constant_design(5, 2, 0), 0).values.any()
+    # A read-only broadcast of the one value: no (n_units, n_rounds) array.
+    for value in (0, 1):
+        w = assign(constant_design(5, 2, value), 0)
+        assert w.values.shape == (5, 2) and (w.n_units, w.n_rounds) == (5, 2)
+        assert w.values.dtype == np.float64 and w.values.strides == (0, 0)
+        assert not w.values.flags.writeable
+        assert np.array_equal(w.values, np.full((5, 2), float(value)))
+
+
+def test_constant_panel_allocates_no_panel():
+    # A (10^6, 5) float64 panel is 40 MB; the broadcast holds one value.
+    spec = constant_design(10**6, 5, 1)
+    tracemalloc.start()
+    try:
+        w = assign(spec, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.values.shape == (10**6, 5)
+    assert peak < 64 * 1024
 
 
 def test_ramp_design_shape():

@@ -463,3 +463,24 @@ def test_threshold_evolution_matches_the_unit_major_reference():
     columns = [linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7), exposure=MeanFieldThreshold(tau, 2.0))
                for tau in (0.1, 0.5, 0.9) for _ in scenarios]
     _assert_evolves_as_reference(columns, _MAKE_WEIGHTS["clustered"], scenarios * 3, x, y0, seed=2)
+
+
+@pytest.mark.parametrize("kind", ["clustered", "influencer", "lazy_gaussian"])
+def test_constant_broadcasts_evolve_as_materialized_panels(kind):
+    # The nobody- and everybody-treated panels are stride-0 broadcasts; a
+    # sweep of weighted-sum and threshold columns (whose levels come from the
+    # panels' treated fractions) evolves them as it does full F-ordered copies.
+    make_weights = _MAKE_WEIGHTS[kind]
+    (observed, *constants), x, y0 = _evolution_fixture()
+    assert all(w.values.strides == (0, 0) for w in constants)
+    materialized = [TreatmentPanel(np.full((_N, _T), v, order="F")) for v in (0.0, 1.0)]
+    unit = LinearUnit(w_coef=1.0, y_coef=0.7, trend=0.1)
+    sweep = [linear_spec(unit=unit, peer=LinearPeer(1.2, 0.3), noise_sd=0.2)]
+    sweep += [linear_spec(unit=unit, exposure=MeanFieldThreshold(tau, strength), noise_sd=0.2)
+              for tau in (0.1, 0.5, 0.9) for strength in (0.0, 1.5)]
+    columns = [sp for sp in sweep for _ in range(3)]
+    got = counterfactual_suite(columns, make_weights(), [observed, *constants] * len(sweep), x, y0, seed=9)
+    want = counterfactual_suite(columns, make_weights(), [observed, *materialized] * len(sweep), x, y0, seed=9)
+    assert _same_object_groups(got) == _same_object_groups(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        _assert_same_bits(a.values, b.values, f"outcomes of column {k}")

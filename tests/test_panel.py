@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillsim import panel as panel_mod
+from spillsim.design import assign, constant_design
 from spillsim.dynamics import ExposureMatrix
 from spillsim.panel import (
     CovariatePanel,
@@ -147,6 +148,24 @@ def test_csv_writer_memory_is_bounded_by_block_for_fortran_order(tmp_path, monke
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(tmp_path / "big.csv") / 4
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_csv_writer_on_a_constant_broadcast(tmp_path, monkeypatch, value):
+    # A constant observed design is a stride-0 broadcast: it is written block
+    # by block, as the matrix it stands for, never materialized whole.
+    monkeypatch.setattr(panel_mod, "_BLOCK_CELLS", 4096)
+    w = assign(constant_design(20_480, 4, value), 0)
+    assert w.values.strides == (0, 0)
+    tracemalloc.start()
+    try:
+        write_treatment_csv(tmp_path / "broadcast.csv", w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    write_treatment_csv(tmp_path / "copy.csv", TreatmentPanel(np.array(w.values)))
+    assert (tmp_path / "broadcast.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+    assert peak < os.path.getsize(tmp_path / "broadcast.csv") / 4
 
 
 def _from_bits(bits: int) -> float:

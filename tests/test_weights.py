@@ -130,6 +130,51 @@ def test_structured_apply_sums_each_contiguous_run_alone(s):
         assert np.array_equal(ws.apply(gv, 1), _structured_apply_reference(ws, gv))
 
 
+class _ContiguousSums:
+    """Stands in for numpy inside ``spillsim.weights``: ``add.reduce`` and
+    ``add.reduceat`` check that they are handed a C-contiguous 1-d array,
+    and count their calls; every other name is numpy's."""
+
+    def __init__(self):
+        self.calls = 0
+        self.add = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _check(self, a):
+        assert isinstance(a, np.ndarray) and a.ndim == 1 and a.flags.c_contiguous, (a.shape, a.strides)
+        self.calls += 1
+
+    def reduce(self, a, *args, **kwargs):
+        self._check(a)
+        return np.add.reduce(a, *args, **kwargs)
+
+    def reduceat(self, a, *args, **kwargs):
+        self._check(a)
+        return np.add.reduceat(a, *args, **kwargs)
+
+
+def test_structured_sums_reduce_only_contiguous_columns(monkeypatch):
+    # On numpy 2.4 a strided reduction gives the bits of a contiguous one, so
+    # only this check pins the copy that keeps the sums layout-free on a numpy
+    # that buffers strided reductions in chunks.
+    rng = np.random.default_rng(11)
+    unsorted = ClusteredWeights(n_units=300, membership=rng.integers(0, 4, 300), n_clusters=4, w_in=1.3, w_out=0.2)
+    sets = (gen_clustered(300, 4, 1.3, 0.2), unsorted, gen_influencer(300, (3, 40, 299), 0.9, 0.35))
+    assert sets[0].order is None and unsorted.order is not None
+    g = rng.normal(size=(300, 3))
+    stacks = (g, np.asfortranarray(g), g[::-1, ::-1])
+    want = [[ws.apply(stack, 1) for stack in stacks] for ws in sets]
+    proxy = _ContiguousSums()
+    monkeypatch.setattr("spillsim.weights.np", proxy)
+    for ws, outs in zip(sets, want):
+        for stack, out in zip(stacks, outs):
+            before = proxy.calls
+            assert np.array_equal(ws.apply(stack, 1), out)
+            assert proxy.calls - before == 2 * stack.shape[1]
+
+
 @st.composite
 def _structured_weights(draw):
     n = draw(st.integers(2, 400))
