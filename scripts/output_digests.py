@@ -18,6 +18,13 @@ Two checkouts write byte-identical output when their digests match:
 ``manifest.json`` records the package version, so a version bump changes those
 lines only.
 
+``--record`` prints first the environment the last bits may depend on, one
+``# field: value`` line each (numpy's version, its BLAS and the CPU features
+numpy dispatches on). ``tests/data/digests-<version>.txt`` is this output for
+the package version, and a tier-1 test compares every run with it:
+
+    python scripts/output_digests.py --record > tests/data/digests-0.7.0.txt
+
 ``--keep DIR`` writes the output tree to DIR (which must not exist yet)
 instead of a temporary directory. ``--diff A B`` runs nothing; it compares two
 kept trees. For every file whose bytes differ it compares the numbers of the
@@ -154,6 +161,23 @@ def _diff(a: Path, b: Path) -> int:
     return 0
 
 
+def environment() -> dict[str, str]:
+    """What output bits may depend on besides the code: numpy's version, the
+    BLAS it calls, and the CPU features it dispatches on (baseline and found)."""
+    import numpy as np
+
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 prints its config only
+        return {"numpy": np.__version__, "blas": "unknown", "cpu": "unknown"}
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "cpu": " ".join(simd["baseline"] + simd["found"]),
+    }
+
+
 def _write_tree(repo: Path, cli_main) -> int:
     """Run every CLI command into the working directory, then print digests."""
     for out, argv in _runs(repo / "configs"):
@@ -175,9 +199,14 @@ def main() -> int:
     parser.add_argument("--keep", type=Path, metavar="DIR", help="write the output tree to DIR (must not exist)")
     parser.add_argument("--diff", type=Path, nargs=2, metavar=("A", "B"),
                         help="compare two kept output trees instead of running anything")
+    parser.add_argument("--record", action="store_true",
+                        help="print the environment record (# field: value lines) before the digests")
     args = parser.parse_args()
     if args.diff:
         return _diff(*args.diff)
+    if args.record:
+        for field, value in environment().items():
+            print(f"# {field}: {value}")
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
     from spillsim.cli import main as cli_main

@@ -121,7 +121,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str]:
+def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str, Path]:
+    """The config with the ``--seed`` and ``--reps`` overrides, its text, and the created ``--out``."""
     if text is None:
         text = args.config.read_text()
         try:
@@ -138,7 +139,8 @@ def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str]:
         if args.reps < 1:
             raise ConfigError("--reps must be at least 1")
         config = dataclasses.replace(config, n_reps=args.reps)
-    return config, text
+    args.out.mkdir(parents=True, exist_ok=True)
+    return config, text, args.out
 
 
 def _manifest(outdir: Path, text: str, config: ScenarioConfig, extra: dict | None = None, inputs=()) -> None:
@@ -171,8 +173,7 @@ def _sha256(path) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    config, text = _load(args)
-    outdir = _ensure_outdir(args.out)
+    config, text, outdir = _load(args)
     weights, w_obs, x, y0 = observed_inputs(config, config.base_seed)
     panel, exposure = simulate_panel(config.dynamics, weights, w_obs, x, y0, config.base_seed)
     write_outcome_csv(outdir / "outcomes.csv", panel)
@@ -183,8 +184,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config, text = _load(args)
-    outdir = _ensure_outdir(args.out)
+    config, text, outdir = _load(args)
     y = read_outcome_csv(args.outcomes)
     w = read_treatment_csv(args.treatments)
     # Both panels must match the config, and so each other, before any fit.
@@ -212,8 +212,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config, text = _load(args)
-    outdir = _ensure_outdir(args.out)
+    config, text, outdir = _load(args)
     report = replicate(config)
     report.write_json(outdir / "report.json")
     report.write_csv(outdir / "report.csv")
@@ -223,8 +222,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, text = _load(args)
-    outdir = _ensure_outdir(args.out)
+    config, text, outdir = _load(args)
     grid = []
     for i, entry in enumerate(str(args.grid).split(","), start=1):
         entry = entry.strip()
@@ -244,8 +242,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    config, text = _load(args, text=DEMO_CONFIG)
-    outdir = _ensure_outdir(args.out)
+    config, text, outdir = _load(args, text=DEMO_CONFIG)
     report = replicate(config)
     record = report.records[0]  # records are sorted by seed; this is base_seed's
 
@@ -266,11 +263,6 @@ def _cmd_demo(args) -> int:
     write_rows(outdir / "estimates.csv", ["estimator", "estimate", "gt", "bias", "mean_bias", "rmse"], rows)
     _manifest(outdir, text, config, {"scenario": "demo"})
     return 0
-
-
-def _ensure_outdir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 if __name__ == "__main__":

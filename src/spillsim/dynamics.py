@@ -163,10 +163,6 @@ class NonFiniteOutcome(FloatingPointError):
         super().__init__(f"non-finite outcome for unit {unit} at round {round_}{where}")
 
 
-def _threshold_level(mech: MeanFieldThreshold, fraction: np.ndarray) -> np.ndarray:
-    return mech.strength * (fraction > mech.tau).astype(np.float64)
-
-
 def compute_exposure(
     weights: WeightSet,
     spec: DynamicsSpec,
@@ -183,11 +179,12 @@ def compute_exposure(
         raise ValueError("treatment and lagged outcome columns must share a shape")
     if w_t.shape[0] != weights.n_units:
         raise ValueError("columns disagree with the weight set population size")
+    w_cols, y_cols = (a.reshape(len(a), -1) for a in (w_t, y_prev))
     mech = spec.exposure
-    if isinstance(mech, MeanFieldThreshold):
-        return np.broadcast_to(_threshold_level(mech, w_t.mean(axis=0)), w_t.shape).copy()
-    gv = spec.peer.value(w_t, y_prev)
-    return weights.apply(gv, t)
+    threshold = isinstance(mech, MeanFieldThreshold)
+    level = mech.strength * (w_cols.mean(axis=0) > mech.tau) if threshold else None
+    e = _exposures(weights, [] if threshold else [(spec, slice(None))], level, w_cols, y_cols, t)
+    return np.array(e).reshape(w_t.shape)  # a copy: the threshold level is a broadcast
 
 
 def _respond(spec: DynamicsSpec, w_t, y_prev, x_t, e_t, noise_t, t: int) -> np.ndarray:
@@ -338,19 +335,21 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
     ``_runs``: parameters 0.0 and -0.0 share a column, evolved with the
     first one's spec, which changes no bit unless another term of the unit
     response is -0.0 (an intercept of -0.0)."""
-    fractions: dict[int, np.ndarray] = {}  # treatment panel -> treated fraction per round
+    thresholds = [k for k, sp in enumerate(specs) if isinstance(sp.exposure, MeanFieldThreshold)]
+    # Treated fractions once per treatment panel, reduced along the units of
+    # each round: numpy reduces a stride-0 broadcast panel over axis 0 row by
+    # row, 5-10x slower.
+    panels = {id(scenarios[k]): scenarios[k] for k in thresholds}
+    fractions = {key: w.values.T.mean(axis=1) for key, w in panels.items()}
+    mechs = [specs[k].exposure for k in thresholds]
+    levels = np.zeros((scenarios[0].n_rounds, len(scenarios)))
+    levels[:, thresholds] = np.array([m.strength for m in mechs]) * (
+        np.array([fractions[id(scenarios[k])] for k in thresholds]).T > np.array([m.tau for m in mechs])
+    )
     distinct: dict = {}  # key -> (its distinct column, its first requested column)
-    index, levels = [], np.zeros((scenarios[0].n_rounds, len(scenarios)))
+    index = []
     for k, (sp, w) in enumerate(zip(specs, scenarios)):
-        if isinstance(sp.exposure, MeanFieldThreshold):
-            if id(w) not in fractions:
-                # Reduced along the units of each round: numpy reduces a
-                # stride-0 broadcast panel over axis 0 row by row, 5-10x slower.
-                fractions[id(w)] = w.values.T.mean(axis=1)
-            levels[:, k] = _threshold_level(sp.exposure, fractions[id(w)])
-            exposure = levels[:, k].tobytes()
-        else:
-            exposure = (sp.exposure, sp.peer)
+        exposure = levels[:, k].tobytes() if isinstance(sp.exposure, MeanFieldThreshold) else (sp.exposure, sp.peer)
         key = (id(w), sp.unit, sp.noise_sd, exposure)
         if key not in distinct:
             distinct[key] = (len(distinct), k)

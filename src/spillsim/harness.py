@@ -32,7 +32,6 @@ from .dynamics import (
     MeanFieldThreshold,
     NonFiniteOutcome,
     counterfactual_suite,
-    ground_truth_tte,
 )
 from .estimators import (
     ESECoefficients,
@@ -47,7 +46,9 @@ from .estimators import (
     propagate,
 )
 from .estimators import fit_ese
-from .panel import CovariatePanel, OutcomePanel, TreatmentPanel, column_mean, round_index_covariates, write_rows
+from .panel import (
+    CovariatePanel, OutcomePanel, TreatmentPanel, column_mean, round_index_covariates, round_means, write_rows,
+)
 from .rng import substream
 from .weights import WEIGHT_KINDS, WeightConfig, WeightSet, kind_of
 
@@ -255,39 +256,37 @@ def run_once(
     w_none, w_all = config._constant_scenarios
 
     specs = (config.dynamics,) if sweep is None else sweep.specs
-    columns = config.dynamics if sweep is None else [spec for spec in specs for _ in SCENARIOS]
+    wheres = [f"seed {seed}"] if sweep is None else [f"{sweep.parameter}={v!r}, seed {seed}" for v in sweep.values]
+    columns = [spec for spec in specs for _ in SCENARIOS]
     try:
         panels = counterfactual_suite(columns, weights, [w_obs, w_none, w_all] * len(specs), x, y0, seed)
     except NonFiniteOutcome as exc:
         k, scenario = divmod(exc.scenario, len(SCENARIOS))
-        where = "" if sweep is None else f"{sweep.parameter}={sweep.values[k]!r}: "
         raise FloatingPointError(
-            f"{where}non-finite outcome for unit {exc.unit} at round {exc.round} in scenario {SCENARIOS[scenario]}"
+            f"{wheres[k]}: non-finite outcome for unit {exc.unit} at round {exc.round} "
+            f"in scenario {SCENARIOS[scenario]}"
         ) from exc
     records = []
     passes: dict[int, tuple] = {}  # observed panel -> its estimator pass
     means: dict[int, tuple[float, ...]] = {}  # counterfactual panel -> its mean per round
-    gaps: dict[tuple[int, int], float] = {}  # (control, treated) panels -> their ground truth
     for k in range(len(specs)):
         observed, control, treated = panels[len(SCENARIOS) * k : len(SCENARIOS) * (k + 1)]
-        where = f"seed {seed}" if sweep is None else f"{sweep.parameter}={sweep.values[k]!r}, seed {seed}"
-        with _overflow_as("ground truth", lambda: where):
+        with _overflow_as("ground truth", lambda: wheres[k]):
             for panel in (control, treated):
                 if id(panel) not in means:
-                    means[id(panel)] = tuple(column_mean(panel, t) for t in range(t_max + 1))
-            if (id(control), id(treated)) not in gaps:
-                gaps[id(control), id(treated)] = ground_truth_tte(control, treated, t_max)
+                    means[id(panel)] = round_means(panel)
 
         # Estimators receive the observed panel and design probabilities only.
         isolated = observed is not control and observed is not treated
         if id(observed) not in passes:
-            passes[id(observed)] = estimate_rounds(config, observed, w_obs, structure, (t_max,), where)
+            passes[id(observed)] = estimate_rounds(config, observed, w_obs, structure, (t_max,), wheres[k])
         estimates, trajectories, coefficients = passes[id(observed)]
         records.append(
             RunRecord(
                 seed=seed,
                 estimates={name: values[0] for name, values in estimates.items()},
-                gt_tte=gaps[id(control), id(treated)],
+                # The bits of ground_truth_tte(control, treated, t_max).
+                gt_tte=means[id(treated)][t_max] - means[id(control)][t_max],
                 gt_control=means[id(control)],
                 gt_treated=means[id(treated)],
                 ese_trajectories=dict(trajectories),
@@ -298,13 +297,14 @@ def run_once(
     return records[0] if sweep is None else tuple(records)
 
 
-def _run_weights(config: ScenarioConfig) -> dict:
-    """``run_once`` keyword arguments for every seed of a run: the one weight
-    set they share, unless each seed draws its own."""
-    if config.weights.depends_on_seed(config.fixed_network):
-        return {}
-    weights = config.weights.build(config.n_units, config.n_rounds, config.base_seed, shared=config.fixed_network)
-    return {"weights": weights}
+def _every_seed(config: ScenarioConfig, **kwargs) -> list:
+    """``run_once`` with ``kwargs`` under every seed of the run, in seed order.
+    The seeds share one weight set unless each draws its own."""
+    if not config.weights.depends_on_seed(config.fixed_network):
+        kwargs["weights"] = config.weights.build(
+            config.n_units, config.n_rounds, config.base_seed, shared=config.fixed_network
+        )
+    return [run_once(config, config.base_seed + r, **kwargs) for r in range(config.n_reps)]
 
 
 class EstimatorOverflow(FloatingPointError):
@@ -371,9 +371,7 @@ def replicate(config: ScenarioConfig) -> BenchmarkReport:
     """Run replications under seeds base_seed .. base_seed + n_reps - 1 and
     aggregate. Missing estimates are excluded with an explicit count."""
     started = time.perf_counter()
-    shared = _run_weights(config)
-    records = [run_once(config, config.base_seed + r, **shared) for r in range(config.n_reps)]
-    return _aggregate(config, records, started)
+    return _aggregate(config, _every_seed(config), started)
 
 
 def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float, where: str = "") -> BenchmarkReport:
@@ -491,8 +489,7 @@ def failure_sweep(config: ScenarioConfig, parameter: str, grid: Sequence[float])
     sweep's wall time up to that report."""
     sweep = _sweep_grid(config, parameter, grid)
     started = time.perf_counter()
-    shared = _run_weights(config)
-    per_seed = [run_once(config, config.base_seed + r, sweep=sweep, **shared) for r in range(config.n_reps)]
+    per_seed = _every_seed(config, sweep=sweep)
     reports = tuple(
         _aggregate(config, [records[k] for records in per_seed], started, f"{parameter}={value!r}, ")
         for k, value in enumerate(sweep.values)

@@ -212,6 +212,17 @@ def test_benchmark_seed_and_reps_overrides(tmp_path):
     assert manifest["seed"] == 9
 
 
+def test_benchmark_overflow_names_the_seed(tmp_path, capsys):
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("y_coef = 0.8", "y_coef = 1e200"))
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == (
+        "FloatingPointError: seed 7: non-finite outcome for unit 0 at round 2 in scenario observed"
+    )
+
+
 def test_sweep_writes_rows(tmp_path):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     out = tmp_path / "sweep"
@@ -227,7 +238,8 @@ def test_sweep_writes_rows(tmp_path):
     [
         ("0,abc", "ConfigError: --grid entry 2 'abc' is not a number"),
         ("0, nan", "ConfigError: --grid entry 2 'nan' is not finite"),
-        ("0,1e308", "FloatingPointError: trend=1e+308: non-finite outcome for unit 0 at round 2 in scenario observed"),
+        ("0,1e308", "FloatingPointError: trend=1e+308, seed 5: non-finite outcome for unit 0 at round 2 "
+                    "in scenario observed"),
     ],
     ids=["bad_entry", "non_finite_entry", "overflow"],
 )

@@ -64,6 +64,24 @@ def test_threshold_exposure_hand_value():
     assert np.array_equal(e, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("exposure", [WeightedSumExposure(), MeanFieldThreshold(tau=0.4, strength=-2.0)],
+                         ids=["weighted_sum", "threshold"])
+def test_compute_exposure_of_a_stack_is_the_exposure_of_each_column(exposure):
+    # Scenario stacks and single columns go through the evolution's exposure
+    # path alike, and every result is a fresh writable array.
+    weights = gen_clustered(30, 3, 1.5, 0.3)
+    spec = linear_spec(peer=LinearPeer(w_coef=1.2, y_coef=0.3), exposure=exposure)
+    rng = np.random.default_rng(4)
+    w = (rng.random((30, 3)) < [0.2, 0.5, 0.9]).astype(float)
+    y = rng.normal(size=(30, 3))
+    stack = compute_exposure(weights, spec, w, y, np.zeros((30, 1)), 1)
+    assert stack.shape == (30, 3) and stack.flags.writeable
+    for j in range(3):
+        column = compute_exposure(weights, spec, w[:, j], y[:, j], np.zeros((30, 1)), 1)
+        assert column.shape == (30,) and column.flags.writeable
+        assert column.tobytes() == np.ascontiguousarray(stack[:, j]).tobytes()
+
+
 def test_step_hand_value():
     spec = linear_spec()
     y = step(spec, np.array([1.0, 0.0]), np.zeros(2), np.zeros((2, 1)), np.array([0.5, 0.5]), np.zeros(2), 1)
@@ -484,3 +502,60 @@ def test_constant_broadcasts_evolve_as_materialized_panels(kind):
     assert _same_object_groups(got) == _same_object_groups(want)
     for k, (a, b) in enumerate(zip(got, want)):
         _assert_same_bits(a.values, b.values, f"outcomes of column {k}")
+
+
+def _distinct_columns_per_column(specs, scenarios):
+    """``_distinct_columns`` as one threshold level per column: the reference
+    for its single comparison over every threshold column."""
+    fractions, distinct = {}, {}
+    index, levels = [], np.zeros((scenarios[0].n_rounds, len(scenarios)))
+    for k, (sp, w) in enumerate(zip(specs, scenarios)):
+        if isinstance(sp.exposure, MeanFieldThreshold):
+            if id(w) not in fractions:
+                fractions[id(w)] = w.values.T.mean(axis=1)
+            levels[:, k] = sp.exposure.strength * (fractions[id(w)] > sp.exposure.tau).astype(np.float64)
+            exposure = levels[:, k].tobytes()
+        else:
+            exposure = (sp.exposure, sp.peer)
+        key = (id(w), sp.unit, sp.noise_sd, exposure)
+        if key not in distinct:
+            distinct[key] = (len(distinct), k)
+        index.append(distinct[key][0])
+    lead = [k for _, k in distinct.values()]
+    return index, lead, levels[:, lead]
+
+
+@pytest.mark.parametrize("order", ["requested", "reversed", "shuffled"])
+def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
+    from spillsim.dynamics import _distinct_columns
+
+    # Treated fractions 0, 1/4, 1/2 and 3/4 by round: tau = 0.5 and 0.25 sit
+    # exactly on a round's fraction, which does not exceed them.
+    ramp = TreatmentPanel(np.array([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=float))
+    observed = assign(DesignSpec(kind="bernoulli", n_units=4, n_rounds=4, probs=(0.1, 0.5, 0.5, 0.9)), 3)
+    nobody, everybody = (assign(DesignSpec(kind="constant", n_units=4, n_rounds=4, value=v), 0) for v in (0, 1))
+    unit = LinearUnit(w_coef=1.0, y_coef=0.5)
+    thresholds = [linear_spec(unit=unit, exposure=MeanFieldThreshold(tau, strength))
+                  for tau in (0.25, 0.5, 0.7) for strength in (0.0, -0.0, 2.0, -1.5)]
+    weighted = [linear_spec(unit=unit), linear_spec(unit=LinearUnit(w_coef=2.0), peer=LinearPeer(0.5, 0.1))]
+    # Weighted-sum columns between threshold columns, and every treatment
+    # panel shared by many columns.
+    specs = [sp for k, th in enumerate(thresholds) for sp in (th, weighted[k % 2])]
+    panels = [ramp, observed, nobody, everybody]
+    scenarios = [panels[k % 3] for k in range(len(specs))]
+    specs += thresholds[:3] + [thresholds[1]]
+    scenarios += [ramp, ramp, everybody, ramp]
+    perm = {"requested": range(len(specs)), "reversed": range(len(specs) - 1, -1, -1),
+            "shuffled": np.random.default_rng(5).permutation(len(specs))}[order]
+    specs, scenarios = [specs[k] for k in perm], [scenarios[k] for k in perm]
+
+    index, lead, levels = _distinct_columns(specs, scenarios)
+    want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
+    assert (index, lead) == (want_index, want_lead)
+    assert levels.shape == want_levels.shape and levels.dtype == want_levels.dtype
+    assert levels.tobytes() == want_levels.tobytes()
+    # The fixture shares columns, and its levels fall on both sides of a tau
+    # with both signs of zero.
+    assert len(set(index)) < len(specs)
+    assert {2.0, -1.5} <= set(levels.ravel().tolist())
+    assert np.signbit(levels[levels == 0.0]).any() and not np.signbit(levels[levels == 0.0]).all()

@@ -515,8 +515,8 @@ def test_counterfactual_panels_are_read_only_views_of_one_buffer():
 def test_sweep_errors_name_the_grid_value():
     with pytest.raises(ValueError, match=r"threshold_strength=nan: threshold strength must be finite"):
         failure_sweep(_threshold_config(), "threshold_strength", [0.0, float("nan")])
-    with pytest.raises(FloatingPointError, match=r"^trend=1e\+308: non-finite outcome for unit 0 at round 2 "
-                                                 r"in scenario observed$"):
+    with pytest.raises(FloatingPointError, match=r"^trend=1e\+308, seed 60: non-finite outcome for unit 0 "
+                                                 r"at round 2 in scenario observed$"):
         failure_sweep(_trend_config(INFLUENCER_WEIGHTS, reps=1), "trend", [0.0, 1e308])
 
 
@@ -528,7 +528,8 @@ def test_replication_errors_name_the_scenario():
     # round 2 feeds its huge treatment effect back.
     config = dataclasses.replace(config, dynamics=dataclasses.replace(
         config.dynamics, unit=LinearUnit(w_coef=1e300, y_coef=1e10)))
-    with pytest.raises(FloatingPointError, match=r"^non-finite outcome for unit 0 at round 2 in scenario all$"):
+    with pytest.raises(FloatingPointError, match=r"^seed 1: non-finite outcome for unit 0 at round 2 "
+                                                 r"in scenario all$"):
         run_once(config, 1)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillsim import panel as panel_mod
-from spillsim.design import assign, constant_design
+from spillsim.design import DesignSpec, assign, constant_design
 from spillsim.dynamics import ExposureMatrix
 from spillsim.panel import (
     CovariatePanel,
@@ -21,6 +21,7 @@ from spillsim.panel import (
     read_outcome_csv,
     read_treatment_csv,
     round_index_covariates,
+    round_means,
     write_matrix_csv,
     write_outcome_csv,
     write_rows,
@@ -291,6 +292,39 @@ def test_round_index_covariates_broadcast_the_round_numbers(n, t):
         x.values[0, 0, 0] = 7.0
     with pytest.raises(ValueError, match="read-only"):
         x.column(t)[:] = 7.0
+
+
+def _round_means_layouts(n: int, t_max: int) -> dict:
+    """A panel of every layout ``round_means`` meets, keyed by layout."""
+    rng = np.random.default_rng(n + t_max)
+    values = rng.normal(7.0, 1e3, (n, t_max + 1))
+    # An evolved panel is a view of a round-major (T+1, s, N) buffer: its round
+    # columns are contiguous, and consecutive rounds are s*N entries apart.
+    evolved = OutcomePanel.views(rng.normal(7.0, 1e3, (t_max + 1, 3, n)).transpose(1, 2, 0))[1]
+    assert evolved.values.strides == (8, 3 * n * 8)
+    return {
+        "c_ordered": OutcomePanel(np.ascontiguousarray(values)),
+        "f_ordered": OutcomePanel(np.asfortranarray(values)),
+        "evolved_view": evolved,
+        "broadcast": OutcomePanel._built(np.broadcast_to(values[0], values.shape)),
+        "treatment": assign(DesignSpec(kind="bernoulli", n_units=n, n_rounds=t_max, probs=(0.3,) * t_max), 4),
+    }
+
+
+@pytest.mark.parametrize("layout", ["c_ordered", "f_ordered", "evolved_view", "broadcast", "treatment"])
+@pytest.mark.parametrize("n, t_max", [(1, 1), (1000, 4), (4099, 3), (20000, 8)])
+def test_round_means_are_the_column_means_bit_for_bit(monkeypatch, layout, n, t_max):
+    panel = _round_means_layouts(n, t_max)[layout]
+    want = [column_mean(panel, t) for t in range(panel.first_round, panel.n_rounds + 1)]
+    calls = []
+    monkeypatch.setattr(panel_mod, "column_mean", lambda *args: calls.append(args) or column_mean(*args))
+    got = round_means(panel)
+    assert all(type(m) is float for m in got)
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    # Contiguous round columns take one reduction for all rounds (a one-unit
+    # array's row stride is whatever numpy chose for it).
+    if layout in ("f_ordered", "evolved_view", "treatment") and n > 1:
+        assert calls == []
 
 
 def test_round_index_covariates_reject_an_empty_population():

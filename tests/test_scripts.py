@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import spillsim
 from spillsim.dynamics import DynamicsSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,13 +78,42 @@ def test_no_script_builds_a_scenario():
     assert [call for path in sorted((ROOT / "scripts").glob("*.py")) for call in scenario_calls(path)] == []
 
 
-def test_output_digests_lists_every_output_file_and_compares_trees(tmp_path):
+@pytest.fixture(scope="module")
+def digests_run(tmp_path_factory):
+    # One run of output_digests.py, kept in ``tree``, which every digest test
+    # reads.
+    cwd = tmp_path_factory.mktemp("digests")
+    return _run("output_digests.py", ["--keep", "tree"], cwd), cwd
+
+
+def test_output_digests_lists_every_output_file_and_compares_trees(digests_run):
     # Byte-identity between two checkouts is judged by this script's lines.
-    done = _run("output_digests.py", ["--keep", "tree"], tmp_path)
+    done, cwd = digests_run
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 57
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
-    done = _run("output_digests.py", ["--diff", "tree", "tree"], tmp_path)
+    done = _run("output_digests.py", ["--diff", "tree", "tree"], cwd)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["57 of 57 files byte-identical"]
+
+
+def test_output_digests_match_the_committed_digests_of_this_version(digests_run):
+    # Output that moves by one bit needs a version bump and a new digest file
+    # (``output_digests.py --record``). The digests are recorded on one
+    # environment; on another the last bits of BLAS and SIMD arithmetic may
+    # differ, so there the test skips, naming what differs.
+    done, _ = digests_run
+    assert done.returncode == 0, done.stderr
+    path = ROOT / "tests" / "data" / f"digests-{spillsim.__version__}.txt"
+    recorded = path.read_text().splitlines()
+    record = dict(line[2:].split(": ", 1) for line in recorded if line.startswith("# "))
+    spec = importlib.util.spec_from_file_location("output_digests", ROOT / "scripts" / "output_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    here = script.environment()
+    differ = [f"{key} (recorded {record.get(key)!r}, here {here.get(key)!r})"
+              for key in sorted(record.keys() | here.keys()) if record.get(key) != here.get(key)]
+    if differ:
+        pytest.skip(f"{path.name} was recorded on another environment: {'; '.join(differ)}")
+    assert done.stdout.splitlines() == [line for line in recorded if not line.startswith("# ")]
