@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 from pathlib import Path
 
+from spillsim.cli import pin_malloc_thresholds
 from spillsim.config import parse_config
 from spillsim.harness import failure_sweep, replicate
 
@@ -56,6 +57,7 @@ RUNS = (("spillover.cfg", spillover), ("trend_weak_signal.cfg", trend), ("thresh
 
 
 def main() -> None:
+    pin_malloc_thresholds()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", type=Path, default=Path(__file__).resolve().parents[1] / "configs",
                         help="directory holding the three configs (default: the repo's configs/)")

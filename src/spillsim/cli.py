@@ -20,10 +20,12 @@ line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,8 +81,39 @@ seed = 7
 reps = 3
 """
 
+# glibc's mallopt parameters (malloc.h) and the values the entry points pin.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's dynamic threshold on 64-bit
+TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def pin_malloc_thresholds() -> bool:
+    """Fix glibc's malloc thresholds for the rest of the process, so blocks
+    freed by one replication stay in the heap for the next instead of going
+    back to the kernel and faulting their pages in again. Blocks of at least
+    ``MMAP_THRESHOLD`` bytes are still mapped and unmapped on their own.
+
+    Both thresholds are set: setting either turns off glibc's dynamic
+    adjustment of both. Program entry points call this first; no library
+    function does, so a host process keeps its own allocator settings. Where
+    the C library is not glibc it does nothing. Returns whether both were set."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    trim_set = mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return bool(mmap_set and trim_set)
+
 
 def main(argv: list[str] | None = None) -> int:
+    pin_malloc_thresholds()
     args = _parser().parse_args(argv)
     try:
         return globals()[f"_cmd_{args.command}"](args)

@@ -44,14 +44,18 @@ class DesignSpec:
 def assign(spec: DesignSpec, seed: int) -> TreatmentPanel:
     """Draw one treatment panel; a pure function of (spec, seed). A Bernoulli
     panel is column-contiguous, as evolved outcome panels are, so each
-    round's column is one contiguous run of units. A constant panel is a
-    read-only broadcast of its one value (strides 0), so no
-    (n_units, n_rounds) array is allocated or scanned."""
+    round's column is one contiguous run of units. Its comparisons are
+    written as 0.0/1.0 straight into the round-major float64 buffer behind
+    it, so it is exactly 0/1 by construction and is not copied or scanned. A
+    constant panel is a read-only broadcast of its one value (strides 0), so
+    no (n_units, n_rounds) array is allocated or scanned."""
     shape = (spec.n_units, spec.n_rounds)
     if spec.kind == "constant":
         return TreatmentPanel._built(np.broadcast_to(float(spec.value), shape))
     u = substream(seed, "design").random(shape)
-    return TreatmentPanel(np.asfortranarray(u < np.asarray(spec.probs)))
+    rounds = np.less(u.T, np.asarray(spec.probs)[:, None], out=np.empty(shape[::-1]))
+    rounds.setflags(write=False)
+    return TreatmentPanel._built(rounds.T)
 
 
 def ramp_design(n: int) -> DesignSpec:

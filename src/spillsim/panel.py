@@ -47,8 +47,9 @@ class RoundPanel:
     @classmethod
     def _built(cls, values: np.ndarray):
         """A panel over ``values``, a read-only array the package built itself
-        and whose entries are valid (scanned, or a broadcast of one valid
-        value): only its shape is checked, nothing is copied."""
+        and whose entries are valid (scanned, valid by construction, or a
+        broadcast of one valid value): only its shape is checked, nothing is
+        copied."""
         panel = object.__new__(cls)
         object.__setattr__(panel, "values", values)
         panel._check_shape()

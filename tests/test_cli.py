@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -68,6 +71,12 @@ probs = 0.0, 0.2, 0.4, 0.8
 seed = 2
 reps = 2
 """
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports spillsim from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _write_config(tmp_path, text, name="scenario.cfg"):
@@ -455,10 +464,6 @@ def test_estimate_does_not_parse_an_explicit_matrix(tmp_path, monkeypatch):
 def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
     # The parser is built once per process: no flag of the first call may
     # reach the second.
-    import os
-    import subprocess
-    import sys
-
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
 
     def argvs(root):
@@ -470,10 +475,8 @@ def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
 
     for argv in argvs(tmp_path / "one"):
         assert main(argv) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for argv in argvs(tmp_path / "fresh"):
-        subprocess.run([sys.executable, "-m", "spillsim.cli", *argv], env=env, check=True, capture_output=True)
+        subprocess.run([sys.executable, "-m", "spillsim.cli", *argv], env=_child_env(), check=True, capture_output=True)
 
     def tree(root):
         return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -482,3 +485,40 @@ def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
     assert sorted(one) == ["benchmark/manifest.json", "benchmark/report.csv", "benchmark/report.json",
                            "sweep/manifest.json", "sweep/sweep.csv"]
     assert one == tree(tmp_path / "fresh")
+
+
+def _glibc() -> bool:
+    # Checked apart from the helper, so a helper that misreads the C library
+    # fails the fault test instead of skipping it.
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+FAULTS_OF_THE_THIRD_CALL = """
+import resource, sys
+from spillsim.cli import main, pin_malloc_thresholds
+
+config, out = sys.argv[1:]
+argv = ["benchmark", "--config", config, "--out", out, "--reps", "1"]
+for _ in range(2):
+    assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+assert pin_malloc_thresholds()  # main's cached result: both thresholds were set
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are pinned only where the C library is glibc")
+def test_a_warm_benchmark_call_faults_no_pages_back_in(tmp_path):
+    # With glibc's default dynamic thresholds each call hands its panel-sized
+    # blocks back to the kernel and faults them in again (about 4250 minor
+    # faults per call at this size); pinned, a warm call reuses the heap. A
+    # fresh process, as the pin is once per process.
+    text = (CONFIGS / "clustered.cfg").read_text()
+    cfg = _write_config(tmp_path, re.sub(r"(?m)^n_units\s*=.*$", "n_units = 100000", text))
+    run = subprocess.run([sys.executable, "-c", FAULTS_OF_THE_THIRD_CALL, str(cfg), str(tmp_path / "out")],
+                         env=_child_env(), check=True, capture_output=True, text=True)
+    assert int(run.stdout.splitlines()[-1]) < 200
