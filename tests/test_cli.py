@@ -496,6 +496,11 @@ def _glibc() -> bool:
         return False
 
 
+def _clustered_at_1e5(tmp_path) -> Path:
+    text = (CONFIGS / "clustered.cfg").read_text()
+    return _write_config(tmp_path, re.sub(r"(?m)^n_units\s*=.*$", "n_units = 100000", text))
+
+
 FAULTS_OF_THE_THIRD_CALL = """
 import resource, sys
 from spillsim.cli import main, pin_malloc_thresholds
@@ -517,8 +522,33 @@ def test_a_warm_benchmark_call_faults_no_pages_back_in(tmp_path):
     # blocks back to the kernel and faults them in again (about 4250 minor
     # faults per call at this size); pinned, a warm call reuses the heap. A
     # fresh process, as the pin is once per process.
-    text = (CONFIGS / "clustered.cfg").read_text()
-    cfg = _write_config(tmp_path, re.sub(r"(?m)^n_units\s*=.*$", "n_units = 100000", text))
+    cfg = _clustered_at_1e5(tmp_path)
     run = subprocess.run([sys.executable, "-c", FAULTS_OF_THE_THIRD_CALL, str(cfg), str(tmp_path / "out")],
                          env=_child_env(), check=True, capture_output=True, text=True)
     assert int(run.stdout.splitlines()[-1]) < 200
+
+
+FAULTS_OF_ONE_CALL = """
+import resource, sys
+from spillsim.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are pinned only where the C library is glibc")
+def test_the_replications_of_one_cli_call_fault_no_pages_back_in(tmp_path):
+    # A shell `spillsim benchmark` runs main once per process, so the pin must
+    # pay off between the replications of one call, not only between calls.
+    # Unpinned, each replication past the first faults about 4500 pages back
+    # in at this size; four more replications then cost about 18000 faults.
+    cfg = _clustered_at_1e5(tmp_path)
+
+    def faults(reps: int) -> int:
+        argv = ["benchmark", "--config", str(cfg), "--out", str(tmp_path / f"out{reps}"), "--reps", str(reps)]
+        run = subprocess.run([sys.executable, "-c", FAULTS_OF_ONE_CALL, *argv],
+                             env=_child_env(), check=True, capture_output=True, text=True)
+        return int(run.stdout.splitlines()[-1])
+
+    assert faults(6) - faults(2) < 4 * 200
