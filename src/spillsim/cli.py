@@ -129,8 +129,9 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spillsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", type=Path, required=config_required, help="scenario config path")
+    def common(p, config=True):
+        if config:  # the demo runs its built-in scenario and takes none
+            p.add_argument("--config", type=Path, required=True, help="scenario config path")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--reps", type=int, default=None, help="override run.reps")
@@ -149,7 +150,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
 
-    common(sub.add_parser("demo", help="run the built-in demo scenario"), config_required=False)
+    common(sub.add_parser("demo", help="run the built-in demo scenario"), config=False)
 
     return parser
 

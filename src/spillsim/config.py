@@ -10,17 +10,16 @@ grammar, in full:
 * values are typed: integers, floats, booleans (true/false), bare strings, or
   comma-separated lists of any of these.
 
-Unknown sections and unknown keys are rejected, never ignored, and so is a key
-that the section's chosen kind does not read (``mu`` under ``kind =
-clustered``, ``tau`` under ``exposure = weighted_sum``). Errors name the
-offending ``section.key``, and the line where a single line is at fault. See
-the README for the key reference and defaults.
+Unknown sections are rejected, never ignored, and so is any key that its
+section's parser does not read under the chosen kinds: a misspelt key, ``mu``
+under ``kind = clustered``, ``tau`` under ``exposure = weighted_sum``. Errors
+name the offending ``section.key``, and the line that set it where one line is
+at fault. See the README for the key reference and defaults.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import math
 
@@ -43,23 +42,7 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-# ESE estimators take a feature override, ``features_<name>``.
-_FEATURE_KEYS = {f"features_{name}": name for name, est in ESTIMATORS.items() if est.features is not None}
-
-SECTIONS = {
-    "population": {"n_units", "n_rounds", "baseline_mean", "baseline_sd"},
-    "weights": {"kind"}.union(*(kind.keys for kind in WEIGHT_KINDS.values())),
-    # The fields of the dataclasses the section builds, named as in the file;
-    # only the linear peer's coefficients carry a prefix there.
-    "dynamics": {
-        "peer_w",
-        "peer_y",
-        *(f.name for cls in (DynamicsSpec, SaturatingUnit, MeanFieldThreshold) for f in dataclasses.fields(cls)),
-    },
-    "design": {"kind", "probs", "value"},
-    "estimators": {"use", *_FEATURE_KEYS},
-    "run": {"seed", "reps", "fixed_network"},
-}
+SECTIONS = ("population", "weights", "dynamics", "design", "estimators", "run")
 
 
 def _parse_scalar(raw: str):
@@ -86,11 +69,11 @@ def _parse_value(raw: str):
     return _parse_scalar(raw)
 
 
-def parse_document(text: str) -> dict[str, dict[str, object]]:
-    """Parse the raw document into {section: {key: typed value}}, enforcing the
-    schema strictly."""
-    data: dict[str, dict[str, object]] = {}
-    first_line: dict[tuple[str, str], int] = {}
+def parse_document(text: str) -> dict[str, dict[str, tuple[object, int]]]:
+    """Parse the raw document into {section: {key: (typed value, line)}} for
+    every section. Which keys a section may set is left to its parser (see
+    ``_Section``)."""
+    data: dict[str, dict[str, tuple[object, int]]] = {name: {} for name in SECTIONS}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -98,9 +81,8 @@ def parse_document(text: str) -> dict[str, dict[str, object]]:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in SECTIONS:
+            if section not in data:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            data.setdefault(section, {})
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
@@ -108,34 +90,37 @@ def parse_document(text: str) -> dict[str, dict[str, object]]:
             raise ConfigError(f"line {lineno}: assignment before any [section]")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in SECTIONS[section]:
-            raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
         if key in data[section]:
             raise ConfigError(
-                f"line {lineno}: duplicate key {section}.{key} (first set on line {first_line[section, key]})"
+                f"line {lineno}: duplicate key {section}.{key} (first set on line {data[section][key][1]})"
             )
-        data[section][key] = _parse_value(raw)
-        first_line[section, key] = lineno
+        data[section][key] = (_parse_value(raw), lineno)
     return data
 
 
 class _Section:
     """Typed accessors over one parsed section, with error messages that name
-    the section.key path. Every key asked for is recorded, so ``check_read``
-    can reject the keys that the section's choices never read."""
+    the section.key path and its line. Every key asked for is recorded, so
+    ``check_read``, the one check of which keys a file may set, can reject
+    the keys that the section's choices never read."""
 
-    def __init__(self, name: str, values: dict[str, object]):
+    def __init__(self, name: str, entries: dict[str, tuple[object, int]]):
         self.name = name
-        self.values = dict(values)
+        self.entries = entries
         self.read: set[str] = set()
+
+    def where(self, key: str) -> str:
+        """``section.key``, after the line that set it; a default has none."""
+        path = f"{self.name}.{key}"
+        return f"line {self.entries[key][1]}: {path}" if key in self.entries else path
 
     def _get(self, key: str, default, accept, what: str):
         self.read.add(key)
-        if key not in self.values:
+        if key not in self.entries:
             return default
-        val = self.values[key]
+        val = self.entries[key][0]
         if not accept(val):
-            raise ConfigError(f"{self.name}.{key} must be {what}, got {val!r}")
+            raise ConfigError(f"{self.where(key)} must be {what}, got {val!r}")
         return val
 
     def get_int(self, key: str, default=None) -> int:
@@ -166,14 +151,14 @@ class _Section:
         if items is None:
             return default
         if not all(accept(v) for v in items):
-            raise ConfigError(f"{self.name}.{key} must list {what}, got {items!r}")
+            raise ConfigError(f"{self.where(key)} must list {what}, got {items!r}")
         return tuple(convert(v) for v in items)
 
-    def check_read(self, choice: str) -> None:
-        """Reject a key that no accessor asked for under ``choice``."""
-        for key in self.values:
+    def check_read(self, choice: str = "") -> None:
+        """Reject a key that no accessor asked for; ``choice`` names the chosen kinds."""
+        for key in self.entries:
             if key not in self.read:
-                raise ConfigError(f"{self.name}.{key} is not read with {choice}")
+                raise ConfigError(f"{self.where(key)} is not read" + (f" with {choice}" if choice else ""))
 
 
 def _is_int(val) -> bool:
@@ -185,12 +170,12 @@ def _is_number(val) -> bool:
 
 
 @contextlib.contextmanager
-def _keyed(key: str):
-    """Re-raise a dataclass's ValueError as a ConfigError naming ``key``."""
+def _keyed(sec: _Section, key: str):
+    """Re-raise a dataclass's ValueError as a ConfigError naming ``key`` and its line."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{sec.where(key)}: {exc}") from exc
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -198,33 +183,40 @@ def parse_config(text: str) -> ScenarioConfig:
 
     The dataclasses check the values; errors name the section.key at
     fault, either in the dataclass's message or by ``_keyed``."""
-    data = parse_document(text)
-    population = _Section("population", data.get("population", {}))
-    estimators_sec = _Section("estimators", data.get("estimators", {}))
-    run_sec = _Section("run", data.get("run", {}))
+    sections = {name: _Section(name, entries) for name, entries in parse_document(text).items()}
+    population, estimators_sec, run_sec = sections["population"], sections["estimators"], sections["run"]
 
     n_units = population.get_int("n_units", 0)
-    if n_units < 1:
-        raise ConfigError(f"population.n_units must be a positive integer, got {n_units}")
     n_rounds = population.get_int("n_rounds", 4)
+    baseline_mean = population.get_float("baseline_mean", 0.0)
+    baseline_sd = population.get_float("baseline_sd", 1.0)
+    # Before the checks below, so a misspelt key is named, not its default.
+    population.check_read()
+    if n_units < 1:
+        raise ConfigError(f"{population.where('n_units')} must be a positive integer, got {n_units}")
     if n_rounds < 1:
-        raise ConfigError(f"population.n_rounds must be a positive integer, got {n_rounds}")
+        raise ConfigError(f"{population.where('n_rounds')} must be a positive integer, got {n_rounds}")
 
-    weights = _parse_weights(_Section("weights", data.get("weights", {})))
-    dynamics = _parse_dynamics(_Section("dynamics", data.get("dynamics", {})))
-    design = _parse_design(_Section("design", data.get("design", {})), n_units, n_rounds)
+    weights = _parse_weights(sections["weights"])
+    dynamics = _parse_dynamics(sections["dynamics"])
+    design = _parse_design(sections["design"], n_units, n_rounds)
 
     use = estimators_sec.get_list("use", list(ScenarioConfig.estimators))
     overrides = {}
-    for key, name in _FEATURE_KEYS.items():
-        items = estimators_sec.get_list(key)
+    # ESE estimators take a feature override, ``features_<name>``.
+    for name, est in ESTIMATORS.items():
+        items = None if est.features is None else estimators_sec.get_list(f"features_{name}")
         if items is not None:
-            with _keyed(f"estimators.{key}"):
+            with _keyed(estimators_sec, f"features_{name}"):
                 overrides[name] = FeatureSpec.parse([str(s).strip() for s in items])
+    estimators_sec.check_read()
 
     seed = run_sec.get_int("seed", 0)
+    reps = run_sec.get_int("reps", 1)
+    fixed_network = run_sec.get_bool("fixed_network", False)
+    run_sec.check_read()
     if seed < 0:
-        raise ConfigError("run.seed must be non-negative")
+        raise ConfigError(f"{run_sec.where('seed')} must be non-negative")
 
     try:
         return ScenarioConfig(
@@ -235,11 +227,11 @@ def parse_config(text: str) -> ScenarioConfig:
             design=design,
             estimators=tuple(str(e).strip() for e in use),
             feature_overrides=overrides,
-            baseline_mean=population.get_float("baseline_mean", 0.0),
-            baseline_sd=population.get_float("baseline_sd", 1.0),
+            baseline_mean=baseline_mean,
+            baseline_sd=baseline_sd,
             base_seed=seed,
-            n_reps=run_sec.get_int("reps", 1),
-            fixed_network=run_sec.get_bool("fixed_network", False),
+            n_reps=reps,
+            fixed_network=fixed_network,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -254,7 +246,7 @@ def _parse_weights(sec: _Section) -> WeightConfig:
     # The first kind of WEIGHT_KINDS, the dense Gaussian one, is the default.
     kind = sec.get_str("kind", next(iter(WEIGHT_KINDS)))
     if kind not in WEIGHT_KINDS:
-        raise ConfigError(f"weights.kind must be one of {', '.join(WEIGHT_KINDS)}; got {kind!r}")
+        raise ConfigError(f"{sec.where('kind')} must be one of {', '.join(WEIGHT_KINDS)}; got {kind!r}")
     params = {}
     for key, default in WEIGHT_KINDS[kind].keys.items():
         value = _READERS[type(default)](sec, key)
@@ -280,10 +272,10 @@ def _parse_dynamics(sec: _Section) -> DynamicsSpec:
         unit = LinearUnit(**common)
     elif unit_kind == "saturating":
         scale = sec.get_float("scale", 1.0)
-        with _keyed("dynamics.scale"):
+        with _keyed(sec, "scale"):
             unit = SaturatingUnit(**common, scale=scale)
     else:
-        raise ConfigError(f"dynamics.unit must be linear or saturating, got {unit_kind!r}")
+        raise ConfigError(f"{sec.where('unit')} must be linear or saturating, got {unit_kind!r}")
 
     peer_kind = sec.get_str("peer", "zero")
     if peer_kind == "linear":
@@ -291,21 +283,21 @@ def _parse_dynamics(sec: _Section) -> DynamicsSpec:
     elif peer_kind == "zero":
         peer = ZeroPeer()
     else:
-        raise ConfigError(f"dynamics.peer must be linear or zero, got {peer_kind!r}")
+        raise ConfigError(f"{sec.where('peer')} must be linear or zero, got {peer_kind!r}")
 
     expo_kind = sec.get_str("exposure", "weighted_sum")
     if expo_kind == "weighted_sum":
         exposure = WeightedSumExposure()
     elif expo_kind == "threshold":
         tau, strength = sec.get_float("tau", 0.5), sec.get_float("strength", 1.0)
-        with _keyed("dynamics.tau"):
+        with _keyed(sec, "tau"):
             exposure = MeanFieldThreshold(tau=tau, strength=strength)
     else:
-        raise ConfigError(f"dynamics.exposure must be weighted_sum or threshold, got {expo_kind!r}")
+        raise ConfigError(f"{sec.where('exposure')} must be weighted_sum or threshold, got {expo_kind!r}")
 
     noise_sd = sec.get_float("noise_sd", 0.0)
     sec.check_read(f"unit = {unit_kind}, peer = {peer_kind}, exposure = {expo_kind}")
-    with _keyed("dynamics.noise_sd"):
+    with _keyed(sec, "noise_sd"):
         return DynamicsSpec(unit=unit, peer=peer, exposure=exposure, noise_sd=noise_sd)
 
 
@@ -319,9 +311,9 @@ def _parse_design(sec: _Section, n_units: int, n_rounds: int) -> DesignSpec:
     elif kind == "constant":
         key, params = "value", {"value": sec.get_int("value", 0)}
     else:
-        raise ConfigError(f"design.kind must be bernoulli or constant, got {kind!r}")
+        raise ConfigError(f"{sec.where('kind')} must be bernoulli or constant, got {kind!r}")
     sec.check_read(f"kind = {kind}")
-    with _keyed(f"design.{key}"):
+    with _keyed(sec, key):
         return DesignSpec(kind=kind, n_units=n_units, n_rounds=n_rounds, **params)
 
 

@@ -8,8 +8,7 @@ replicates this over a seed range and aggregates bias and RMSE; sweeps run
 the benchmark along a grid of one dynamics parameter, seed by seed, with every
 grid value sharing the seed's draws.
 
-Estimators never see counterfactual panels; each replication carries an audit
-flag asserting that isolation.
+Estimators see only the observed panels, never a counterfactual one.
 """
 
 from __future__ import annotations
@@ -147,7 +146,6 @@ class RunRecord:
     gt_treated: tuple[float, ...]
     ese_trajectories: dict[str, tuple[tuple[float, ...], tuple[float, ...]]]
     coefficients: dict[str, ESECoefficients]
-    estimators_isolated: bool
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,6 @@ def run_once(
                     means[id(panel)] = round_means(panel)
 
         # Estimators receive the observed panel and design probabilities only.
-        isolated = observed is not control and observed is not treated
         if id(observed) not in passes:
             passes[id(observed)] = estimate_rounds(config, observed, w_obs, structure, (t_max,), wheres[k])
         estimates, trajectories, coefficients = passes[id(observed)]
@@ -291,7 +288,6 @@ def run_once(
                 gt_treated=means[id(treated)],
                 ese_trajectories=dict(trajectories),
                 coefficients=dict(coefficients),
-                estimators_isolated=isolated,
             )
         )
     return records[0] if sweep is None else tuple(records)

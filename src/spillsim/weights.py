@@ -542,9 +542,9 @@ def kind_of(weights: WeightSet) -> str:
 @dataclass(frozen=True, init=False)
 class WeightConfig:
     """Declarative weight-set choice: a kind of ``WEIGHT_KINDS`` and a value
-    for each of its keys, the kind's default where none is given. Values read
-    as attributes (``config.n_clusters``). Built once per run unless the kind
-    draws per seed, then once per replication. Errors name the config key."""
+    for each of its keys in ``params``, the kind's default where none is
+    given. Built once per run unless the kind draws per seed, then once per
+    replication. Errors name the config key."""
 
     kind: str
     params: dict
@@ -562,12 +562,6 @@ class WeightConfig:
                 raise ValueError(f"weights.{key} is required by kind = {kind}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", values)
-
-    def __getattr__(self, key: str):
-        params = self.__dict__.get("params", {})
-        if key in params:
-            return params[key]
-        raise AttributeError(f"weights of kind {self.__dict__.get('kind')!r} have no key {key!r}")
 
     def check(self, n_units: int) -> None:
         """Raise, naming the key, where a value cannot serve ``n_units`` units."""

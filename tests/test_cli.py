@@ -305,20 +305,38 @@ def test_cli_error_is_single_json_line(tmp_path, capsys):
     assert "population.n_units" in payload["error"]
 
 
+_DYNAMICS_KINDS = "unit = linear, peer = linear, exposure = weighted_sum"
+
+
 @pytest.mark.parametrize(
-    "line, message",
+    "old, new, message",
     [
-        ("peer_w = 0.6", "duplicate key dynamics.peer_w (first set on line {first})"),
-        ("colour = red", "unknown key dynamics.colour"),
+        ("peer_w = 0.6", "peer_w = 0.6\npeer_w = 0.6", "duplicate key dynamics.peer_w (first set on line {first})"),
+        ("peer_w = 0.6", "peer_w = 0.6\ncolour = red", f"dynamics.colour is not read with {_DYNAMICS_KINDS}"),
+        ("noise_sd = 0.0", "noise_sd = 0.0\ntau = 0.3", f"dynamics.tau is not read with {_DYNAMICS_KINDS}"),
+        # Named before n_units is checked, not through the default it leaves.
+        ("n_units = 120", "n_unit = 120", "population.n_unit is not read"),
+        ("peer_w = 0.6", "peer_w = abc", "dynamics.peer_w must be a finite number, got 'abc'"),
+        ("noise_sd = 0.0", "noise_sd = -1", "dynamics.noise_sd: noise_sd must be non-negative"),
     ],
-    ids=["duplicate", "unknown"],
+    ids=["duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed"],
 )
-def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, line, message):
-    first = LINEAR_CONFIG.splitlines().index("peer_w = 0.6") + 1
-    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("peer_w = 0.6\n", f"peer_w = 0.6\n{line}\n"))
+def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):
+    # ``new`` replaces the line ``old``; the error names the last line of ``new``.
+    first = LINEAR_CONFIG.splitlines().index(old) + 1
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace(f"{old}\n", f"{new}\n", 1))
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     error = json.loads(capsys.readouterr().err.strip())["error"]
-    assert error == f"ConfigError: {cfg}: line {first + 1}: " + message.format(first=first)
+    assert error == f"ConfigError: {cfg}: line {first + new.count(chr(10))}: " + message.format(first=first)
+
+
+def test_demo_takes_no_config(tmp_path, capsys):
+    # The demo runs its built-in scenario, so a --config would go unread.
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--config", str(tmp_path / "x.cfg"), "--out", str(tmp_path / "d")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

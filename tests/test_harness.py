@@ -118,11 +118,6 @@ def test_run_once_deterministic():
     assert a.ese_trajectories == b.ese_trajectories
 
 
-def test_estimator_isolation_flag():
-    record = run_once(linear_config(n=30), 5)
-    assert record.estimators_isolated
-
-
 def test_ese_exact_recovery_noiseless():
     config = linear_config(n=400, noise=0.0, seed=2)
     record = run_once(config, 2)
@@ -386,7 +381,7 @@ def _report_numbers(report) -> tuple[list, np.ndarray]:
         labels.append(name)
         numbers += [*lo, *hi]
     for rec in report.records:
-        labels += [rec.seed, rec.estimators_isolated, sorted(rec.estimates)]
+        labels += [rec.seed, sorted(rec.estimates)]
         numbers += [rec.estimates[k] for k in sorted(rec.estimates)]
         numbers += [rec.gt_tte, *rec.gt_control, *rec.gt_treated]
         for name, (lo, hi) in sorted(rec.ese_trajectories.items()):
@@ -445,6 +440,36 @@ def test_lazy_dense_sweep_is_invariant_to_grid_order_and_duplicates():
     _assert_same_report(twice[0], twice[1])
     # A grid value's columns alone give the same draws as replicate's pass.
     _assert_same_report(twice[0], replicate(_at_value(config, "trend", 0.5)))
+
+
+def test_estimators_see_only_observed_panels(monkeypatch):
+    # counterfactual_suite evolves [observed, nobody treated, everybody
+    # treated] per dynamics spec; the estimators may get the first alone.
+    from spillsim import harness
+    from spillsim.dynamics import counterfactual_suite
+    from spillsim.harness import estimate_rounds
+
+    suites, fits = [], []
+
+    def suite(*args):
+        panels = counterfactual_suite(*args)
+        suites.append(panels)
+        return panels
+
+    def estimate(config, y, w, *args):
+        fits.append((config, y, w))
+        return estimate_rounds(config, y, w, *args)
+
+    monkeypatch.setattr(harness, "counterfactual_suite", suite)
+    monkeypatch.setattr(harness, "estimate_rounds", estimate)
+    run_once(linear_config(n=30), 5)
+    failure_sweep(_threshold_config(reps=2), "threshold_strength", [0.0, 1.0, 2.0])
+    observed = {id(p) for panels in suites for p in panels[0::3]}
+    counterfactual = {id(p) for panels in suites for k, p in enumerate(panels) if k % 3}
+    assert len(suites) == 3 and len(fits) >= 3
+    for config, y, w in fits:
+        assert id(y) in observed and id(y) not in counterfactual
+        assert all(w is not c for c in config._constant_scenarios)
 
 
 def test_sweep_runs_each_seed_once_through_run_once(monkeypatch):
@@ -636,7 +661,7 @@ def test_aggregation_overflow_names_the_estimator_value_and_seed():
 
     def record(seed, estimate):
         return RunRecord(seed=seed, estimates={"dm": estimate}, gt_tte=0.5, gt_control=(0.0,), gt_treated=(0.5,),
-                         ese_trajectories={}, coefficients={}, estimators_isolated=True)
+                         ese_trajectories={}, coefficients={})
 
     config = dataclasses.replace(linear_config(), estimators=("dm",))
     records = [record(7, -3.0), record(5, 1.0), record(6, 1e200)]
