@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .estimators import FeatureSpec
 from .harness import ESTIMATORS, ScenarioConfig
-from .weights import WEIGHT_KINDS, WeightConfig
+from .weights import WEIGHT_KINDS, KeyedValueError, WeightConfig
 
 
 class ConfigError(ValueError):
@@ -182,7 +182,8 @@ def parse_config(text: str) -> ScenarioConfig:
     """Validate a config document and build the scenario it describes.
 
     The dataclasses check the values; errors name the section.key at
-    fault, either in the dataclass's message or by ``_keyed``."""
+    fault, either in the dataclass's message or by ``_keyed``, and the line
+    that set it where a ``KeyedValueError`` passes the key back."""
     sections = {name: _Section(name, entries) for name, entries in parse_document(text).items()}
     population, estimators_sec, run_sec = sections["population"], sections["estimators"], sections["run"]
 
@@ -233,6 +234,9 @@ def parse_config(text: str) -> ScenarioConfig:
             n_reps=reps,
             fixed_network=fixed_network,
         )
+    except KeyedValueError as exc:
+        section, _, key = exc.key.partition(".")
+        raise ConfigError(f"{sections[section].where(key)}: {exc.message}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -49,7 +49,7 @@ from .panel import (
     CovariatePanel, OutcomePanel, TreatmentPanel, column_mean, round_index_covariates, round_means, write_rows,
 )
 from .rng import substream
-from .weights import WEIGHT_KINDS, WeightConfig, WeightSet, kind_of
+from .weights import WEIGHT_KINDS, KeyedValueError, WeightConfig, WeightSet, kind_of
 
 # The counterfactual suite of one replication, in evolution order.
 SCENARIOS = ("observed", "none", "all")
@@ -107,18 +107,18 @@ class ScenarioConfig:
         if self.design.n_units != self.n_units or self.design.n_rounds != self.n_rounds:
             raise ValueError("design dimensions disagree with the population")
         if self.n_reps < 1:
-            raise ValueError(f"run.reps: replication count must be at least 1, got {self.n_reps}")
+            raise KeyedValueError(f"replication count must be at least 1, got {self.n_reps}", "run.reps")
         self.weights.check(self.n_units)
         for name in self.estimators:
             if name not in ESTIMATORS:
-                raise ValueError(f"estimators.use: unknown estimator {name!r}")
+                raise KeyedValueError(f"unknown estimator {name!r}", "estimators.use")
             needs = ESTIMATORS[name].weight_kind
             if needs is not None and self.weights.kind != needs:
                 raise ValueError(f"estimators.use: {name} requires {needs} weights")
         if not np.isfinite(self.baseline_mean):
-            raise ValueError("population.baseline_mean: must be finite")
+            raise KeyedValueError("must be finite", "population.baseline_mean")
         if not (np.isfinite(self.baseline_sd) and self.baseline_sd >= 0):
-            raise ValueError(f"population.baseline_sd: must be finite and non-negative, got {self.baseline_sd}")
+            raise KeyedValueError(f"must be finite and non-negative, got {self.baseline_sd}", "population.baseline_sd")
 
     def feature_spec(self, estimator: str, structure: StructureMetadata) -> FeatureSpec:
         if estimator in self.feature_overrides:

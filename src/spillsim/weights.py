@@ -170,40 +170,51 @@ class _ConditionedGaussian:
     never built (Bolthausen's conditioning technique).
 
     Keeps an orthonormal basis q_1..q_k of the columns seen so far and their
-    images b_i = Z q_i. A new column g splits into its projection on the
-    basis, whose image is known, and a remainder r orthogonal to it; Z r / |r|
-    is independent of everything drawn so far, so it is one fresh N(0, 1)
-    column. This is a Gram-Schmidt QR of the columns, G = U R, with Z U drawn
-    column by column. Basis and images are lists, so growing them copies
-    nothing: an image costs O(n k) time and adds at most 16 n bytes.
+    images b_i = Z q_i, as the first k rows of two row-major (capacity, n)
+    arrays. A new column g splits into its projection on the basis, whose
+    image is known, and a remainder r orthogonal to it; Z r / |r| is
+    independent of everything drawn so far, so it is one fresh N(0, 1) row.
+    This is a Gram-Schmidt QR of the columns, G = U R, with Z U drawn column
+    by column. Each projection step is one matrix-vector product over the
+    filled rows, so an image costs O(n k) time and adds at most 16 n bytes.
     """
 
-    def __init__(self, fresh: np.random.Generator):
+    def __init__(self, fresh: np.random.Generator, n: int):
         self.fresh = fresh
-        self.basis: list[np.ndarray] = []
-        self.images: list[np.ndarray] = []
+        self.k = 0
+        self._q = np.empty((0, n))
+        self._b = np.empty((0, n))
+
+    # The filled rows, copied: ``resize`` would leave a view dangling.
+    basis = property(lambda self: self._q[: self.k].copy())
+    images = property(lambda self: self._b[: self.k].copy())
+
+    def add_images(self, out: np.ndarray, g: np.ndarray, columns: Sequence[int], scale: float) -> None:
+        """out[:, j] += scale * Z g[:, j] for each j of ``columns``, in order,
+        after one ``resize`` (a ``realloc``) to room for a row per column."""
+        rows = (self.k + len(columns), self._q.shape[1])
+        # No view of the arrays outlives a call (``basis`` and ``images`` are
+        # copies), so the reference check, which a profiler's hold on the
+        # bound method fails, can go.
+        self._q.resize(rows, refcheck=False)
+        self._b.resize(rows, refcheck=False)
+        for j in columns:
+            out[:, j] += scale * self.image(g[:, j])
 
     def image(self, g: np.ndarray) -> np.ndarray:
-        coef = [q @ g for q in self.basis]
-        r = g - _combine(coef, self.basis, g.shape)
-        again = [q @ r for q in self.basis]  # classical Gram-Schmidt, re-orthogonalized once
-        r -= _combine(again, self.basis, g.shape)
-        coef = [a + b for a, b in zip(coef, again)]
+        q = self._q[: self.k]
+        coef = q @ g
+        r = g - coef @ q
+        again = q @ r  # classical Gram-Schmidt, re-orthogonalized once
+        r -= again @ q
+        coef += again
         norm = np.linalg.norm(r)
         if norm > 1e-12 * np.linalg.norm(g):
-            r /= norm
-            self.basis.append(r)
-            self.images.append(self.fresh.standard_normal(g.shape[0]))
-            coef.append(norm)
-        return _combine(coef, self.images, g.shape)
-
-
-def _combine(coef: list, vectors: list[np.ndarray], shape) -> np.ndarray:
-    """sum_i coef[i] * vectors[i], accumulated in order."""
-    out = np.zeros(shape)
-    for c, v in zip(coef, vectors):
-        out += c * v
-    return out
+            np.divide(r, norm, out=self._q[self.k])
+            self.fresh.standard_normal(out=self._b[self.k])
+            coef = np.append(coef, norm)
+            self.k += 1
+        return coef @ self._b[: self.k]
 
 
 @dataclass(eq=False)
@@ -214,7 +225,8 @@ class LazyGaussianWeights(WeightSet):
     delta as (mu_t/n) 11' + sqrt(sigma2_t/n) Z_t. The mean terms are computed
     directly. ``_ConditionedGaussian`` draws each image Z g conditionally on
     every image drawn before, so one instance serves the static part for the
-    whole pass and a fresh one, seeded by the round, serves each delta.
+    whole pass and a fresh one, seeded by the round and sized to its distinct
+    columns, serves each delta; it is freed before the static rows grow.
 
     Columns are reduced to their distinct values in a canonical order (sorted
     by their bytes) before any draw, so identical scenarios get bit-identical
@@ -234,7 +246,7 @@ class LazyGaussianWeights(WeightSet):
             raise ValueError("population size must be at least 1")
         if self.n_rounds < 1:
             raise ValueError("need at least one round")
-        self.static = _ConditionedGaussian(substream(self.seed, "weights", "static"))
+        self.static = _ConditionedGaussian(substream(self.seed, "weights", "static"), self.n_units)
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         if not 1 <= t <= self.n_rounds:
@@ -266,13 +278,11 @@ class LazyGaussianWeights(WeightSet):
         for j in distinct:
             out[:, j] = ((p.mu + p.mu_t) / n) * g[:, j].sum()
         if p.sigma2_t > 0.0:
-            delta = _ConditionedGaussian(substream(self.seed, "weights", "delta", t))
-            for j in distinct:
-                out[:, j] += np.sqrt(p.sigma2_t / n) * delta.image(g[:, j])
-            del delta  # free its columns before the static basis grows
+            delta = _ConditionedGaussian(substream(self.seed, "weights", "delta", t), n)
+            delta.add_images(out, g, distinct, np.sqrt(p.sigma2_t / n))
+            del delta  # free its rows before the static basis grows
         if p.sigma2 > 0.0:
-            for j in distinct:
-                out[:, j] += np.sqrt(p.sigma2 / n) * self.static.image(g[:, j])
+            self.static.add_images(out, g, distinct, np.sqrt(p.sigma2 / n))
         for j, src in enumerate(source):
             if src != j:
                 out[:, j] = out[:, src]
@@ -438,9 +448,18 @@ def read_explicit_csv(path) -> ExplicitDenseWeights:
 # --- weight kinds ------------------------------------------------------------
 
 
+class KeyedValueError(ValueError):
+    """A fault of one config value alone: ``key``, its ``section.key`` (None
+    until known), lets a config file name the line that set it."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message if key is None else f"{key}: {message}")
+        self.message, self.key = message, key
+
+
 def _check_cluster_count(k: int, n: int) -> None:
     if k < 1:
-        raise ValueError("need at least one cluster")
+        raise KeyedValueError("need at least one cluster")
     if k > n:
         raise ValueError(f"cannot split {n} units into {k} clusters")
 
@@ -449,9 +468,9 @@ def _influencer_ids(ids: Sequence[int], n: int) -> tuple[int, ...]:
     """The influencer ids, sorted, after checking them against n units."""
     ids = tuple(sorted(int(i) for i in ids))
     if len(ids) == 0:
-        raise ValueError("influencer set must be non-empty")
+        raise KeyedValueError("influencer set must be non-empty")
     if len(set(ids)) != len(ids):
-        raise ValueError("influencer ids must be distinct")
+        raise KeyedValueError("influencer ids must be distinct")
     if ids[0] < 0 or ids[-1] >= n:
         raise ValueError(f"influencer ids must lie in 0..{n - 1}")
     if len(ids) >= n:
@@ -568,7 +587,9 @@ class WeightConfig:
         for key, check in WEIGHT_KINDS[self.kind].checks.items():
             try:
                 check(self.params[key], n_units)
-            except ValueError as exc:
+            except KeyedValueError as exc:
+                raise KeyedValueError(exc.message, f"weights.{key}") from None
+            except ValueError as exc:  # the value against the population: two keys at fault
                 raise ValueError(f"weights.{key}: {exc}") from None
 
     def input_files(self) -> list[str]:

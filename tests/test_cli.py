@@ -318,8 +318,16 @@ _DYNAMICS_KINDS = "unit = linear, peer = linear, exposure = weighted_sum"
         ("n_units = 120", "n_unit = 120", "population.n_unit is not read"),
         ("peer_w = 0.6", "peer_w = abc", "dynamics.peer_w must be a finite number, got 'abc'"),
         ("noise_sd = 0.0", "noise_sd = -1", "dynamics.noise_sd: noise_sd must be non-negative"),
+        # Checked by ScenarioConfig and WeightConfig.check, which pass the key back.
+        ("reps = 2", "reps = 0", "run.reps: replication count must be at least 1, got 0"),
+        ("use = dm, ht, ese_basic", "use = dm, bogus", "estimators.use: unknown estimator 'bogus'"),
+        ("n_clusters = 1", "n_clusters = 0", "weights.n_clusters: need at least one cluster"),
+        ("baseline_sd = 1.0", "baseline_sd = -1", "population.baseline_sd: must be finite and non-negative, got -1.0"),
     ],
-    ids=["duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed"],
+    ids=[
+        "duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed",
+        "scenario_check", "estimator_check", "weight_check", "baseline_check",
+    ],
 )
 def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):
     # ``new`` replaces the line ``old``; the error names the last line of ``new``.
@@ -503,6 +511,21 @@ def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
     assert sorted(one) == ["benchmark/manifest.json", "benchmark/report.csv", "benchmark/report.json",
                            "sweep/manifest.json", "sweep/sweep.csv"]
     assert one == tree(tmp_path / "fresh")
+
+
+def test_dense_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # The lazy Gaussian engine projects with BLAS matrix-vector products, so
+    # their bits set the output; a split of the work across threads must not
+    # change them. One fresh process per thread count, as perfbench sets it.
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "spillover.cfg"
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        argv = ["benchmark", "--config", str(cfg), "--reps", "2", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "spillsim.cli", *argv], env=env, check=True, capture_output=True)
+        written.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+    assert written[0] == written[1]
 
 
 def _glibc() -> bool:

@@ -1,3 +1,4 @@
+import cProfile
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from spillsim.weights import (
     GaussianWeightParams,
     InfluencerWeights,
     LazyGaussianWeights,
+    _ConditionedGaussian,
     gen_clustered,
     gen_dense_gaussian,
     gen_influencer,
@@ -400,6 +402,35 @@ def test_lazy_gaussian_matches_oracle_moments():
     assert worst < z_bound, f"largest |z| {worst:.2f}"
 
 
+def test_conditioned_gaussian_keeps_the_conditioning_identities():
+    # Exactly what the moment test checks only statistically: a column in the
+    # span of the columns seen adds no row and gets the same combination of
+    # their images; the basis rows are orthonormal; and each new row's image
+    # is the next standard normal draw of the engine's stream.
+    n, a, b = 500, 0.75, -2.5
+    rng = np.random.default_rng(7)
+    engine = _ConditionedGaussian(np.random.default_rng(8), n)
+
+    def image(g):
+        out = np.zeros((n, 1))
+        engine.add_images(out, g[:, None], [0], 1.0)
+        return out[:, 0]
+
+    g1, g2 = rng.standard_normal(n), rng.standard_normal(n)
+    img1, img2 = image(g1), image(g2)
+    assert len(engine.basis) == 2
+    img3, want = image(a * g1 + b * g2), a * img1 + b * img2
+    assert len(engine.basis) == 2
+    assert np.linalg.norm(img3 - want) <= 1e-12 * np.linalg.norm(want)
+    for _ in range(6):
+        image(rng.standard_normal(n) * 10.0 ** rng.integers(-4, 4))
+    q = engine.basis
+    assert q.shape == (8, n)
+    assert np.abs(q @ q.T - np.eye(8)).max() <= 1e-12
+    fresh = np.random.default_rng(8)
+    assert np.array_equal(engine.images, np.stack([fresh.standard_normal(n) for _ in range(8)]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 6),
@@ -501,6 +532,17 @@ def test_lazy_gaussian_single_unit_is_one_scalar_weight():
     assert first[0] == first[2] and first[1] == 0.0
     assert first[3] == pytest.approx(-0.5 * first[0], rel=1e-12)
     assert len(ws.static.basis) == 1
+
+
+def test_lazy_gaussian_runs_under_a_profiler():
+    # A profiler holds the bound methods it reports on, so a reference check
+    # on growing the engine's arrays would refuse every traced run.
+    ws = LazyGaussianWeights(50, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=2, seed=3)
+    rng = np.random.default_rng(3)
+    profiler = cProfile.Profile()
+    for t in (1, 2):
+        profiler.runcall(ws.apply, rng.standard_normal((50, 2)), t)
+    assert len(ws.static.basis) == 4
 
 
 def test_lazy_gaussian_apply_memory_is_linear_in_n():
