@@ -54,8 +54,7 @@ def assign(spec: DesignSpec, seed: int) -> TreatmentPanel:
         return TreatmentPanel._built(np.broadcast_to(float(spec.value), shape))
     u = substream(seed, "design").random(shape)
     rounds = np.less(u.T, np.asarray(spec.probs)[:, None], out=np.empty(shape[::-1]))
-    rounds.setflags(write=False)
-    return TreatmentPanel._built(rounds.T)
+    return TreatmentPanel.views(rounds.T[None])[0]
 
 
 def ramp_design(n: int) -> DesignSpec:

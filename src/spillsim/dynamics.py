@@ -264,8 +264,10 @@ def _evolve(
     way, so every per-round read and write is contiguous. The buffer is
     scanned for finiteness once, round by round and unit-major within a
     round; the panels are read-only transposed views of it, whose round
-    columns are contiguous. The exposure matrices are built only when
-    keep_exposures is set; otherwise the list is empty."""
+    columns are contiguous. Exposures are kept, in a buffer of the same
+    layout and as views of it, only when keep_exposures is set; otherwise
+    the list is empty. They need no scan: a non-finite exposure makes its
+    outcome non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -284,6 +286,8 @@ def _evolve(
     specs = [spec] * len(scenarios) if isinstance(spec, DynamicsSpec) else list(spec)
     if len(specs) != len(scenarios):
         raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
+    if max(len(sp.unit.x_coef) for sp in specs) > x.dim:
+        raise ValueError(f"x_coef lists more coefficients than the {x.dim} covariates")
 
     index, lead, levels = _distinct_columns(specs, scenarios)
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
@@ -319,7 +323,7 @@ def _evolve(
     panels = OutcomePanel.views(outcomes.transpose(1, 2, 0))
     if not keep_exposures:
         return [panels[d] for d in index], []
-    mats = [ExposureMatrix(e) for e in exposures.transpose(1, 2, 0)]
+    mats = ExposureMatrix.views(exposures.transpose(1, 2, 0))
     return [panels[d] for d in index], [mats[d] for d in index]
 
 

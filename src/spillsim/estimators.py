@@ -99,8 +99,6 @@ class FeatureSpec:
         names = [f.name for f in feats]
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature names")
-        if sum(1 for f in feats if f.kind == "intercept") > 1:
-            raise ValueError("at most one intercept feature")
         object.__setattr__(self, "features", feats)
 
     @property

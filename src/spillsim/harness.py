@@ -109,6 +109,9 @@ class ScenarioConfig:
         if self.n_reps < 1:
             raise KeyedValueError(f"replication count must be at least 1, got {self.n_reps}", "run.reps")
         self.weights.check(self.n_units)
+        k = len(self.dynamics.unit.x_coef)
+        if k > 1:  # observed_inputs' covariates
+            raise KeyedValueError(f"lists {k} coefficients; the only covariate is the round index", "dynamics.x_coef")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise KeyedValueError(f"unknown estimator {name!r}", "estimators.use")
@@ -150,7 +153,6 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class EstimatorSummary:
-    name: str
     n_used: int
     n_excluded: int
     mean_estimate: float
@@ -181,10 +183,7 @@ class BenchmarkReport:
             "gt_tte_mean": self.gt_tte_mean,
             "gt_control_trajectory": list(self.gt_control),
             "gt_treated_trajectory": list(self.gt_treated),
-            "estimators": {
-                name: {key: value for key, value in dataclasses.asdict(s).items() if key != "name"}
-                for name, s in self.summaries.items()
-            },
+            "estimators": {name: dataclasses.asdict(s) for name, s in self.summaries.items()},
             "ese_trajectories": {
                 name: {"control": list(c), "treated": list(t)} for name, (c, t) in self.ese_trajectories.items()
             },
@@ -395,8 +394,7 @@ def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float,
             else:
                 bias = rmse = mean_est = float("nan")
         summaries[name] = EstimatorSummary(
-            name=name, n_used=len(used), n_excluded=len(records) - len(used), mean_estimate=mean_est, bias=bias,
-            rmse=rmse,
+            n_used=len(used), n_excluded=len(records) - len(used), mean_estimate=mean_est, bias=bias, rmse=rmse
         )
         if ESTIMATORS[name].contrast is None:
             with _overflow_as(name, seed_of_largest(records, lambda r: sum(r.ese_trajectories[name], ()))):

@@ -9,7 +9,8 @@ Conventions used throughout the package:
   directly to columns 0..T of the outcome matrix.
 
 All panel types are immutable after construction and safe to share between
-threads.
+threads: a panel the package builds itself is a read-only view
+(``RoundPanel.views``) of a buffer that is read-only too.
 """
 
 from __future__ import annotations
@@ -47,13 +48,24 @@ class RoundPanel:
     @classmethod
     def _built(cls, values: np.ndarray):
         """A panel over ``values``, a read-only array the package built itself
-        and whose entries are valid (scanned, valid by construction, or a
-        broadcast of one valid value): only its shape is checked, nothing is
-        copied."""
+        and whose entries are valid, such as a broadcast of one valid value:
+        only its shape is checked, nothing is copied."""
         panel = object.__new__(cls)
         object.__setattr__(panel, "values", values)
         panel._check_shape()
         return panel
+
+    @classmethod
+    def views(cls, buffer: np.ndarray) -> list:
+        """One panel per ``buffer[k]`` of an (s, n_units, rounds) float64 array
+        of valid entries, sharing its memory. The engines pass a transposed
+        view of a round-major (rounds, s, n_units) buffer, so ``column(t)`` is
+        one contiguous run of units. The buffer and the array that owns its
+        memory are made read-only: no panel can be changed through either."""
+        for array in (buffer, buffer.base):
+            if array is not None:
+                array.setflags(write=False)
+        return [cls._built(values) for values in buffer]
 
     def _check_shape(self) -> None:
         if self.values.ndim != self.ndim:
@@ -93,19 +105,6 @@ class OutcomePanel(RoundPanel):
 
     first_round = 0
     name = "outcome panel"
-
-    @classmethod
-    def views(cls, buffer: np.ndarray) -> list["OutcomePanel"]:
-        """One panel per ``buffer[k]`` of an (s, n_units, n_rounds + 1) float64
-        array, sharing its memory instead of copying it. The evolution engine
-        passes a transposed view of its round-major (n_rounds + 1, s, n_units)
-        buffer, so each panel is column-contiguous: ``column(t)`` is one
-        contiguous run of units.
-
-        The caller hands the buffer over after checking that every entry is
-        finite: it is made read-only here and must not be written again."""
-        buffer.setflags(write=False)
-        return [cls._built(values) for values in buffer]
 
 
 class CovariatePanel(RoundPanel):

@@ -48,6 +48,10 @@ matrix-matrix product for several columns but a matrix-vector product for
 one. Structured kinds and the lazy engine return a column-contiguous (n, s)
 stack, the layout in which the evolution engine holds a round's columns.
 
+Every kind's ``apply`` goes through one check, ``_signal_stack``: an (n,)
+column is a one-column stack, a stack of any other length is refused by
+name, and the result has the shape of the input.
+
 Structured kinds never materialize an n x n matrix. Dense kinds check the
 8 n^2 bytes they need against physical memory before allocating. All weight
 sets except the lazy Gaussian are immutable after construction.
@@ -103,18 +107,32 @@ def _check_dense_fits(n: int, what: str) -> None:
         )
 
 
+def _check_population(n_units: int, n_rounds: int) -> None:
+    if n_units < 1:
+        raise ValueError("population size must be at least 1")
+    if n_rounds < 1:
+        raise ValueError("need at least one round")
+
+
+def _signal_stack(gv, n: int) -> np.ndarray:
+    """``gv``, an (n,) column or an (n, s) stack, as the float64 (n, s) stack
+    every ``apply`` works on; any other shape is refused by name."""
+    g = np.asarray(gv, dtype=np.float64)
+    g = g[:, None] if g.ndim == 1 else g
+    if g.ndim != 2 or g.shape[0] != n:
+        raise ValueError(f"signals of shape {np.shape(gv)} do not match {n} units")
+    return g
+
+
 class WeightSet:
     """Common interface: row-sum application and a description."""
 
     n_units: int
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
-        """Weighted peer sums for round t.
-
-        ``gv`` has shape (n,) or (n, s); entry j holds the peer signal emitted
-        by unit j (per scenario when 2-d). Returns the matching shape with row
-        i holding sum_j weight(i, j, t) * gv[j].
-        """
+        """Weighted peer sums for round t: row i of the result, which has the
+        shape of ``gv`` ((n,) or (n, s)), holds sum_j weight(i, j, t) * gv[j],
+        gv[j] being the peer signal unit j emits (per scenario when 2-d)."""
         raise NotImplementedError
 
     def to_descriptor(self) -> dict:
@@ -135,16 +153,16 @@ class DenseGaussianWeights(WeightSet):
     params: GaussianWeightParams
     n_rounds: int
     seed: int
-    static: np.ndarray = field(repr=False, default=None)
+    static: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.static is None:
-            n = self.n_units
-            _check_dense_fits(n, "materialized dense_gaussian weights (needed by fixed_network)")
-            rng = substream(self.seed, "weights", "static")
-            a = rng.normal(self.params.mu / n, np.sqrt(self.params.sigma2 / n), size=(n, n))
-            a.setflags(write=False)
-            object.__setattr__(self, "static", a)
+        _check_population(self.n_units, self.n_rounds)
+        n = self.n_units
+        _check_dense_fits(n, "materialized dense_gaussian weights (needed by fixed_network)")
+        rng = substream(self.seed, "weights", "static")
+        a = rng.normal(self.params.mu / n, np.sqrt(self.params.sigma2 / n), size=(n, n))
+        a.setflags(write=False)
+        object.__setattr__(self, "static", a)
 
     def _delta(self, t: int) -> np.ndarray | None:
         if not 1 <= t <= self.n_rounds:
@@ -158,11 +176,11 @@ class DenseGaussianWeights(WeightSet):
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         delta = self._delta(t)
-        g = np.ascontiguousarray(gv, dtype=np.float64)  # BLAS bits depend on the layout
+        g = np.ascontiguousarray(_signal_stack(gv, self.n_units))  # BLAS bits depend on the layout
         out = self.static @ g
         if delta is not None:
             out = out + delta @ g
-        return out
+        return out.reshape(np.shape(gv))
 
 
 class _ConditionedGaussian:
@@ -242,10 +260,7 @@ class LazyGaussianWeights(WeightSet):
     last_round: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
-        if self.n_units < 1:
-            raise ValueError("population size must be at least 1")
-        if self.n_rounds < 1:
-            raise ValueError("need at least one round")
+        _check_population(self.n_units, self.n_rounds)
         self.static = _ConditionedGaussian(substream(self.seed, "weights", "static"), self.n_units)
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
@@ -256,15 +271,10 @@ class LazyGaussianWeights(WeightSet):
                 f"round {t} requested after round {self.last_round}: lazy Gaussian weights serve one "
                 "forward pass; use gen_dense_gaussian to revisit a round"
             )
-        gv = np.asarray(gv, dtype=np.float64)
-        squeeze = gv.ndim == 1
-        g = gv[:, None] if squeeze else gv
         n = self.n_units
-        if g.ndim != 2 or g.shape[0] != n:
-            raise ValueError(f"signals of shape {gv.shape} do not match {n} units")
         # The projections' bits depend on the strides BLAS sees; one layout
         # for every input makes them a function of the values alone.
-        g = np.ascontiguousarray(g)
+        g = np.ascontiguousarray(_signal_stack(gv, n))
         self.last_round = t
         keys = [g[:, j].tobytes() for j in range(g.shape[1])]
         lead: dict[bytes, int] = {}  # distinct column -> its first index, in canonical order
@@ -286,7 +296,7 @@ class LazyGaussianWeights(WeightSet):
         for j, src in enumerate(source):
             if src != j:
                 out[:, j] = out[:, src]
-        return out[:, 0] if squeeze else out
+        return out.reshape(np.shape(gv))
 
 
 def _column_sums(g: np.ndarray, gather: Sequence[int] | None, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -336,17 +346,14 @@ class ClusteredWeights(WeightSet):
         object.__setattr__(self, "starts", bounds[filled])
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
-        gv = np.asarray(gv, dtype=np.float64)
-        squeeze = gv.ndim == 1
-        g = gv[:, None] if squeeze else gv
         n = self.n_units
+        g = _signal_stack(gv, n)
         total, sums = _column_sums(g, self.order, self.starts)
         per_cluster = np.zeros((self.n_clusters, g.shape[1]))  # an empty cluster sums to 0.0
         per_cluster[self.filled] = sums
         # Row l holds the exposure of every unit in cluster l.
         table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
-        out = table.T.take(self.membership, axis=1).T
-        return out[:, 0] if squeeze else out
+        return table.T.take(self.membership, axis=1).T.reshape(np.shape(gv))
 
 
 @dataclass(frozen=True)
@@ -370,18 +377,15 @@ class InfluencerWeights(WeightSet):
         object.__setattr__(self, "row", row)
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
-        gv = np.asarray(gv, dtype=np.float64)
-        squeeze = gv.ndim == 1
-        g = gv[:, None] if squeeze else gv
         m, n = len(self.influencers), self.n_units
+        g = _signal_stack(gv, n)
         total, inf_total = _column_sums(g, self.influencers, [0])
         # Row 0 serves every non-influencer receiver; row r + 1 serves the
         # r-th influencer, whose own column falls back to the base rate.
         own = np.zeros((m + 1, g.shape[1]))
         own[1:] = g[list(self.influencers)]
         table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
-        out = table.T.take(self.row, axis=1).T
-        return out[:, 0] if squeeze else out
+        return table.T.take(self.row, axis=1).T.reshape(np.shape(gv))
 
 
 @dataclass(frozen=True)
@@ -404,7 +408,8 @@ class ExplicitDenseWeights(WeightSet):
         return self.matrix.shape[0]
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
-        return self.matrix @ np.ascontiguousarray(gv, dtype=np.float64)  # BLAS bits depend on the layout
+        g = np.ascontiguousarray(_signal_stack(gv, self.n_units))  # BLAS bits depend on the layout
+        return (self.matrix @ g).reshape(np.shape(gv))
 
 
 def gen_dense_gaussian(
@@ -412,10 +417,6 @@ def gen_dense_gaussian(
 ) -> DenseGaussianWeights:
     """Independent Gaussian weights: static entries Normal(mu/n, sigma2/n) and
     per-round deltas Normal(mu_t/n, sigma2_t/n), deterministic given seed."""
-    if n < 1:
-        raise ValueError("population size must be at least 1")
-    if n_rounds < 1:
-        raise ValueError("need at least one round")
     return DenseGaussianWeights(n_units=n, params=params, n_rounds=n_rounds, seed=seed)
 
 

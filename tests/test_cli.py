@@ -323,10 +323,23 @@ _DYNAMICS_KINDS = "unit = linear, peer = linear, exposure = weighted_sum"
         ("use = dm, ht, ese_basic", "use = dm, bogus", "estimators.use: unknown estimator 'bogus'"),
         ("n_clusters = 1", "n_clusters = 0", "weights.n_clusters: need at least one cluster"),
         ("baseline_sd = 1.0", "baseline_sd = -1", "population.baseline_sd: must be finite and non-negative, got -1.0"),
+        # The covariates are the round index alone, so one coefficient at most.
+        ("intercept = 0.2", "intercept = 0.2\nx_coef = 1.0, 2.0",
+         "dynamics.x_coef: lists 2 coefficients; the only covariate is the round index"),
+        ("n_rounds = 4", "n_rounds = 0", "population.n_rounds must be a positive integer, got 0"),
+        ("seed = 5", "seed = -1", "run.seed must be non-negative"),
+        ("unit = linear", "unit = cubic", "dynamics.unit must be linear or saturating, got 'cubic'"),
+        ("peer = linear", "peer = quadratic", "dynamics.peer must be linear or zero, got 'quadratic'"),
+        ("exposure = weighted_sum", "exposure = contagion",
+         "dynamics.exposure must be weighted_sum or threshold, got 'contagion'"),
+        ("kind = bernoulli", "kind = cluster", "design.kind must be bernoulli or constant, got 'cluster'"),
+        ("probs = 0.0, 0.2, 0.4, 0.8", "probs = 0.0, 0.2, high, 0.8",
+         "design.probs must list finite numbers, got [0.0, 0.2, 'high', 0.8]"),
     ],
     ids=[
         "duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed",
-        "scenario_check", "estimator_check", "weight_check", "baseline_check",
+        "scenario_check", "estimator_check", "weight_check", "baseline_check", "covariate_check", "no_rounds",
+        "negative_seed", "unit_kind", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers",
     ],
 )
 def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):
@@ -336,6 +349,28 @@ def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, me
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     error = json.loads(capsys.readouterr().err.strip())["error"]
     assert error == f"ConfigError: {cfg}: line {first + new.count(chr(10))}: " + message.format(first=first)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--seed", "-1", "--seed must be non-negative"), ("--reps", "0", "--reps must be at least 1")],
+)
+def test_seed_and_reps_flags_are_checked(tmp_path, capsys, flag, value, message):
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x"), flag, value]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == f"ConfigError: {message}"
+
+
+def test_estimate_names_a_panel_file_with_the_wrong_header(tmp_path, capsys):
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    outcomes = tmp_path / "sim" / "outcomes.csv"
+    outcomes.write_text(outcomes.read_text().replace("unit,round,value", "id,t,y", 1))
+    argv = ["estimate", "--config", str(cfg), "--out", str(tmp_path / "est"), "--outcomes", str(outcomes),
+            "--treatments", str(tmp_path / "sim" / "treatments.csv")]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == f"ValueError: {outcomes}: expected header unit,round,value"
 
 
 def test_demo_takes_no_config(tmp_path, capsys):

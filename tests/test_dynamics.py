@@ -559,3 +559,83 @@ def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
     assert len(set(index)) < len(specs)
     assert {2.0, -1.5} <= set(levels.ravel().tolist())
     assert np.signbit(levels[levels == 0.0]).any() and not np.signbit(levels[levels == 0.0]).all()
+
+
+def _input_fault(case):
+    """Call the public entry point named by ``case`` with one faulty input;
+    the rest is a valid two-round fixture on four units."""
+    ws, spec = gen_clustered(4, 1, 1.0, 0.0), linear_spec()
+    w = assign(DesignSpec(kind="bernoulli", n_units=4, n_rounds=2, probs=(0.5, 0.5)), 1)
+    x, y0 = round_index_covariates(4, 2), np.zeros(4)
+    if case == "exposure_shapes":
+        return compute_exposure(ws, spec, np.zeros(4), np.zeros(3), np.zeros((4, 1)), 1)
+    if case == "exposure_population":
+        return compute_exposure(ws, spec, np.zeros(5), np.zeros(5), np.zeros((5, 1)), 1)
+    if case == "step_shapes":
+        return step(spec, np.zeros(4), np.zeros(4), np.zeros((4, 1)), np.zeros(3), np.zeros(4), 1)
+    if case == "no_scenarios":
+        return counterfactual_suite(spec, ws, [], x, y0, 0)
+    if case == "scenario_shapes":
+        other = assign(DesignSpec(kind="constant", n_units=4, n_rounds=3, value=1), 0)
+        return counterfactual_suite(spec, ws, [w, other], x, y0, 0)
+    if case == "spec_count":
+        return counterfactual_suite([spec], ws, [w, w], x, y0, 0)
+    if case == "baseline_shape":
+        return simulate_panel(spec, ws, w, x, np.zeros(5), 0)
+    if case == "baseline_finite":
+        return simulate_panel(spec, ws, w, x, np.array([0.0, np.inf, 0.0, 0.0]), 0)
+    if case == "covariate_shape":
+        return simulate_panel(spec, ws, w, round_index_covariates(4, 3), y0, 0)
+    if case == "weight_population":
+        return simulate_panel(spec, gen_clustered(5, 1, 1.0, 0.0), w, x, y0, 0)
+    assert case == "residual_seed"
+    noisy = linear_spec(noise_sd=0.5)
+    y, e = simulate_panel(noisy, ws, w, x, y0, 0)
+    return evolution_residual(noisy, ws, w, x, y, e)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("exposure_shapes", "treatment and lagged outcome columns must share a shape"),
+        ("exposure_population", "columns disagree with the weight set population size"),
+        ("step_shapes", "step inputs must share a shape"),
+        ("no_scenarios", "need at least one treatment scenario"),
+        ("scenario_shapes", r"all scenarios must share \(n_units, n_rounds\)"),
+        ("spec_count", "1 dynamics specs for 2 scenarios"),
+        ("baseline_shape", r"initial outcomes must have shape \(4,\)"),
+        ("baseline_finite", "initial outcomes must be finite"),
+        ("covariate_shape", "covariate panel does not match the scenarios"),
+        ("weight_population", "columns disagree with the weight set population size"),
+        ("residual_seed", "seed required to re-evaluate noisy dynamics"),
+    ],
+)
+def test_evolution_entry_points_name_each_input_fault(case, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _input_fault(case)
+
+
+@pytest.mark.parametrize("evolve", ["simulate_panel", "counterfactual_suite"])
+def test_evolution_refuses_more_covariate_coefficients_than_covariates(evolve):
+    # Once an IndexError from inside the round loop.
+    spec = linear_spec(unit=LinearUnit(w_coef=1.0, x_coef=(1.0, 2.0)))
+    w = assign(DesignSpec(kind="bernoulli", n_units=4, n_rounds=2, probs=(0.5, 0.5)), 1)
+    args = (spec, gen_clustered(4, 1, 1.0, 0.0), w if evolve == "simulate_panel" else [w],
+            round_index_covariates(4, 2), np.zeros(4), 0)
+    with pytest.raises(ValueError, match=r"^x_coef lists more coefficients than the 1 covariates$"):
+        {"simulate_panel": simulate_panel, "counterfactual_suite": counterfactual_suite}[evolve](*args)
+
+
+def test_engine_built_panels_are_views_of_read_only_buffers():
+    # Treatments, outcomes and exposures are views of the engine's buffers,
+    # and no panel can be changed through the array that owns its memory.
+    w = assign(DesignSpec(kind="bernoulli", n_units=4, n_rounds=2, probs=(0.5, 0.5)), 1)
+    y, e = simulate_panel(linear_spec(), gen_clustered(4, 1, 1.0, 0.0), w, round_index_covariates(4, 2), np.ones(4), 0)
+    assert e.values.base.shape == (2, 1, 4)  # the round-major exposure buffer, not a copy
+    for panel in (w, y, e):
+        base = panel.values.base
+        assert base is not None and not base.flags.writeable and not panel.values.flags.writeable
+        before = panel.values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            base[(0,) * base.ndim] = 123.0
+        assert np.array_equal(panel.values, before)

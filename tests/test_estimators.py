@@ -331,15 +331,60 @@ def test_fit_matches_lstsq_on_tall_panels(n):
         _assert_fit_matches_oracle(y, w, spec, structure)
 
 
+# Relabeling moves an ESE effect by rounding alone, through a least-squares
+# fit whose forward error is about cond(X) * eps relative, X the N·T-row
+# design matrix, and a propagation over T rounds that amplifies it. In 6000
+# random draws of the strategy below the gap never passed 38 cond(X) * eps *
+# max(1, |a|); the fixed ill-conditioned draw reaches 56. This factor leaves
+# room beyond both, and keeps the 1e-10 floor on every fit with cond(X)
+# below 450 (the basic and cluster specs of that draw have 13.9).
+RELABELING_COND_FACTOR = 1000.0
+
+
 def _estimates(y, w, structure, influencers):
-    """dm and ht at every round, and the round-T effect of every ESE spec."""
+    """(estimate, relative tolerance of a relabeling check) of dm and ht at
+    every round, and of the round-T effect of every ESE spec."""
     out = []
     for t in range(1, w.n_rounds + 1):
-        out += [dm_estimate(y.column(t), w.column(t)), ht_estimate(y.column(t), w.column(t), 0.3)]
+        out += [(dm_estimate(y.column(t), w.column(t)), 1e-10), (ht_estimate(y.column(t), w.column(t), 0.3), 1e-10)]
     for spec in (basic_feature_spec(), cluster_feature_spec(structure.n_clusters), influencer_feature_spec(influencers)):
         coeffs = fit_ese(y, w, spec, structure)
-        out.append(tte_from_coeffs(coeffs, spec, column_mean(y, 0), w.n_rounds))
+        cond = np.linalg.cond(design_matrix(spec, w, y, structure)[0])
+        tol = max(1e-10, RELABELING_COND_FACTOR * cond * np.finfo(float).eps)
+        out.append((tte_from_coeffs(coeffs, spec, column_mean(y, 0), w.n_rounds), tol))
     return out
+
+
+def _assert_invariant_to_relabeling(n, k, seed, n_influencers, perm, relabel_structure=True):
+    """Every estimate of a random panel against that of the panel whose unit
+    i is unit perm[i], the structure metadata relabeled with the units
+    unless ``relabel_structure`` is off (a planted label dependence)."""
+    t_max = 5
+    rng = np.random.default_rng(seed)
+    w = (rng.random((n, t_max)) < rng.random(t_max)).astype(float)
+    y = rng.normal(size=(n, t_max + 1))
+    membership = rng.integers(0, k, n)
+    membership[:k] = np.arange(k)  # no empty cluster
+    influencers = sorted(rng.choice(n, size=n_influencers, replace=False))
+    inverse = np.argsort(perm)
+    before = _estimates(
+        OutcomePanel(y), TreatmentPanel(w),
+        StructureMetadata(membership=membership, n_clusters=k, influencers=tuple(influencers)), influencers,
+    )
+    relabeled = [int(inverse[j]) for j in influencers] if relabel_structure else influencers
+    after = _estimates(
+        OutcomePanel(y[perm]), TreatmentPanel(w[perm]),
+        StructureMetadata(
+            membership=membership[perm] if relabel_structure else membership, n_clusters=k,
+            influencers=tuple(relabeled),
+        ),
+        relabeled,
+    )
+    for (a, tol), (b, _) in zip(before, after):
+        if a is None:
+            assert b is None
+        else:
+            assert abs(a - b) <= tol * max(1.0, abs(a)), (before, after)
 
 
 @given(st.data())
@@ -347,30 +392,29 @@ def _estimates(y, w, structure, influencers):
 def test_estimators_invariant_to_unit_relabeling(data):
     n = data.draw(st.integers(4, 30), label="n")
     k = data.draw(st.integers(1, 2), label="clusters")
-    t_max = 5
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    w = (rng.random((n, t_max)) < rng.random(t_max)).astype(float)
-    y = rng.normal(size=(n, t_max + 1))
-    membership = rng.integers(0, k, n)
-    membership[:k] = np.arange(k)  # no empty cluster
-    influencers = sorted(rng.choice(n, size=data.draw(st.integers(1, 2), label="influencers"), replace=False))
-    # Unit i of the relabeled panel is unit perm[i] of the original one.
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    n_influencers = data.draw(st.integers(1, 2), label="influencers")
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
-    inverse = np.argsort(perm)
-    before = _estimates(
-        OutcomePanel(y), TreatmentPanel(w),
-        StructureMetadata(membership=membership, n_clusters=k, influencers=tuple(influencers)), influencers,
-    )
-    relabeled = [int(inverse[j]) for j in influencers]
-    after = _estimates(
-        OutcomePanel(y[perm]), TreatmentPanel(w[perm]),
-        StructureMetadata(membership=membership[perm], n_clusters=k, influencers=tuple(relabeled)), relabeled,
-    )
-    for a, b in zip(before, after):
-        if a is None:
-            assert b is None
-        else:
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (before, after)
+    _assert_invariant_to_relabeling(n, k, seed, n_influencers, perm)
+
+
+def test_estimators_invariant_to_unit_relabeling_on_an_ill_conditioned_fit():
+    # A draw of the property test: influencers (16, 27), units 21 and 22
+    # swapped. Rounds 4 and 5 share the treated fraction 2/29 and nearly
+    # share the lagged mean, so the influencer spec's cond(X) is 3.9e4; its
+    # effect moves by 2.6e-9, five times the old fixed bound of 1e-10 * |a|.
+    perm = np.arange(29)
+    perm[[21, 22]] = [22, 21]
+    _assert_invariant_to_relabeling(29, 1, 16570796, 2, perm)
+
+
+@pytest.mark.parametrize("seed", [3, 16570796])
+def test_relabeling_check_catches_structure_left_unrelabeled(seed):
+    # The units move but the cluster ids and influencer ids stay put: the
+    # structured effects change, and the conditioned bound must see it.
+    perm = np.random.default_rng(seed).permutation(29)
+    with pytest.raises(AssertionError):
+        _assert_invariant_to_relabeling(29, 2, seed, 2, perm, relabel_structure=False)
 
 
 @given(st.data())

@@ -1,4 +1,5 @@
 import cProfile
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from spillsim.weights import (
     gen_dense_gaussian,
     gen_influencer,
     EXPLICIT_HEADER,
+    WeightConfig,
     read_explicit_csv,
 )
 
@@ -348,6 +350,52 @@ def test_explicit_csv_names_duplicate_and_missing_pairs(tmp_path):
     path.write_text("i,j,weight\n" + "".join(f"{i},{j},1.0\n" for i in range(2) for j in range(3)))
     with pytest.raises(ValueError, match=r"wide\.csv: no row for i 2, j 0"):
         read_explicit_csv(path)
+
+
+def test_explicit_matrix_must_match_the_population(tmp_path):
+    path = tmp_path / "weights.csv"
+    write_cells(path, np.eye(3), header=EXPLICIT_HEADER)
+    with pytest.raises(ValueError, match=r"^explicit matrix is 3x3, population is 4$"):
+        WeightConfig("explicit", matrix_path=str(path)).build(4, 2, 0)
+
+
+# One weight set of every kind over n = 7 units; the lazy engine serves one
+# forward pass, so each test builds its own.
+_EVERY_KIND = {
+    "clustered": lambda: gen_clustered(7, 2, w_in=1.3, w_out=-0.2),
+    "influencer": lambda: gen_influencer(7, [1, 5], w_inf=0.9, w_base=0.4),
+    "lazy_gaussian": lambda: LazyGaussianWeights(7, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=2, seed=3),
+    "dense_gaussian": lambda: gen_dense_gaussian(7, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=2, seed=3),
+    "explicit": lambda: ExplicitDenseWeights(np.random.default_rng(3).normal(size=(7, 7))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+@pytest.mark.parametrize(
+    "shape", [(9, 2), (9,), (5, 3), (7, 2, 1), ()], ids=["longer", "longer_column", "shorter", "three_axes", "scalar"]
+)
+def test_every_kind_refuses_signals_of_another_population_by_shape(kind, shape):
+    with pytest.raises(ValueError, match=rf"^signals of shape {re.escape(str(shape))} do not match 7 units$"):
+        _EVERY_KIND[kind]().apply(np.ones(shape), 1)
+
+
+@pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+def test_a_column_gives_the_bits_of_its_one_column_stack(kind):
+    g = np.random.default_rng(8).normal(size=7)
+    column, stack = _EVERY_KIND[kind]().apply(g, 1), _EVERY_KIND[kind]().apply(g[:, None], 1)
+    assert column.shape == (7,) and stack.shape == (7, 1)
+    assert np.array_equal(column.view(np.uint64), stack[:, 0].view(np.uint64))
+
+
+@pytest.mark.parametrize("engine", [LazyGaussianWeights, DenseGaussianWeights])
+def test_both_gaussian_engines_check_the_population_alike(engine):
+    params = GaussianWeightParams(1.0, 1.0)
+    with pytest.raises(ValueError, match="^population size must be at least 1$"):
+        engine(n_units=0, params=params, n_rounds=2, seed=0)
+    with pytest.raises(ValueError, match="^need at least one round$"):
+        engine(n_units=3, params=params, n_rounds=0, seed=0)
+    with pytest.raises(TypeError):  # both draw their static part themselves
+        engine(n_units=3, params=params, n_rounds=2, seed=0, static=None)
 
 
 def test_dense_kinds_name_the_allocation_they_cannot_make(tmp_path):
