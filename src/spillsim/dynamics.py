@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -197,13 +197,20 @@ def _respond(spec: DynamicsSpec, w_t, y_prev, x_t, e_t, noise_t, t: int) -> np.n
     return y
 
 
-def _check_finite(y: np.ndarray, t: int) -> None:
+def _check_finite(y: np.ndarray, t: int, scenarios: Sequence[int] | None = None) -> None:
     """Raise NonFiniteOutcome naming the first non-finite entry of an (n,)
-    column or an (n, s) stack, unit-major."""
+    column or an (n, s) stack, unit-major; ``scenarios`` numbers the stack's
+    columns (by default 0..s-1)."""
     bad = ~np.isfinite(np.atleast_1d(y))
     if bad.any():
         where = np.argwhere(bad)[0]
-        raise NonFiniteOutcome(int(where[0]), t, int(where[1]) if bad.ndim == 2 else None)
+        column = None if bad.ndim == 1 else int(where[1]) if scenarios is None else scenarios[where[1]]
+        raise NonFiniteOutcome(int(where[0]), t, column)
+
+
+def _check_covariates(specs: Sequence[DynamicsSpec], dim: int) -> None:
+    if max(len(sp.unit.x_coef) for sp in specs) > dim:
+        raise ValueError(f"x_coef lists more coefficients than the {dim} covariates")
 
 
 def step(
@@ -215,16 +222,19 @@ def step(
     noise_t: np.ndarray,
     t: int,
 ) -> np.ndarray:
-    """One evolution round: unit response plus exposure plus scaled noise."""
+    """One evolution round: unit response plus exposure plus scaled noise.
+    ``x_t`` holds each unit's covariates along its last axis."""
     w_t = np.asarray(w_t, dtype=np.float64)
     y_prev = np.asarray(y_prev, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64)
     e_t = np.asarray(e_t, dtype=np.float64)
     noise_t = np.asarray(noise_t, dtype=np.float64)
     if not (w_t.shape == y_prev.shape == e_t.shape):
         raise ValueError("step inputs must share a shape")
+    _check_covariates([spec], x_t.shape[-1])
     # Overflow is reported below with its location, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _respond(spec, w_t, y_prev, np.asarray(x_t, dtype=np.float64), e_t, noise_t, t)
+        y = _respond(spec, w_t, y_prev, x_t, e_t, noise_t, t)
     _check_finite(y, t)
     return y
 
@@ -240,6 +250,18 @@ def _runs(specs: Sequence[DynamicsSpec], key) -> list[tuple[DynamicsSpec, slice]
     return runs
 
 
+class Suite(list):
+    """The outcome panel of each requested column of a scenario suite, in
+    request order, or None for a column whose rounds were not kept.
+    ``index[k]`` is the distinct column that column k evolves as, and
+    ``means[k]`` its mean outcome in each round 0..T, the bits of
+    ``column_mean`` of its panel."""
+
+    def __init__(self, panels: Sequence[OutcomePanel | None], index: list[int], means: list[tuple[float, ...]]):
+        super().__init__(panels)
+        self.index, self.means = index, means
+
+
 def _evolve(
     spec: DynamicsSpec | Sequence[DynamicsSpec],
     weights: WeightSet,
@@ -248,7 +270,8 @@ def _evolve(
     y0: np.ndarray,
     seed: int,
     keep_exposures: bool,
-) -> tuple[list[OutcomePanel], list[ExposureMatrix]]:
+    keep: Collection[int] | None = None,
+) -> tuple[Suite, list[ExposureMatrix]]:
     """Evolve all scenarios in lockstep, sharing weights and noise draws.
 
     ``spec`` is one DynamicsSpec for every scenario or a sequence with one per
@@ -257,17 +280,21 @@ def _evolve(
     weighted-sum column goes through one ``weights.apply`` call, and
     consecutive columns with the same unit response respond as one block.
 
-    Outcomes go to one round-major (n_rounds + 1, s, n_units) buffer: each
-    (round, column) pair is one contiguous row of units. A round's rows,
-    read as a column-contiguous (n_units, s) array, are the state the next
-    round evolves from, and its treatments are gathered into rows the same
-    way, so every per-round read and write is contiguous. The buffer is
-    scanned for finiteness once, round by round and unit-major within a
-    round; the panels are read-only transposed views of it, whose round
-    columns are contiguous. Exposures are kept, in a buffer of the same
-    layout and as views of it, only when keep_exposures is set; otherwise
-    the list is empty. They need no scan: a non-finite exposure makes its
-    outcome non-finite."""
+    ``keep`` lists the requested columns whose panels the caller needs (by
+    default all). Their rounds go to one round-major (n_rounds + 1, kept,
+    n_units) buffer, whose read-only transposed views are the panels, with
+    contiguous round columns. A round's rows, one contiguous row of units per
+    distinct column, read as a column-contiguous (n_units, s) array, are the
+    state the next round evolves from; treatments are gathered into rows the
+    same way, so every per-round read and write is contiguous. Unless every
+    column is kept, the state is one (s, n_units) array overwritten each
+    round, whose kept rows are copied out: other columns hold no history. As
+    a round is written, each row is reduced to its mean by one pairwise
+    reduction, and a round with a non-finite mean is scanned for the first
+    non-finite outcome, unit-major. Exposures are kept, in a buffer of the
+    full layout and as views of it, only when keep_exposures is set;
+    otherwise the list is empty. They need no scan: a non-finite exposure
+    makes its outcome non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -286,45 +313,56 @@ def _evolve(
     specs = [spec] * len(scenarios) if isinstance(spec, DynamicsSpec) else list(spec)
     if len(specs) != len(scenarios):
         raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
-    if max(len(sp.unit.x_coef) for sp in specs) > x.dim:
-        raise ValueError(f"x_coef lists more coefficients than the {x.dim} covariates")
+    _check_covariates(specs, x.dim)
 
     index, lead, levels = _distinct_columns(specs, scenarios)
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     s = len(lead)
+    kept = list(range(s)) if keep is None else sorted({index[k] for k in keep})
     exposure_runs = [run for run in _runs(specs, lambda sp: (sp.exposure, sp.peer))
                      if not isinstance(run[0].exposure, MeanFieldThreshold)]
     response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
     noisy = any(sp.noise_sd > 0.0 for sp in specs)
 
-    outcomes = np.empty((t_max + 1, s, n))
-    exposures = np.empty((t_max, s, n)) if keep_exposures else None
+    outcomes = np.empty((t_max + 1, len(kept), n))
     outcomes[0] = y0
+    state = np.tile(y0, (s, 1)) if len(kept) < s else None
+    exposures = np.empty((t_max, s, n)) if keep_exposures else None
+    means = np.empty((t_max + 1, s))
+    means[0] = (outcomes[0] if state is None else state).mean(axis=1)
     treated = np.empty((s, n))
     w_cols = treated.T
     for t in range(1, t_max + 1):
         for k, w in enumerate(scenarios):
             treated[k] = w.column(t)
-        y_prev = outcomes[t - 1].T
+        y_prev = (outcomes[t - 1] if state is None else state).T
+        rows = outcomes[t] if state is None else state
         x_t = x.column(t)
         x_t = x_t[:, None, :] if x_t.ndim == 2 else x_t
         noise = substream(seed, "noise", t).standard_normal(n)[:, None] if noisy else None
-        # A non-finite outcome is named by the scan after the last round.
+        # A non-finite outcome is named by the scan below.
         with np.errstate(over="ignore", invalid="ignore"):
             e_t = _exposures(weights, exposure_runs, levels[t - 1], w_cols, y_prev, t)
+            # Each run reads only its own columns of the state it overwrites.
             for sp, cols in response_runs:
-                outcomes[t, cols] = _respond(sp, w_cols[:, cols], y_prev[:, cols], x_t, e_t[:, cols], noise, t).T
+                rows[cols] = _respond(sp, w_cols[:, cols], y_prev[:, cols], x_t, e_t[:, cols], noise, t).T
+            means[t] = rows.mean(axis=1)
+        # A non-finite outcome makes its row's mean non-finite, so only such
+        # a round is scanned; a finite round may still overflow a mean.
+        if not np.isfinite(means[t]).all():
+            _check_finite(rows.T, t, lead)
+        if state is not None:
+            for j, d in enumerate(kept):
+                outcomes[t, j] = state[d]
         if keep_exposures:
             exposures[t - 1] = e_t.T
-    finite = np.isfinite(outcomes)
-    if not finite.all():
-        t, unit, column = np.argwhere(~finite.transpose(0, 2, 1))[0]  # first round, then unit-major
-        raise NonFiniteOutcome(int(unit), int(t), lead[column])
-    panels = OutcomePanel.views(outcomes.transpose(1, 2, 0))
+    panels = dict(zip(kept, OutcomePanel.views(outcomes.transpose(1, 2, 0))))
+    column_means = [tuple(map(float, column)) for column in means.T]
+    suite = Suite([panels.get(d) for d in index], index, [column_means[d] for d in index])
     if not keep_exposures:
-        return [panels[d] for d in index], []
+        return suite, []
     mats = ExposureMatrix.views(exposures.transpose(1, 2, 0))
-    return [panels[d] for d in index], [mats[d] for d in index]
+    return suite, [mats[d] for d in index]
 
 
 def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel]) -> tuple:
@@ -399,15 +437,19 @@ def counterfactual_suite(
     x: CovariatePanel,
     y0: np.ndarray,
     seed: int,
-) -> list[OutcomePanel]:
+    keep: Collection[int] | None = None,
+) -> Suite:
     """Simulate several scenarios under one weight realization and one noise
     stream, with one dynamics spec for all of them or one per scenario.
     Scenario order does not affect any output panel. The panels are read-only
     views of one buffer, and columns that evolve alike return the same panel:
     the same treatment panel, unit response and noise scale, and the same
-    exposure (weighted-sum spec, or threshold level in every round)."""
-    panels, _ = _evolve(spec, weights, scenarios, x, y0, seed, keep_exposures=False)
-    return panels
+    exposure (weighted-sum spec, or threshold level in every round).
+
+    ``keep`` lists the scenarios whose panels the caller needs, by default
+    all; the others come back as None and keep only their round means."""
+    suite, _ = _evolve(spec, weights, scenarios, x, y0, seed, keep_exposures=False, keep=keep)
+    return suite
 
 
 def ground_truth_tte(control: OutcomePanel, treated: OutcomePanel, t: int) -> float:

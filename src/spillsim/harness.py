@@ -46,7 +46,7 @@ from .estimators import (
 )
 from .estimators import fit_ese
 from .panel import (
-    CovariatePanel, OutcomePanel, TreatmentPanel, column_mean, round_index_covariates, round_means, write_rows,
+    CovariatePanel, OutcomePanel, TreatmentPanel, column_mean, round_index_covariates, write_rows,
 )
 from .rng import substream
 from .weights import WEIGHT_KINDS, KeyedValueError, WeightConfig, WeightSet, kind_of
@@ -117,7 +117,7 @@ class ScenarioConfig:
                 raise KeyedValueError(f"unknown estimator {name!r}", "estimators.use")
             needs = ESTIMATORS[name].weight_kind
             if needs is not None and self.weights.kind != needs:
-                raise ValueError(f"estimators.use: {name} requires {needs} weights")
+                raise KeyedValueError(f"{name} requires {needs} weights", "estimators.use")
         if not np.isfinite(self.baseline_mean):
             raise KeyedValueError("must be finite", "population.baseline_mean")
         if not (np.isfinite(self.baseline_sd) and self.baseline_sd >= 0):
@@ -242,10 +242,10 @@ def run_once(
 
     With ``sweep``, the three scenarios of every grid value evolve in one
     lockstep pass on this seed's weights, assignments, baseline and noise, and
-    one record per value comes back, in grid order. Values whose columns
-    evolve alike get one panel from ``counterfactual_suite``; they share one
-    estimator pass per observed panel and one ground truth per counterfactual
-    panel, so overflow in either names the first of them.
+    one record per value comes back, in grid order. Only the observed panels
+    are kept whole; the counterfactuals keep their round means alone. Values
+    whose observed columns evolve alike share one estimator pass, so overflow
+    in it names the first of them.
     ``weights`` is passed on to ``observed_inputs``."""
     t_max = config.n_rounds
     weights, w_obs, x, y0 = observed_inputs(config, seed, weights)
@@ -255,8 +255,9 @@ def run_once(
     specs = (config.dynamics,) if sweep is None else sweep.specs
     wheres = [f"seed {seed}"] if sweep is None else [f"{sweep.parameter}={v!r}, seed {seed}" for v in sweep.values]
     columns = [spec for spec in specs for _ in SCENARIOS]
+    observed = range(0, len(columns), len(SCENARIOS))
     try:
-        panels = counterfactual_suite(columns, weights, [w_obs, w_none, w_all] * len(specs), x, y0, seed)
+        suite = counterfactual_suite(columns, weights, [w_obs, w_none, w_all] * len(specs), x, y0, seed, keep=observed)
     except NonFiniteOutcome as exc:
         k, scenario = divmod(exc.scenario, len(SCENARIOS))
         raise FloatingPointError(
@@ -264,27 +265,24 @@ def run_once(
             f"in scenario {SCENARIOS[scenario]}"
         ) from exc
     records = []
-    passes: dict[int, tuple] = {}  # observed panel -> its estimator pass
-    means: dict[int, tuple[float, ...]] = {}  # counterfactual panel -> its mean per round
-    for k in range(len(specs)):
-        observed, control, treated = panels[len(SCENARIOS) * k : len(SCENARIOS) * (k + 1)]
-        with _overflow_as("ground truth", lambda: wheres[k]):
-            for panel in (control, treated):
-                if id(panel) not in means:
-                    means[id(panel)] = round_means(panel)
+    passes: dict[int, tuple] = {}  # distinct observed column -> its estimator pass
+    for k, obs in enumerate(observed):
+        control, treated = suite.means[obs + 1], suite.means[obs + 2]
+        if not np.isfinite(control + treated).all():  # finite outcomes, an overflowing mean
+            raise EstimatorOverflow("ground truth", wheres[k], FloatingPointError("overflow encountered in reduce"))
 
         # Estimators receive the observed panel and design probabilities only.
-        if id(observed) not in passes:
-            passes[id(observed)] = estimate_rounds(config, observed, w_obs, structure, (t_max,), wheres[k])
-        estimates, trajectories, coefficients = passes[id(observed)]
+        if suite.index[obs] not in passes:
+            passes[suite.index[obs]] = estimate_rounds(config, suite[obs], w_obs, structure, (t_max,), wheres[k])
+        estimates, trajectories, coefficients = passes[suite.index[obs]]
         records.append(
             RunRecord(
                 seed=seed,
                 estimates={name: values[0] for name, values in estimates.items()},
                 # The bits of ground_truth_tte(control, treated, t_max).
-                gt_tte=means[id(treated)][t_max] - means[id(control)][t_max],
-                gt_control=means[id(control)],
-                gt_treated=means[id(treated)],
+                gt_tte=treated[t_max] - control[t_max],
+                gt_control=control,
+                gt_treated=treated,
                 ese_trajectories=dict(trajectories),
                 coefficients=dict(coefficients),
             )

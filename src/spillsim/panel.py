@@ -133,17 +133,6 @@ def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
     return float(panel.column(t).mean())
 
 
-def round_means(panel: TreatmentPanel | OutcomePanel) -> tuple[float, ...]:
-    """``column_mean`` of every round, in round order, bit for bit: one
-    reduction along the units when the round columns are contiguous (an
-    evolved panel, an F-ordered array), else one per round, as numpy does not
-    sum strided columns pairwise when it reduces all rounds at once."""
-    values = panel.values
-    if values.strides[0] == values.itemsize:
-        return tuple(map(float, values.T.mean(axis=1)))
-    return tuple(column_mean(panel, t) for t in range(panel.first_round, panel.n_rounds + 1))
-
-
 # --- CSV interchange -------------------------------------------------------
 #
 # Format: a header naming the three columns, then one row "row,col,value" per

@@ -462,7 +462,7 @@ def _check_cluster_count(k: int, n: int) -> None:
     if k < 1:
         raise KeyedValueError("need at least one cluster")
     if k > n:
-        raise ValueError(f"cannot split {n} units into {k} clusters")
+        raise KeyedValueError(f"cannot split {n} units into {k} clusters")
 
 
 def _influencer_ids(ids: Sequence[int], n: int) -> tuple[int, ...]:
@@ -473,9 +473,9 @@ def _influencer_ids(ids: Sequence[int], n: int) -> tuple[int, ...]:
     if len(set(ids)) != len(ids):
         raise KeyedValueError("influencer ids must be distinct")
     if ids[0] < 0 or ids[-1] >= n:
-        raise ValueError(f"influencer ids must lie in 0..{n - 1}")
+        raise KeyedValueError(f"influencer ids must lie in 0..{n - 1}")
     if len(ids) >= n:
-        raise ValueError("influencers must be a strict subset of the population")
+        raise KeyedValueError("influencers must be a strict subset of the population")
     return ids
 
 
@@ -502,7 +502,8 @@ class WeightKind:
     ``build(params, n_units, n_rounds, seed, shared)`` makes the set, one that
     several replications can reuse when ``shared`` (a fixed network);
     ``per_seed`` says whether it draws a new set for every seed. ``checks``
-    test single values against the population size before any build.
+    test single values against the population size before any build and
+    raise ``KeyedValueError``, so a config file names the value's line.
     ``engines`` are the classes ``build`` returns; ``structure`` names their
     attributes that estimators may use as structure metadata, and
     ``describe`` the parameters a descriptor records (by default the
@@ -590,8 +591,6 @@ class WeightConfig:
                 check(self.params[key], n_units)
             except KeyedValueError as exc:
                 raise KeyedValueError(exc.message, f"weights.{key}") from None
-            except ValueError as exc:  # the value against the population: two keys at fault
-                raise ValueError(f"weights.{key}: {exc}") from None
 
     def input_files(self) -> list[str]:
         """The input files ``build`` reads, as the config names them."""

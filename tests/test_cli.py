@@ -306,6 +306,9 @@ def test_cli_error_is_single_json_line(tmp_path, capsys):
 
 
 _DYNAMICS_KINDS = "unit = linear, peer = linear, exposure = weighted_sum"
+# The weights section of LINEAR_CONFIG, and an influencer one up to its ids.
+_CLUSTERED_WEIGHTS = "kind = clustered\nn_clusters = 1\nw_in = 1.0\nw_out = 0.0"
+_INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers = "
 
 
 @pytest.mark.parametrize(
@@ -322,6 +325,14 @@ _DYNAMICS_KINDS = "unit = linear, peer = linear, exposure = weighted_sum"
         ("reps = 2", "reps = 0", "run.reps: replication count must be at least 1, got 0"),
         ("use = dm, ht, ese_basic", "use = dm, bogus", "estimators.use: unknown estimator 'bogus'"),
         ("n_clusters = 1", "n_clusters = 0", "weights.n_clusters: need at least one cluster"),
+        # Checked against the population, and still named by the line that set them.
+        ("n_clusters = 1", "n_clusters = 200", "weights.n_clusters: cannot split 120 units into 200 clusters"),
+        ("use = dm, ht, ese_basic", "use = dm, ese_influencer",
+         "estimators.use: ese_influencer requires influencer weights"),
+        (_CLUSTERED_WEIGHTS, _INFLUENCER_WEIGHTS + "0, 120",
+         "weights.influencers: influencer ids must lie in 0..119"),
+        (_CLUSTERED_WEIGHTS, _INFLUENCER_WEIGHTS + ", ".join(map(str, range(120))),
+         "weights.influencers: influencers must be a strict subset of the population"),
         ("baseline_sd = 1.0", "baseline_sd = -1", "population.baseline_sd: must be finite and non-negative, got -1.0"),
         # The covariates are the round index alone, so one coefficient at most.
         ("intercept = 0.2", "intercept = 0.2\nx_coef = 1.0, 2.0",
@@ -338,13 +349,14 @@ _DYNAMICS_KINDS = "unit = linear, peer = linear, exposure = weighted_sum"
     ],
     ids=[
         "duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed",
-        "scenario_check", "estimator_check", "weight_check", "baseline_check", "covariate_check", "no_rounds",
+        "scenario_check", "estimator_check", "weight_check", "cluster_count", "estimator_weight_kind",
+        "influencer_range", "influencer_subset", "baseline_check", "covariate_check", "no_rounds",
         "negative_seed", "unit_kind", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers",
     ],
 )
 def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):
-    # ``new`` replaces the line ``old``; the error names the last line of ``new``.
-    first = LINEAR_CONFIG.splitlines().index(old) + 1
+    # ``new`` replaces the lines ``old``; the error names the last line of ``new``.
+    first = LINEAR_CONFIG.splitlines().index(old.split("\n")[0]) + 1
     cfg = _write_config(tmp_path, LINEAR_CONFIG.replace(f"{old}\n", f"{new}\n", 1))
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     error = json.loads(capsys.readouterr().err.strip())["error"]
@@ -424,8 +436,8 @@ def test_simulate_writes_the_observed_panel_of_run_once(tmp_path, monkeypatch, n
 
     observed, suite = [], harness.counterfactual_suite
 
-    def captured(*args):
-        out = suite(*args)
+    def captured(*args, **kwargs):
+        out = suite(*args, **kwargs)
         observed.append(out[0].values)
         return out
 

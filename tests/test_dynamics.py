@@ -615,15 +615,21 @@ def test_evolution_entry_points_name_each_input_fault(case, message):
         _input_fault(case)
 
 
-@pytest.mark.parametrize("evolve", ["simulate_panel", "counterfactual_suite"])
+@pytest.mark.parametrize("evolve", ["simulate_panel", "counterfactual_suite", "step", "evolution_residual"])
 def test_evolution_refuses_more_covariate_coefficients_than_covariates(evolve):
-    # Once an IndexError from inside the round loop.
+    # Once an IndexError from inside the unit response.
     spec = linear_spec(unit=LinearUnit(w_coef=1.0, x_coef=(1.0, 2.0)))
+    ws, x = gen_clustered(4, 1, 1.0, 0.0), round_index_covariates(4, 2)
     w = assign(DesignSpec(kind="bernoulli", n_units=4, n_rounds=2, probs=(0.5, 0.5)), 1)
-    args = (spec, gen_clustered(4, 1, 1.0, 0.0), w if evolve == "simulate_panel" else [w],
-            round_index_covariates(4, 2), np.zeros(4), 0)
+    y, e = simulate_panel(linear_spec(), ws, w, x, np.zeros(4), 0)
+    calls = {
+        "simulate_panel": lambda: simulate_panel(spec, ws, w, x, np.zeros(4), 0),
+        "counterfactual_suite": lambda: counterfactual_suite(spec, ws, [w], x, np.zeros(4), 0),
+        "step": lambda: step(spec, w.column(1), y.column(0), x.column(1), e.column(1), np.zeros(4), 1),
+        "evolution_residual": lambda: evolution_residual(spec, ws, w, x, y, e),
+    }
     with pytest.raises(ValueError, match=r"^x_coef lists more coefficients than the 1 covariates$"):
-        {"simulate_panel": simulate_panel, "counterfactual_suite": counterfactual_suite}[evolve](*args)
+        calls[evolve]()
 
 
 def test_engine_built_panels_are_views_of_read_only_buffers():

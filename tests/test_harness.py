@@ -207,6 +207,7 @@ def test_fixed_network_replications_match_the_materialized_oracle(monkeypatch):
 
     from spillsim import harness
     from spillsim.dynamics import counterfactual_suite
+    from spillsim.panel import column_mean
     from spillsim.weights import GaussianWeightParams, gen_dense_gaussian
 
     params = GaussianWeightParams(1.0, 1.0, 0.2, 0.3)
@@ -217,19 +218,22 @@ def test_fixed_network_replications_match_the_materialized_oracle(monkeypatch):
     )
     calls = []
 
-    def spy(spec, weights, scenarios, x, y0, seed):
-        panels = counterfactual_suite(spec, weights, scenarios, x, y0, seed)
-        calls.append((scenarios, x, y0, seed, panels))
-        return panels
+    def spy(spec, weights, scenarios, x, y0, seed, keep=None):
+        suite = counterfactual_suite(spec, weights, scenarios, x, y0, seed, keep)
+        calls.append((scenarios, x, y0, seed, suite))
+        return suite
 
     monkeypatch.setattr(harness, "counterfactual_suite", spy)
     replicate(cfg)
     assert len(calls) == 3 and len({y0.tobytes() for _, _, y0, _, _ in calls}) == 3
     oracle = gen_dense_gaussian(cfg.n_units, params, cfg.n_rounds, cfg.base_seed)
-    for scenarios, x, y0, seed, panels in calls:
+    for scenarios, x, y0, seed, suite in calls:
         again = counterfactual_suite(cfg.dynamics, oracle, scenarios, x, y0, seed)
-        for got, want in zip(panels, again):
-            assert np.array_equal(got.values, want.values)
+        # The observed panel is kept whole; the counterfactuals keep their means.
+        for got, means, want in zip(suite, suite.means, again):
+            if got is not None:
+                assert np.array_equal(got.values, want.values)
+            assert means == tuple(column_mean(want, t) for t in range(want.n_rounds + 1))
 
 
 def test_dense_gaussian_engine_follows_fixed_network():
@@ -444,15 +448,16 @@ def test_lazy_dense_sweep_is_invariant_to_grid_order_and_duplicates():
 
 def test_estimators_see_only_observed_panels(monkeypatch):
     # counterfactual_suite evolves [observed, nobody treated, everybody
-    # treated] per dynamics spec; the estimators may get the first alone.
+    # treated] per dynamics spec; the estimators may get the first alone,
+    # and the counterfactuals are not even kept as panels.
     from spillsim import harness
     from spillsim.dynamics import counterfactual_suite
     from spillsim.harness import estimate_rounds
 
     suites, fits = [], []
 
-    def suite(*args):
-        panels = counterfactual_suite(*args)
+    def suite(*args, **kwargs):
+        panels = counterfactual_suite(*args, **kwargs)
         suites.append(panels)
         return panels
 
@@ -465,10 +470,11 @@ def test_estimators_see_only_observed_panels(monkeypatch):
     run_once(linear_config(n=30), 5)
     failure_sweep(_threshold_config(reps=2), "threshold_strength", [0.0, 1.0, 2.0])
     observed = {id(p) for panels in suites for p in panels[0::3]}
-    counterfactual = {id(p) for panels in suites for k, p in enumerate(panels) if k % 3}
+    counterfactual = [p for panels in suites for k, p in enumerate(panels) if k % 3]
     assert len(suites) == 3 and len(fits) >= 3
+    assert counterfactual and all(p is None for p in counterfactual)
     for config, y, w in fits:
-        assert id(y) in observed and id(y) not in counterfactual
+        assert id(y) in observed
         assert all(w is not c for c in config._constant_scenarios)
 
 
@@ -593,8 +599,8 @@ def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estim
         calls.append(args[2])
         return round_factors(*args)
 
-    def captured(spec, weights, scenarios, *args):
-        out = suite(spec, weights, scenarios, *args)
+    def captured(spec, weights, scenarios, *args, **kwargs):
+        out = suite(spec, weights, scenarios, *args, **kwargs)
         panels.append((out[0], scenarios[0], harness.structure_of(weights)))
         return out
 
@@ -617,14 +623,15 @@ def test_ground_truth_trajectories_are_the_round_means_of_gt_tte(monkeypatch):
     # in sequence gives other bits in some round.
     from spillsim import harness
 
-    panels, suite = [], harness.counterfactual_suite
+    calls, suite = [], harness.counterfactual_suite
 
-    def captured(*args):
-        panels.extend(suite(*args))
-        return panels
+    def captured(*args, **kwargs):
+        calls.append(args)
+        return suite(*args, **kwargs)
 
     monkeypatch.setattr(harness, "counterfactual_suite", captured)
     record = run_once(linear_config(n=2000, noise=0.3), 5)
+    panels = suite(*calls[0])  # the same columns, every one kept whole
     for got, panel in ((record.gt_control, panels[1]), (record.gt_treated, panels[2])):
         want = np.array([panel.column(t).mean() for t in range(panel.n_rounds + 1)])
         assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
@@ -632,9 +639,48 @@ def test_ground_truth_trajectories_are_the_round_means_of_gt_tte(monkeypatch):
     assert np.float64(record.gt_tte).view(np.uint64) == gap.view(np.uint64)
 
 
+@pytest.mark.parametrize("kind", ["clustered", "influencer", "lazy_gaussian", "explicit", "threshold_sweep"])
+def test_ground_truth_is_the_column_means_of_the_full_suite(monkeypatch, tmp_path, kind):
+    # run_once keeps only the observed panels whole and takes the ground truth
+    # from the counterfactual columns' round means as they evolve. Those have
+    # the bits of column_mean of the panels that counterfactual_suite returns
+    # when it keeps every column. The sweep's grid values share columns.
+    from spillsim import harness
+    from spillsim.dynamics import ground_truth_tte
+    from spillsim.panel import column_mean, write_cells
+    from spillsim.weights import EXPLICIT_HEADER
+
+    matrix = tmp_path / "weights.csv"
+    write_cells(matrix, np.random.default_rng(1).random((70, 70)) / 70, header=EXPLICIT_HEADER)
+    weights = {"clustered": CLUSTERED_WEIGHTS, "influencer": INFLUENCER_WEIGHTS, "lazy_gaussian": DENSE_WEIGHTS,
+               "explicit": WeightConfig(kind="explicit", matrix_path=str(matrix))}
+    sweep = None
+    if kind == "threshold_sweep":
+        config = _threshold_config(reps=1)
+        sweep = harness._sweep_grid(config, "threshold_strength", [0.0, 1.0, 1.0, 2.0])
+    else:
+        config = _trend_config(weights[kind], reps=1)
+    calls, suite = [], harness.counterfactual_suite
+    monkeypatch.setattr(harness, "counterfactual_suite", lambda *a, **k: calls.append(a) or suite(*a, **k))
+    records = run_once(config, config.base_seed, sweep=sweep)
+    (args,) = calls
+    # Fresh weights of the same seed: lazy Gaussian weights serve one pass.
+    panels = suite(args[0], config.weights.build(config.n_units, config.n_rounds, config.base_seed), *args[2:])
+    assert all(panel is not None for panel in panels)
+    if sweep is not None:
+        assert len({id(panel) for panel in panels}) < len(panels)
+    for k, record in enumerate(records if sweep else (records,)):
+        control, treated = panels[3 * k + 1 : 3 * k + 3]
+        for got, panel in ((record.gt_control, control), (record.gt_treated, treated)):
+            want = [column_mean(panel, t) for t in range(config.n_rounds + 1)]
+            assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        tte = ground_truth_tte(control, treated, config.n_rounds)
+        assert np.float64(record.gt_tte).view(np.uint64) == np.float64(tte).view(np.uint64)
+
+
 def test_run_once_retains_no_outcome_buffer(monkeypatch):
     # The shared factors live for one estimator pass: once run_once returns,
-    # nothing may keep the (T + 1, 3, N) outcome buffer alive.
+    # nothing may keep the (T + 1, 1, N) buffer of the observed panel alive.
     import gc
     import weakref
 
@@ -642,8 +688,8 @@ def test_run_once_retains_no_outcome_buffer(monkeypatch):
 
     refs, suite = [], harness.counterfactual_suite
 
-    def watched(*args):
-        out = suite(*args)
+    def watched(*args, **kwargs):
+        out = suite(*args, **kwargs)
         refs.append(weakref.ref(out[0].values.base))
         return out
 
@@ -652,6 +698,33 @@ def test_run_once_retains_no_outcome_buffer(monkeypatch):
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
     assert set(record.coefficients) == {"ese_basic", "ese_cluster"}
+
+
+def test_one_replication_holds_one_outcome_panel_at_scale():
+    # clustered.cfg at N = 2*10^5 (T = 5, three distinct columns, one kept).
+    # Traced peak of run_once, in rows of N float64s: the inputs (baseline,
+    # T assignment rounds, cluster membership and the round column: T + 3),
+    # the observed panel's T + 1 rounds and one state row per column (3), and
+    # one round's temporaries, at most five per column. Keeping every
+    # column's history in a (T + 1, 3, N) buffer, as it once was, peaks
+    # 7 rows above this bound.
+    import re
+    import tracemalloc
+
+    from spillsim.config import parse_config
+
+    n = 200_000
+    text = (Path(__file__).resolve().parents[1] / "configs" / "clustered.cfg").read_text()
+    config = parse_config(re.sub(r"(?m)^n_units\s*=.*$", f"n_units = {n}", text))
+    t_max, columns = config.n_rounds, 3
+    bound = 8 * n * ((t_max + 3) + (t_max + 1 + columns) + 5 * columns)
+    tracemalloc.start()
+    try:
+        run_once(config, config.base_seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"traced peak {peak / n:.0f} B/unit, bound {bound / n:.0f} B/unit"
 
 
 def test_aggregation_overflow_names_the_estimator_value_and_seed():
@@ -797,7 +870,7 @@ def test_sweep_evolves_each_distinct_column_once_per_seed(monkeypatch, name, par
 
     config = parse_config((Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text())
     suites, suite = [], harness.counterfactual_suite
-    monkeypatch.setattr(harness, "counterfactual_suite", lambda *args: suites.append(suite(*args)) or suites[-1])
+    monkeypatch.setattr(harness, "counterfactual_suite", lambda *a, **k: suites.append(suite(*a, **k)) or suites[-1])
     run_once(config, config.base_seed, sweep=harness._sweep_grid(config, parameter, grid))
     (panels,) = suites
-    assert len(panels) == 3 * len(grid) and len({id(panel) for panel in panels}) == distinct
+    assert len(panels) == 3 * len(grid) and len(set(panels.index)) == distinct

@@ -16,12 +16,12 @@ from spillsim.dynamics import ExposureMatrix
 from spillsim.panel import (
     CovariatePanel,
     OutcomePanel,
+    RoundPanel,
     TreatmentPanel,
     column_mean,
     read_outcome_csv,
     read_treatment_csv,
     round_index_covariates,
-    round_means,
     write_matrix_csv,
     write_outcome_csv,
     write_rows,
@@ -294,37 +294,53 @@ def test_round_index_covariates_broadcast_the_round_numbers(n, t):
         x.column(t)[:] = 7.0
 
 
-def _round_means_layouts(n: int, t_max: int) -> dict:
-    """A panel of every layout ``round_means`` meets, keyed by layout."""
+def _rolling_column_held_as(layout: str, n: int, t_max: int) -> tuple[tuple[float, ...], RoundPanel]:
+    """The round means of a suite column evolved without its history, and a
+    panel of ``layout`` that holds the same column's values."""
+    from spillsim.dynamics import DynamicsSpec, LinearPeer, LinearUnit, WeightedSumExposure, ZeroPeer
+    from spillsim.dynamics import counterfactual_suite
+    from spillsim.weights import gen_clustered
+
     rng = np.random.default_rng(n + t_max)
-    values = rng.normal(7.0, 1e3, (n, t_max + 1))
-    # An evolved panel is a view of a round-major (T+1, s, N) buffer: its round
+    spec = DynamicsSpec(LinearUnit(w_coef=1.3, y_coef=0.9, intercept=-0.4), LinearPeer(0.5, 0.2),
+                        WeightedSumExposure(), noise_sd=2.0)
+    w = assign(DesignSpec(kind="bernoulli", n_units=n, n_rounds=t_max, probs=(0.3,) * t_max), 4)
+    y0 = rng.normal(7.0, 1e3, n)
+    if layout == "broadcast":  # every unit alike, so one unit's row holds the column
+        spec = DynamicsSpec(spec.unit, spec.peer, spec.exposure)
+        w, y0 = assign(constant_design(n, t_max, 1), 0), np.full(n, y0[0])
+    if layout == "treatment":  # outcomes that are the assignments themselves
+        spec, y0 = DynamicsSpec(LinearUnit(w_coef=1.0), ZeroPeer(), WeightedSumExposure()), np.zeros(n)
+    args = (spec, gen_clustered(n, 1, 1.0, 0.0), [assign(constant_design(n, t_max, 0), 0), w],
+            round_index_covariates(n, t_max), y0, 5)
+    suite, full = counterfactual_suite(*args, keep=[0]), counterfactual_suite(*args)[1]
+    assert suite[1] is None
+    # A kept column is a view of a round-major (T+1, s, N) buffer: its round
     # columns are contiguous, and consecutive rounds are s*N entries apart.
-    evolved = OutcomePanel.views(rng.normal(7.0, 1e3, (t_max + 1, 3, n)).transpose(1, 2, 0))[1]
-    assert evolved.values.strides == (8, 3 * n * 8)
-    return {
-        "c_ordered": OutcomePanel(np.ascontiguousarray(values)),
-        "f_ordered": OutcomePanel(np.asfortranarray(values)),
-        "evolved_view": evolved,
-        "broadcast": OutcomePanel._built(np.broadcast_to(values[0], values.shape)),
-        "treatment": assign(DesignSpec(kind="bernoulli", n_units=n, n_rounds=t_max, probs=(0.3,) * t_max), 4),
+    assert full.values.strides == (8, 2 * n * 8)
+    panels = {
+        "c_ordered": OutcomePanel(np.ascontiguousarray(full.values)),
+        "f_ordered": OutcomePanel(np.asfortranarray(full.values)),
+        "evolved_view": full,
+        "broadcast": OutcomePanel._built(np.broadcast_to(full.values[0], full.values.shape)),
+        "treatment": w,
     }
+    held = panels[layout]
+    assert np.array_equal(held.values, full.values[:, held.first_round:])
+    return suite.means[1], held
 
 
 @pytest.mark.parametrize("layout", ["c_ordered", "f_ordered", "evolved_view", "broadcast", "treatment"])
 @pytest.mark.parametrize("n, t_max", [(1, 1), (1000, 4), (4099, 3), (20000, 8)])
-def test_round_means_are_the_column_means_bit_for_bit(monkeypatch, layout, n, t_max):
-    panel = _round_means_layouts(n, t_max)[layout]
+def test_round_means_are_the_column_means_bit_for_bit(layout, n, t_max):
+    # Evolution reduces each round of a column it keeps no history for as the
+    # round is written; those means are column_mean's bits of any panel that
+    # holds the column, whatever its memory layout.
+    means, panel = _rolling_column_held_as(layout, n, t_max)
     want = [column_mean(panel, t) for t in range(panel.first_round, panel.n_rounds + 1)]
-    calls = []
-    monkeypatch.setattr(panel_mod, "column_mean", lambda *args: calls.append(args) or column_mean(*args))
-    got = round_means(panel)
+    got = means[panel.first_round:]
     assert all(type(m) is float for m in got)
     assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
-    # Contiguous round columns take one reduction for all rounds (a one-unit
-    # array's row stride is whatever numpy chose for it).
-    if layout in ("f_ordered", "evolved_view", "treatment") and n > 1:
-        assert calls == []
 
 
 def test_round_index_covariates_reject_an_empty_population():
