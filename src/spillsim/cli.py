@@ -269,6 +269,8 @@ def _cmd_sweep(args) -> int:
         if not np.isfinite(value):
             raise ConfigError(f"--grid entry {i} {entry!r} is not finite")
         grid.append(value)
+    if not grid:
+        raise ConfigError(f"--grid {args.grid!r} lists no value")
     table = failure_sweep(config, args.param, grid)
     table.write_csv(outdir / "sweep.csv")
     _manifest(outdir, text, config, {"sweep_parameter": args.param, "grid": grid})

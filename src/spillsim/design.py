@@ -10,6 +10,7 @@ from .panel import TreatmentPanel
 from .rng import substream
 
 RAMP_PROBS = (0.0, 0.2, 0.4, 0.8)
+DRAW_BLOCK = 1 << 15  # units whose Bernoulli uniforms are drawn at once
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,23 @@ class DesignSpec:
 def assign(spec: DesignSpec, seed: int) -> TreatmentPanel:
     """Draw one treatment panel; a pure function of (spec, seed). A Bernoulli
     panel is column-contiguous, as evolved outcome panels are, so each
-    round's column is one contiguous run of units. Its comparisons are
-    written as 0.0/1.0 straight into the round-major float64 buffer behind
-    it, so it is exactly 0/1 by construction and is not copied or scanned. A
-    constant panel is a read-only broadcast of its one value (strides 0), so
-    no (n_units, n_rounds) array is allocated or scanned."""
+    round's column is one contiguous run of units. Its uniforms are drawn
+    ``DRAW_BLOCK`` units at a time, so no (n_units, n_rounds) array of them
+    exists whole, and their comparisons are written as 0.0/1.0 straight into
+    the round-major float64 buffer behind it, so it is exactly 0/1 by
+    construction and is not copied or scanned. A constant panel is a
+    read-only broadcast of its one value (strides 0), so no (n_units,
+    n_rounds) array is allocated or scanned."""
     shape = (spec.n_units, spec.n_rounds)
     if spec.kind == "constant":
         return TreatmentPanel._built(np.broadcast_to(float(spec.value), shape))
-    u = substream(seed, "design").random(shape)
-    rounds = np.less(u.T, np.asarray(spec.probs)[:, None], out=np.empty(shape[::-1]))
+    rng, probs = substream(seed, "design"), np.asarray(spec.probs)[:, None]
+    rounds = np.empty(shape[::-1])
+    # The uniforms are drawn unit-major in blocks of units, which continues
+    # the generator's stream exactly as one (n_units, n_rounds) draw would.
+    for start in range(0, spec.n_units, DRAW_BLOCK):
+        u = rng.random((min(DRAW_BLOCK, spec.n_units - start), spec.n_rounds))
+        np.less(u.T, probs, out=rounds[:, start : start + len(u)])
     return TreatmentPanel.views(rounds.T[None])[0]
 
 

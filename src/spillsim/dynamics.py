@@ -181,20 +181,21 @@ def compute_exposure(
         raise ValueError("columns disagree with the weight set population size")
     w_cols, y_cols = (a.reshape(len(a), -1) for a in (w_t, y_prev))
     mech = spec.exposure
-    threshold = isinstance(mech, MeanFieldThreshold)
-    level = mech.strength * (w_cols.mean(axis=0) > mech.tau) if threshold else None
-    e = _exposures(weights, [] if threshold else [(spec, slice(None))], level, w_cols, y_cols, t)
+    if isinstance(mech, MeanFieldThreshold):
+        e = np.broadcast_to(mech.strength * (w_cols.mean(axis=0) > mech.tau), w_cols.shape)
+    else:
+        e = weights.apply(spec.peer.value(w_cols, y_cols), t)
     return np.array(e).reshape(w_t.shape)  # a copy: the threshold level is a broadcast
 
 
-def _respond(spec: DynamicsSpec, w_t, y_prev, x_t, e_t, noise_t, t: int) -> np.ndarray:
-    """Unit response plus exposure plus scaled noise, unchecked. ``noise_t``
-    is read only when noise_sd > 0."""
-    y = spec.unit.value(w_t, y_prev, x_t, t)
+def _respond(unit: LinearUnit | SaturatingUnit, w_t, y_prev, x_t, e_t, scaled_noise, t: int, out=None) -> np.ndarray:
+    """Unit response plus exposure plus the scaled noise (None: no noise),
+    unchecked; the last sum is written to ``out`` when given."""
+    y = unit.value(w_t, y_prev, x_t, t)
+    if scaled_noise is None:
+        return np.add(y, e_t, out=out)
     y += e_t
-    if spec.noise_sd > 0.0:
-        y += spec.noise_sd * noise_t
-    return y
+    return np.add(y, scaled_noise, out=out)
 
 
 def _check_finite(y: np.ndarray, t: int, scenarios: Sequence[int] | None = None) -> None:
@@ -234,7 +235,8 @@ def step(
     _check_covariates([spec], x_t.shape[-1])
     # Overflow is reported below with its location, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _respond(spec, w_t, y_prev, x_t, e_t, noise_t, t)
+        scaled = spec.noise_sd * noise_t if spec.noise_sd > 0.0 else None
+        y = _respond(spec.unit, w_t, y_prev, x_t, e_t, scaled, t)
     _check_finite(y, t)
     return y
 
@@ -276,23 +278,26 @@ def _evolve(
 
     ``spec`` is one DynamicsSpec for every scenario or a sequence with one per
     scenario. Columns that evolve alike (see ``_distinct_columns``) are evolved
-    once and get the same panel and exposure matrix. Per round, every
-    weighted-sum column goes through one ``weights.apply`` call, and
-    consecutive columns with the same unit response respond as one block.
+    once and get the same panel and exposure matrix.
 
     ``keep`` lists the requested columns whose panels the caller needs (by
     default all). Their rounds go to one round-major (n_rounds + 1, kept,
     n_units) buffer, whose read-only transposed views are the panels, with
-    contiguous round columns. A round's rows, one contiguous row of units per
-    distinct column, read as a column-contiguous (n_units, s) array, are the
-    state the next round evolves from; treatments are gathered into rows the
-    same way, so every per-round read and write is contiguous. Unless every
-    column is kept, the state is one (s, n_units) array overwritten each
-    round, whose kept rows are copied out: other columns hold no history. As
-    a round is written, each row is reduced to its mean by one pairwise
-    reduction, and a round with a non-finite mean is scanned for the first
-    non-finite outcome, unit-major. Exposures are kept, in a buffer of the
-    full layout and as views of it, only when keep_exposures is set;
+    contiguous round columns; a kept column evolves in its rows there. Every
+    other column evolves in one state row of units, which each round
+    overwrites: it holds no history.
+
+    A round first stacks the peer signal of every weighted-sum column into
+    one (s_w, n_units) array and passes it, as an (n_units, s_w) view, to one
+    ``weights.apply`` call; the stack is freed once the exposures are back.
+    Then the round's noise is drawn, scaled once per run of consecutive
+    columns with the same unit response, and each column responds on its
+    own: its treatments are its panel's round column, its lagged outcomes its
+    previous row, and its response is written into its row. Then each row is
+    reduced to its round mean by one pairwise reduction, and a round with a
+    non-finite mean is scanned for the first non-finite outcome, unit-major.
+    No round buffer outlives its round. Exposures are kept, in a buffer of
+    the full layout and as views of it, only when keep_exposures is set;
     otherwise the list is empty. They need no scan: a non-finite exposure
     makes its outcome non-finite."""
     if not scenarios:
@@ -319,43 +324,57 @@ def _evolve(
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     s = len(lead)
     kept = list(range(s)) if keep is None else sorted({index[k] for k in keep})
-    exposure_runs = [run for run in _runs(specs, lambda sp: (sp.exposure, sp.peer))
-                     if not isinstance(run[0].exposure, MeanFieldThreshold)]
+    # Each weighted-sum column's row in the round's signal stack.
+    weighted = [d for d, sp in enumerate(specs) if not isinstance(sp.exposure, MeanFieldThreshold)]
+    summed = {d: j for j, d in enumerate(weighted)}
     response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
     noisy = any(sp.noise_sd > 0.0 for sp in specs)
 
     outcomes = np.empty((t_max + 1, len(kept), n))
     outcomes[0] = y0
-    state = np.tile(y0, (s, 1)) if len(kept) < s else None
+    slot = {d: j for j, d in enumerate(kept)}
+    others = [d for d in range(s) if d not in slot]
+    state = np.tile(y0, (len(others), 1))
+    state_rows = dict(zip(others, state))
+
+    def rows_of(t: int) -> list[np.ndarray]:
+        """Each distinct column's contiguous row of round t."""
+        return [outcomes[t, slot[d]] if d in slot else state_rows[d] for d in range(s)]
+
+    def take_means(t: int) -> None:
+        # The bits of each row's mean(), without its call overhead.
+        means[t, kept] = np.add.reduce(outcomes[t], axis=1) / n
+        means[t, others] = np.add.reduce(state, axis=1) / n
+
     exposures = np.empty((t_max, s, n)) if keep_exposures else None
     means = np.empty((t_max + 1, s))
-    means[0] = (outcomes[0] if state is None else state).mean(axis=1)
-    treated = np.empty((s, n))
-    w_cols = treated.T
+    take_means(0)
+    rows = rows_of(0)
     for t in range(1, t_max + 1):
-        for k, w in enumerate(scenarios):
-            treated[k] = w.column(t)
-        y_prev = (outcomes[t - 1] if state is None else state).T
-        rows = outcomes[t] if state is None else state
-        x_t = x.column(t)
-        x_t = x_t[:, None, :] if x_t.ndim == 2 else x_t
-        noise = substream(seed, "noise", t).standard_normal(n)[:, None] if noisy else None
+        y_prev, rows = rows, rows_of(t)
         # A non-finite outcome is named by the scan below.
         with np.errstate(over="ignore", invalid="ignore"):
-            e_t = _exposures(weights, exposure_runs, levels[t - 1], w_cols, y_prev, t)
-            # Each run reads only its own columns of the state it overwrites.
+            signals = np.empty((len(summed), n))
+            for d, j in summed.items():
+                signals[j] = specs[d].peer.value(scenarios[d].column(t), y_prev[d])
+            e_t = weights.apply(signals.T, t) if summed else None
+            del signals
+            noise = substream(seed, "noise", t).standard_normal(n) if noisy else None
+            x_t = x.column(t)
             for sp, cols in response_runs:
-                rows[cols] = _respond(sp, w_cols[:, cols], y_prev[:, cols], x_t, e_t[:, cols], noise, t).T
-            means[t] = rows.mean(axis=1)
+                scaled = sp.noise_sd * noise if sp.noise_sd > 0.0 else None
+                for d in range(cols.start, cols.stop):
+                    e = e_t[:, summed[d]] if d in summed else levels[t - 1, d]
+                    # A state row is its own lagged row, read only before it is written.
+                    _respond(sp.unit, scenarios[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
+                    if keep_exposures:
+                        exposures[t - 1, d] = e
+            del e_t, e, noise, scaled  # before the next round allocates its own
+            take_means(t)
         # A non-finite outcome makes its row's mean non-finite, so only such
         # a round is scanned; a finite round may still overflow a mean.
         if not np.isfinite(means[t]).all():
-            _check_finite(rows.T, t, lead)
-        if state is not None:
-            for j, d in enumerate(kept):
-                outcomes[t, j] = state[d]
-        if keep_exposures:
-            exposures[t - 1] = e_t.T
+            _check_finite(np.array(rows).T, t, lead)
     panels = dict(zip(kept, OutcomePanel.views(outcomes.transpose(1, 2, 0))))
     column_means = [tuple(map(float, column)) for column in means.T]
     suite = Suite([panels.get(d) for d in index], index, [column_means[d] for d in index])
@@ -398,23 +417,6 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
         index.append(distinct[key][0])
     lead = [k for _, k in distinct.values()]
     return index, lead, levels[:, lead]
-
-
-def _exposures(weights, runs, level, w_cols, y_prev, t: int) -> np.ndarray:
-    """Round-t exposures of every column, shape (n, s): ``level`` in the
-    threshold columns, and one ``weights.apply`` call over the weighted-sum
-    ``runs``."""
-    n, s = w_cols.shape
-    if not runs:
-        return np.broadcast_to(level, (n, s))
-    signals = [sp.peer.value(w_cols[:, cols], y_prev[:, cols]) for sp, cols in runs]
-    summed_e = weights.apply(signals[0] if len(signals) == 1 else np.hstack(signals), t)
-    if summed_e.shape[1] == s:
-        return summed_e
-    e_t = np.empty((n, s), order="F")
-    e_t[:] = level
-    e_t[:, np.r_[tuple(cols for _, cols in runs)]] = summed_e
-    return e_t
 
 
 def simulate_panel(

@@ -192,8 +192,7 @@ class BenchmarkReport:
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     def write_csv(self, path) -> None:
         """Flat rows: estimator, rep seed, estimate, truth, bias."""

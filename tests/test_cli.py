@@ -249,8 +249,10 @@ def test_sweep_writes_rows(tmp_path):
         ("0, nan", "ConfigError: --grid entry 2 'nan' is not finite"),
         ("0,1e308", "FloatingPointError: trend=1e+308, seed 5: non-finite outcome for unit 0 at round 2 "
                     "in scenario observed"),
+        (",", "ConfigError: --grid ',' lists no value"),
+        ("", "ConfigError: --grid '' lists no value"),
     ],
-    ids=["bad_entry", "non_finite_entry", "overflow"],
+    ids=["bad_entry", "non_finite_entry", "overflow", "only_commas", "empty"],
 )
 def test_sweep_errors_name_the_grid_entry(tmp_path, capsys, grid, message):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)

@@ -700,30 +700,58 @@ def test_run_once_retains_no_outcome_buffer(monkeypatch):
     assert set(record.coefficients) == {"ese_basic", "ese_cluster"}
 
 
-def test_one_replication_holds_one_outcome_panel_at_scale():
-    # clustered.cfg at N = 2*10^5 (T = 5, three distinct columns, one kept).
-    # Traced peak of run_once, in rows of N float64s: the inputs (baseline,
-    # T assignment rounds, cluster membership and the round column: T + 3),
-    # the observed panel's T + 1 rounds and one state row per column (3), and
-    # one round's temporaries, at most five per column. Keeping every
-    # column's history in a (T + 1, 3, N) buffer, as it once was, peaks
-    # 7 rows above this bound.
+def _evolution_peak_rows(t_max: int, grid_values: int) -> int:
+    """The traced peak of one replication of clustered.cfg, in rows of N
+    float64s, with ``grid_values`` values of a trend sweep (1: no sweep). The
+    inputs are the baseline, T assignment rounds, cluster membership and the
+    round column: T + 3 rows. Each value keeps its observed panel's T + 1
+    rounds, and its two counterfactual columns one state row each. Of the
+    round's temporaries, the larger set lives either while ``weights.apply``
+    runs, as the stacked peer signals, the exposures and one gathered row
+    (2D + 1 for D distinct columns), or while a column responds, as the
+    exposures, the noise, its scaled copy, the response and one product
+    (D + 4)."""
+    distinct = 3 * grid_values
+    held = grid_values * (t_max + 1) + (distinct - grid_values)
+    return (t_max + 3) + held + max(2 * distinct + 1, distinct + 4)
+
+
+def _traced_peak_of_run_once(n: int, grid: list[float] | None = None) -> int:
     import re
     import tracemalloc
 
     from spillsim.config import parse_config
+    from spillsim.harness import _sweep_grid
 
-    n = 200_000
     text = (Path(__file__).resolve().parents[1] / "configs" / "clustered.cfg").read_text()
     config = parse_config(re.sub(r"(?m)^n_units\s*=.*$", f"n_units = {n}", text))
-    t_max, columns = config.n_rounds, 3
-    bound = 8 * n * ((t_max + 3) + (t_max + 1 + columns) + 5 * columns)
+    sweep = None if grid is None else _sweep_grid(config, "trend", grid)
     tracemalloc.start()
     try:
-        run_once(config, config.base_seed)
+        run_once(config, config.base_seed, sweep=sweep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_one_replication_holds_one_outcome_panel_at_scale():
+    # clustered.cfg at N = 2*10^5 (T = 5, three distinct columns, one kept):
+    # 23 rows, 184 B/unit. Gathering the round's treatments into an (s, N)
+    # stack and responding in (N, s) blocks, as the evolution once did,
+    # peaked at 243 B/unit.
+    n = 200_000
+    peak, bound = _traced_peak_of_run_once(n), 8 * n * _evolution_peak_rows(5, 1)
+    assert peak <= bound, f"traced peak {peak / n:.0f} B/unit, bound {bound / n:.0f} B/unit"
+
+
+def test_one_replication_of_a_sweep_holds_one_round_of_temporaries():
+    # A five-value trend sweep of clustered.cfg at N = 5*10^4 (15 distinct
+    # columns, five kept): 79 rows, 632 B/unit. The block responses peaked
+    # at 912 B/unit.
+    n = 50_000
+    peak = _traced_peak_of_run_once(n, [0.0, 0.1, 0.2, 0.3, 0.4])
+    bound = 8 * n * _evolution_peak_rows(5, 5)
     assert peak <= bound, f"traced peak {peak / n:.0f} B/unit, bound {bound / n:.0f} B/unit"
 
 
