@@ -53,11 +53,12 @@ class LinearUnit:
             raise ValueError("unit response parameters must be finite")
         object.__setattr__(self, "x_coef", tuple(float(c) for c in self.x_coef))
 
-    def value(self, w, y, x, t):
-        # Accumulates in place into the fresh first product, in the order the
-        # formula reads, so no step of the sum allocates another array.
-        out = self.w_coef * w
-        out += self.y_coef * y
+    def value(self, w, y, x, t, out=None):
+        # Accumulates in place into the first product, written to ``out`` when
+        # given (which may be ``y`` itself), then in the order the formula
+        # reads; y_coef*y + w_coef*w has the bits of w_coef*w + y_coef*y.
+        out = np.multiply(y, self.y_coef, out=out)
+        out += self.w_coef * w
         out += self.intercept
         out += self.trend * t
         for k, c in enumerate(self.x_coef):
@@ -78,8 +79,13 @@ class SaturatingUnit(LinearUnit):
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError("saturation scale must be positive")
 
-    def value(self, w, y, x, t):
-        return self.scale * np.tanh(super().value(w, y, x, t) / self.scale)
+    def value(self, w, y, x, t, out=None):
+        # scale * tanh(linear / scale), each step in place.
+        out = super().value(w, y, x, t, out=out)
+        out /= self.scale
+        np.tanh(out, out=out)
+        out *= self.scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,16 +99,21 @@ class LinearPeer:
         if not np.all(np.isfinite([self.w_coef, self.y_coef])):
             raise ValueError("peer signal parameters must be finite")
 
-    def value(self, w, y):
-        return self.w_coef * w + self.y_coef * y
+    def value(self, w, y, out=None):
+        out = np.multiply(y, self.y_coef, out=out)
+        out += self.w_coef * w
+        return out
 
 
 @dataclass(frozen=True)
 class ZeroPeer:
     """No peer signal; exposures vanish under the weighted-sum mechanism."""
 
-    def value(self, w, y):
-        return np.zeros_like(np.asarray(y, dtype=np.float64))
+    def value(self, w, y, out=None):
+        if out is None:
+            return np.zeros_like(np.asarray(y, dtype=np.float64))
+        out.fill(0.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -190,12 +201,13 @@ def compute_exposure(
 
 def _respond(unit: LinearUnit | SaturatingUnit, w_t, y_prev, x_t, e_t, scaled_noise, t: int, out=None) -> np.ndarray:
     """Unit response plus exposure plus the scaled noise (None: no noise),
-    unchecked; the last sum is written to ``out`` when given."""
-    y = unit.value(w_t, y_prev, x_t, t)
-    if scaled_noise is None:
-        return np.add(y, e_t, out=out)
+    unchecked, each term added in place into ``out`` when given (which may
+    be ``y_prev`` itself)."""
+    y = unit.value(w_t, y_prev, x_t, t, out=out)
     y += e_t
-    return np.add(y, scaled_noise, out=out)
+    if scaled_noise is not None:
+        y += scaled_noise
+    return y
 
 
 def _check_finite(y: np.ndarray, t: int, scenarios: Sequence[int] | None = None) -> None:
@@ -287,19 +299,26 @@ def _evolve(
     other column evolves in one state row of units, which each round
     overwrites: it holds no history.
 
-    A round first stacks the peer signal of every weighted-sum column into
-    one (s_w, n_units) array and passes it, as an (n_units, s_w) view, to one
-    ``weights.apply`` call; the stack is freed once the exposures are back.
-    Then the round's noise is drawn, scaled once per run of consecutive
-    columns with the same unit response, and each column responds on its
-    own: its treatments are its panel's round column, its lagged outcomes its
-    previous row, and its response is written into its row. Then each row is
-    reduced to its round mean by one pairwise reduction, and a round with a
-    non-finite mean is scanned for the first non-finite outcome, unit-major.
-    No round buffer outlives its round. Exposures are kept, in a buffer of
-    the full layout and as views of it, only when keep_exposures is set;
-    otherwise the list is empty. They need no scan: a non-finite exposure
-    makes its outcome non-finite."""
+    A round walks its columns in order. Each apply group of weighted-sum
+    columns gets one ``weights.apply`` call when its first column is
+    reached: one group per column for a ``column_independent`` weight kind,
+    so no stack of signals or exposures exists, and one group for the whole
+    round for any other kind, whose bits depend on the stack. A group's peer
+    signals go into one (columns, n_units) array, passed as an (n_units,
+    columns) view and freed once the exposures are back, which are freed in
+    turn before the next group's call. The noise is drawn as the first noisy
+    column responds and scaled in place when every noisy column shares one
+    scale, else once per run of consecutive columns with the same unit
+    response. Each
+    column responds in its own row (a state row is also its lagged row): the
+    row takes y_coef times the lagged outcomes, then the treatment term of
+    its panel's round column, the intercept, trend, covariates, exposure and
+    noise are added in place. Then each row is reduced to its round mean by
+    one pairwise reduction, and a round with a non-finite mean is scanned for
+    the first non-finite outcome, unit-major. No round buffer outlives its
+    round. Exposures are kept, in a buffer of the full layout and as views of
+    it, only when keep_exposures is set; otherwise the list is empty. They
+    need no scan: a non-finite exposure makes its outcome non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -324,11 +343,13 @@ def _evolve(
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     s = len(lead)
     kept = list(range(s)) if keep is None else sorted({index[k] for k in keep})
-    # Each weighted-sum column's row in the round's signal stack.
     weighted = [d for d, sp in enumerate(specs) if not isinstance(sp.exposure, MeanFieldThreshold)]
-    summed = {d: j for j, d in enumerate(weighted)}
+    groups = [[d] for d in weighted] if weights.column_independent else [weighted] if weighted else []
+    group_at = {group[0]: group for group in groups}
+    e_col = {d: j for group in groups for j, d in enumerate(group)}  # its column in its group's exposures
     response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
-    noisy = any(sp.noise_sd > 0.0 for sp in specs)
+    scales = {sp.noise_sd for sp in specs if sp.noise_sd > 0.0}
+    one_scale = scales.pop() if len(scales) == 1 else None  # scales the noise in place
 
     outcomes = np.empty((t_max + 1, len(kept), n))
     outcomes[0] = y0
@@ -352,19 +373,27 @@ def _evolve(
     rows = rows_of(0)
     for t in range(1, t_max + 1):
         y_prev, rows = rows, rows_of(t)
+        x_t = x.column(t)
+        noise = e_t = e = None
         # A non-finite outcome is named by the scan below.
         with np.errstate(over="ignore", invalid="ignore"):
-            signals = np.empty((len(summed), n))
-            for d, j in summed.items():
-                signals[j] = specs[d].peer.value(scenarios[d].column(t), y_prev[d])
-            e_t = weights.apply(signals.T, t) if summed else None
-            del signals
-            noise = substream(seed, "noise", t).standard_normal(n) if noisy else None
-            x_t = x.column(t)
             for sp, cols in response_runs:
-                scaled = sp.noise_sd * noise if sp.noise_sd > 0.0 else None
+                scaled = None
                 for d in range(cols.start, cols.stop):
-                    e = e_t[:, summed[d]] if d in summed else levels[t - 1, d]
+                    if d in group_at:
+                        group, e_t, e = group_at[d], None, None
+                        signals = np.empty((len(group), n))
+                        for j, c in enumerate(group):
+                            specs[c].peer.value(scenarios[c].column(t), y_prev[c], out=signals[j])
+                        e_t = weights.apply(signals.T, t)
+                        del signals
+                    if scaled is None and sp.noise_sd > 0.0:
+                        if noise is None:
+                            noise = substream(seed, "noise", t).standard_normal(n)
+                            if one_scale:
+                                noise *= one_scale
+                        scaled = noise if one_scale else sp.noise_sd * noise
+                    e = e_t[:, e_col[d]] if d in e_col else levels[t - 1, d]
                     # A state row is its own lagged row, read only before it is written.
                     _respond(sp.unit, scenarios[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
                     if keep_exposures:
@@ -398,10 +427,10 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
     response is -0.0 (an intercept of -0.0)."""
     thresholds = [k for k, sp in enumerate(specs) if isinstance(sp.exposure, MeanFieldThreshold)]
     # Treated fractions once per treatment panel, reduced along the units of
-    # each round: numpy reduces a stride-0 broadcast panel over axis 0 row by
-    # row, 5-10x slower.
-    panels = {id(scenarios[k]): scenarios[k] for k in thresholds}
-    fractions = {key: w.values.T.mean(axis=1) for key, w in panels.items()}
+    # each round. A panel whose units share each round's value (stride 0, as
+    # the constant panels are) has that value, 0.0 or 1.0, as the exact mean.
+    panels = {id(scenarios[k]): scenarios[k].values for k in thresholds}
+    fractions = {key: v[0] if v.strides[0] == 0 else v.T.mean(axis=1) for key, v in panels.items()}
     mechs = [specs[k].exposure for k in thresholds]
     levels = np.zeros((scenarios[0].n_rounds, len(scenarios)))
     levels[:, thresholds] = np.array([m.strength for m in mechs]) * (

@@ -29,6 +29,8 @@ RANK_RTOL = 1e-10
 # which makes the two-level factorization several times faster than one LAPACK
 # call on the whole N-row block.
 TSQR_LEAF_ROWS = 1024
+# Leaves filled and factored at once: 16 leaves of 5 columns are 640 KiB.
+TSQR_CHUNK_LEAVES = 16
 
 # Every feature at round t is a scale times one of four unit-level base
 # columns of (w_t, y_{t-1}); the constant column is the scalar 1.0. The scale
@@ -224,30 +226,47 @@ def _feature_terms(
     return terms
 
 
-def _r_factor(block: np.ndarray) -> np.ndarray:
-    """R factor of a tall block by a two-level TSQR (Demmel, Grigori, Hoemmen
-    and Langou, SIAM J. Sci. Comput. 34(1), 2012): factor each leaf of
-    TSQR_LEAF_ROWS rows, then the leaf R factors stacked on the leftover rows."""
-    k = block.shape[0] // TSQR_LEAF_ROWS
-    if k < 2:
-        return np.linalg.qr(block, mode="r")
-    split = k * TSQR_LEAF_ROWS
-    leaves = np.linalg.qr(block[:split].reshape(k, TSQR_LEAF_ROWS, -1), mode="r")
-    return np.linalg.qr(np.concatenate([leaves.reshape(-1, block.shape[1]), block[split:]]), mode="r")
+def _fill(block: np.ndarray, w_t: np.ndarray, y_prev: np.ndarray, y_t: np.ndarray, bases: tuple[str, ...]) -> None:
+    """Write the base columns of ``bases``, then the outcomes, into
+    ``block[0..b]``, each shaped like the given rows of the round."""
+    for k, base in enumerate(bases):
+        block[k] = _BASES[base](w_t, y_prev)
+    block[len(bases)] = y_t
 
 
 def _round_factors(y: OutcomePanel, w: TreatmentPanel, bases: tuple[str, ...]) -> list[np.ndarray]:
     """R factor of each round's N x (b + 1) block [B_t, y_t]: the base
-    columns in ``bases`` order, then the round's outcome."""
-    b = len(bases)
-    block = np.empty((w.n_units, b + 1), order="F")
+    columns in ``bases`` order, then the round's outcome.
+
+    A round of fewer than two leaves of TSQR_LEAF_ROWS rows is factored
+    whole, every round in one batched call. A longer one is factored by a
+    two-level TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    Comput. 34(1), 2012): each leaf, then the leaf R factors stacked on the
+    leftover rows. Its leaves are filled and factored TSQR_CHUNK_LEAVES at a
+    time, in one buffer that every chunk and round reuses, so no N-row block
+    exists; the leaves and the final stack are those of one pass over the
+    whole block, so every R factor has the bits of that pass."""
+    n, t_max, b = w.n_units, w.n_rounds, len(bases)
+    rounds = [(w.column(t), y.column(t - 1), y.column(t)) for t in range(1, t_max + 1)]
+    leaves = n // TSQR_LEAF_ROWS
+    if leaves < 2:
+        blocks = np.empty((t_max, b + 1, n))  # each round's block, column by column
+        for block, inputs in zip(blocks, rounds):
+            _fill(block, *inputs, bases)
+        return list(np.linalg.qr(blocks.transpose(0, 2, 1), mode="r"))
+    split = leaves * TSQR_LEAF_ROWS
+    chunk = np.empty((min(leaves, TSQR_CHUNK_LEAVES), b + 1, TSQR_LEAF_ROWS))
+    stack = np.empty((leaves * (b + 1) + n - split, b + 1))  # leaf R factors, then the leftover rows
     factors = []
-    for t in range(1, w.n_rounds + 1):
-        w_t, y_prev = w.column(t), y.column(t - 1)
-        for k, base in enumerate(bases):
-            block[:, k] = _BASES[base](w_t, y_prev)
-        block[:, b] = y.column(t)
-        factors.append(_r_factor(block))
+    for inputs in rounds:
+        for first in range(0, leaves, TSQR_CHUNK_LEAVES):
+            part = chunk[: min(TSQR_CHUNK_LEAVES, leaves - first)]
+            rows = slice(first * TSQR_LEAF_ROWS, (first + len(part)) * TSQR_LEAF_ROWS)
+            _fill(part.transpose(1, 0, 2), *(v[rows].reshape(len(part), -1) for v in inputs), bases)
+            r = np.linalg.qr(part.transpose(0, 2, 1), mode="r")
+            stack[first * (b + 1) : (first + len(part)) * (b + 1)] = r.reshape(-1, b + 1)
+        _fill(stack[leaves * (b + 1) :].T, *(v[split:] for v in inputs), bases)
+        factors.append(np.linalg.qr(stack, mode="r"))
     return factors
 
 

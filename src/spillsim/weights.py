@@ -31,7 +31,8 @@ Cost of ``apply`` on n units and s signal columns:
 * clustered and influencer: O(n s) time. Each column's total and its sum
   over each cluster (the influencer set) fill a small exposure table, k x s
   for k clusters or (m + 1) x s for m influencers (a background row plus one
-  per influencer), which one ``take`` expands to n rows. Each sum is one
+  per influencer), which one indexing step expands to n rows; one column
+  costs the one row it returns. Each sum is one
   numpy reduction over a contiguous run: the column, or a cluster's segment
   of it in cluster order (unit order for ``gen_clustered`` sets, which so
   gather nothing). numpy adds it pairwise, with rounding error O(log n * eps)
@@ -41,8 +42,10 @@ No kind's bits depend on the memory layout of G: each structured sum is a
 function of the values it adds alone, and the lazy engine and the BLAS kinds
 (explicit, and the materialized Gaussian that serves ``fixed_network``) make
 G C-contiguous before any product. Structured kinds also promise that
-``apply(G)[:, j]`` is bit for bit ``apply(G[:, j])`` whatever the width of G.
-The other kinds promise no such column independence: the lazy engine
+``apply(G)[:, j]`` is bit for bit ``apply(G[:, j])`` whatever the width of G,
+and say so with ``column_independent``, so the evolution engine gives them
+one column at a time. The other kinds promise no such column independence:
+the lazy engine
 conditions each column on every column it is given, and the BLAS kinds use a
 matrix-matrix product for several columns but a matrix-vector product for
 one. Structured kinds and the lazy engine return a column-contiguous (n, s)
@@ -125,9 +128,12 @@ def _signal_stack(gv, n: int) -> np.ndarray:
 
 
 class WeightSet:
-    """Common interface: row-sum application and a description."""
+    """Common interface: row-sum application and a description.
+    ``column_independent`` says that each column of ``apply``'s result has
+    the bits of that column applied alone."""
 
     n_units: int
+    column_independent = False
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         """Weighted peer sums for round t: row i of the result, which has the
@@ -299,6 +305,16 @@ class LazyGaussianWeights(WeightSet):
         return out.reshape(np.shape(gv))
 
 
+def _expand(table: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
+    """Row ``index[i]`` of a small (rows, s) exposure table for every unit i,
+    as an (n, s) stack of contiguous columns in ``shape``. ``take`` copies a
+    read-only index first; a fancy index reads it in place, so one column
+    costs the one row it returns."""
+    if table.shape[1] == 1:
+        return table[:, 0][index].reshape(shape)
+    return table.T.take(index, axis=1).T.reshape(shape)
+
+
 def _column_sums(g: np.ndarray, gather: Sequence[int] | None, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each column's total (s,) and its sums (len(starts), s) over the
     segments of its values in ``gather`` order (None: as they are), segment r
@@ -317,6 +333,7 @@ def _column_sums(g: np.ndarray, gather: Sequence[int] | None, starts: Sequence[i
 
 @dataclass(frozen=True)
 class ClusteredWeights(WeightSet):
+    column_independent = True
     n_units: int
     membership: np.ndarray
     n_clusters: int
@@ -353,11 +370,12 @@ class ClusteredWeights(WeightSet):
         per_cluster[self.filled] = sums
         # Row l holds the exposure of every unit in cluster l.
         table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
-        return table.T.take(self.membership, axis=1).T.reshape(np.shape(gv))
+        return _expand(table, self.membership, np.shape(gv))
 
 
 @dataclass(frozen=True)
 class InfluencerWeights(WeightSet):
+    column_independent = True
     n_units: int
     influencers: tuple[int, ...]
     w_inf: float
@@ -385,7 +403,7 @@ class InfluencerWeights(WeightSet):
         own = np.zeros((m + 1, g.shape[1]))
         own[1:] = g[list(self.influencers)]
         table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
-        return table.T.take(self.row, axis=1).T.reshape(np.shape(gv))
+        return _expand(table, self.row, np.shape(gv))
 
 
 @dataclass(frozen=True)

@@ -504,6 +504,88 @@ def test_constant_broadcasts_evolve_as_materialized_panels(kind):
         _assert_same_bits(a.values, b.values, f"outcomes of column {k}")
 
 
+def _stacked_exposures(weights, spec, scenarios, panels, t):
+    """One ``weights.apply`` call on the (N, s) stack of the columns' peer
+    signals at round t, read from their evolved panels."""
+    signals = np.column_stack([spec.peer.value(w.column(t), y.column(t - 1)) for w, y in zip(scenarios, panels)])
+    return weights.apply(signals, t)
+
+
+@pytest.mark.parametrize("kind", ["clustered", "influencer"])
+def test_structured_exposures_are_the_stacked_apply_bit_for_bit(kind):
+    # Structured kinds get one column per weights.apply call; the exposures
+    # the engine keeps are still those of one call on the round's stack.
+    from spillsim.dynamics import _evolve
+
+    scenarios, x, y0 = _evolution_fixture()
+    weights = _MAKE_WEIGHTS[kind]()
+    spec = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7, trend=0.1), peer=LinearPeer(1.2, 0.3), noise_sd=0.2)
+    panel, exposure = simulate_panel(spec, weights, scenarios[0], x, y0, seed=3)
+    panels, mats = _evolve(spec, weights, scenarios, x, y0, 3, keep_exposures=True)
+    for t in range(1, _T + 1):
+        one = _stacked_exposures(weights, spec, scenarios[:1], [panel], t)
+        _assert_same_bits(exposure.column(t), one[:, 0], f"simulate_panel exposures of round {t}")
+        stack = _stacked_exposures(weights, spec, scenarios, panels, t)
+        for k, mat in enumerate(mats):
+            _assert_same_bits(mat.column(t), stack[:, k], f"exposures of column {k}, round {t}")
+
+
+@pytest.mark.parametrize("kind", sorted(_MAKE_WEIGHTS))
+def test_each_structured_column_gets_its_own_apply_call(kind, monkeypatch):
+    # A column-independent kind is called once per weighted-sum column and
+    # round with that column alone; any other kind once per round with the
+    # whole stack. Threshold columns never reach weights.apply.
+    weights = _MAKE_WEIGHTS[kind]()
+    widths, apply = [], type(weights).apply
+    monkeypatch.setattr(type(weights), "apply", lambda ws, gv, t: widths.append((t, np.shape(gv))) or apply(ws, gv, t))
+    scenarios, x, y0 = _evolution_fixture()
+    unit = LinearUnit(w_coef=1.0, y_coef=0.7)
+    specs = [linear_spec(unit=unit), linear_spec(unit=unit, exposure=MeanFieldThreshold(0.3, 1.5)),
+             linear_spec(unit=unit, peer=LinearPeer(0.5, -0.4))]
+    counterfactual_suite(specs * 3, weights, [w for w in scenarios for _ in specs], x, y0, seed=1)
+    if weights.column_independent:
+        want = [(t, (_N, 1)) for t in range(1, _T + 1) for _ in range(6)]
+    else:
+        want = [(t, (_N, 6)) for t in range(1, _T + 1)]
+    assert widths == want
+    assert weights.column_independent == (kind in ("clustered", "influencer"))
+
+
+@pytest.mark.parametrize("kind", sorted(_MAKE_WEIGHTS))
+def test_evolution_with_several_noise_scales_matches_the_unit_major_reference(kind):
+    # Noise scales 0.2, 0.5 and none: the noise is scaled once per response
+    # run, not in place, and a noiseless run sits between noisy ones.
+    scenarios, x, y0 = _evolution_fixture()
+    unit = SaturatingUnit(w_coef=0.8, y_coef=0.6, scale=3.0)
+    sweep = [
+        linear_spec(unit=unit, peer=LinearPeer(1.2, 0.3), noise_sd=0.2),
+        linear_spec(unit=unit, peer=LinearPeer(1.2, 0.3), noise_sd=0.0),
+        linear_spec(unit=unit, exposure=MeanFieldThreshold(0.3, 1.5), noise_sd=0.5),
+        linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7, trend=0.1), noise_sd=0.5),
+    ]
+    columns = [sp for sp in sweep for _ in scenarios]
+    _assert_evolves_as_reference(columns, _MAKE_WEIGHTS[kind], scenarios * len(sweep), x, y0, seed=11)
+
+
+def test_panels_constant_over_units_take_their_fractions_from_one_row():
+    # A panel whose units all share each round's value (stride 0 over units)
+    # has that value as its treated fraction, exactly as the mean over units.
+    from spillsim.dynamics import _distinct_columns
+
+    rounds = np.array([0.0, 1.0, 1.0, 0.0])
+    by_round = TreatmentPanel._built(np.broadcast_to(rounds, (5, 4)))
+    nobody, everybody = (assign(DesignSpec(kind="constant", n_units=5, n_rounds=4, value=v), 0) for v in (0, 1))
+    observed = assign(DesignSpec(kind="bernoulli", n_units=5, n_rounds=4, probs=(0.1, 0.5, 0.5, 0.9)), 3)
+    unit = LinearUnit(w_coef=1.0, y_coef=0.5)
+    specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(tau, 2.0)) for tau in (0.25, 0.75)] * 4
+    scenarios = [panel for panel in (by_round, nobody, everybody, observed) for _ in range(2)]
+    index, lead, levels = _distinct_columns(specs, scenarios)
+    want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
+    assert (index, lead) == (want_index, want_lead)
+    assert levels.tobytes() == want_levels.tobytes()
+    assert levels[:, 0].tolist() == (2.0 * rounds).tolist()
+
+
 def _distinct_columns_per_column(specs, scenarios):
     """``_distinct_columns`` as one threshold level per column: the reference
     for its single comparison over every threshold column."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spillsim.estimators import (
     RANK_RTOL,
+    TSQR_CHUNK_LEAVES,
     TSQR_LEAF_ROWS,
     Feature,
     FeatureSpec,
@@ -15,6 +16,7 @@ from spillsim.estimators import (
     basic_feature_spec,
     _BASES,
     _feature_terms,
+    _round_factors,
     cluster_feature_spec,
     dm_estimate,
     fit_ese,
@@ -329,6 +331,85 @@ def test_fit_matches_lstsq_on_tall_panels(n):
     structure = StructureMetadata(membership=np.arange(n) % 2, n_clusters=2)
     for spec in (basic_feature_spec(), cluster_feature_spec(2), FeatureSpec.parse(UNINDEXED_KINDS)):
         _assert_fit_matches_oracle(y, w, spec, structure)
+
+
+def _two_level_tsqr(block):
+    """R factor of a tall block by the two-level TSQR over the whole block
+    at once: every leaf of TSQR_LEAF_ROWS rows in one batched call, then the
+    leaf R factors stacked on the leftover rows; a block of fewer than two
+    leaves is factored whole. The reference for ``_round_factors``."""
+    k = block.shape[0] // TSQR_LEAF_ROWS
+    if k < 2:
+        return np.linalg.qr(block, mode="r")
+    split = k * TSQR_LEAF_ROWS
+    leaves = np.linalg.qr(block[:split].reshape(k, TSQR_LEAF_ROWS, -1), mode="r")
+    return np.linalg.qr(np.concatenate([leaves.reshape(-1, block.shape[1]), block[split:]]), mode="r")
+
+
+def _reference_round_factors(y, w, bases):
+    """Each round's N x (b + 1) block [B_t, y_t], built whole and factored by
+    ``_two_level_tsqr``."""
+    block = np.empty((w.n_units, len(bases) + 1), order="F")
+    factors = []
+    for t in range(1, w.n_rounds + 1):
+        for k, base in enumerate(bases):
+            block[:, k] = _BASES[base](w.column(t), y.column(t - 1))
+        block[:, len(bases)] = y.column(t)
+        factors.append(_two_level_tsqr(block))
+    return factors
+
+
+_LEAF, _CHUNK = TSQR_LEAF_ROWS, TSQR_CHUNK_LEAVES * TSQR_LEAF_ROWS
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 4, 2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1, 3 * _LEAF, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+     _CHUNK + _LEAF - 1, _CHUNK + _LEAF, 2 * _CHUNK + 1, 2 * _CHUNK + _LEAF + 17],
+)
+def test_round_factors_have_the_bits_of_the_two_level_tsqr(n):
+    # Leaf and chunk boundaries, each +-1: single-leaf rounds factored in
+    # one batched call, leftover rows, a last chunk of one leaf or of one
+    # leaf less than a full chunk. Row-major and column-major outcome panels
+    # give the factors different strides to read.
+    rng = np.random.default_rng(n)
+    w = TreatmentPanel((rng.random((n, 3)) < np.array([0.2, 0.5, 0.8])).astype(float))
+    for y in (OutcomePanel(rng.normal(size=(n, 4)) * 3.0 + 1.0),
+              OutcomePanel(np.asfortranarray(rng.normal(size=(n, 4))))):
+        for bases in (("one", "w", "y"), ("one", "w", "y", "wy"), ("wy",), ("y", "one")):
+            got, want = _round_factors(y, w, bases), _reference_round_factors(y, w, bases)
+            assert len(got) == len(want) == w.n_rounds
+            for t, (a, b) in enumerate(zip(got, want), start=1):
+                assert a.shape == b.shape, (bases, t)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (bases, t)
+
+
+def test_round_factors_hold_one_chunk_of_leaves_at_a_time():
+    # N = 2*10^5, T = 5, four block columns: beyond its panels, the factoring
+    # holds a chunk of leaves, the copy of it that np.linalg.qr makes, one
+    # base column of a chunk, and the stacked leaf factors and leftover rows
+    # with their copy: O(chunk) in all.
+    # Building each round's N-row block, plus the copy of it that the batched
+    # leaf factoring makes, took 64 B/unit.
+    import tracemalloc
+
+    n, t_max, bases = 200_000, 5, ("one", "w", "y")
+    rng = np.random.default_rng(2)
+    w = TreatmentPanel((rng.random((n, t_max)) < 0.5).astype(float))
+    y = OutcomePanel(rng.normal(size=(n, t_max + 1)))
+    chunk = TSQR_CHUNK_LEAVES * TSQR_LEAF_ROWS * (len(bases) + 1) * 8
+    stack = (n // TSQR_LEAF_ROWS * (len(bases) + 1) + TSQR_LEAF_ROWS) * (len(bases) + 1) * 8
+    _round_factors(y, w, bases)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _round_factors(y, w, bases)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 3 * chunk + 2 * stack + (64 << 10)
+    assert peak <= bound, f"{peak / n:.1f} B/unit above the panels, bound {bound / n:.1f}"
 
 
 # Relabeling moves an ESE effect by rounding alone, through a least-squares

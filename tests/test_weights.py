@@ -387,6 +387,29 @@ def test_a_column_gives_the_bits_of_its_one_column_stack(kind):
     assert np.array_equal(column.view(np.uint64), stack[:, 0].view(np.uint64))
 
 
+@pytest.mark.parametrize("structured", ["clustered", "influencer"])
+def test_a_structured_column_costs_the_one_row_it_returns(structured):
+    # One column's exposure table is expanded by a fancy index, which reads
+    # the read-only unit-to-row index in place; ``take`` copied it first, one
+    # more row of N. Unsorted cluster ids make the sums gather in cluster
+    # order, which needs a row of its own, so the sets here are sorted.
+    n = 200_000
+    ws = {"clustered": gen_clustered(n, 3, w_in=1.3, w_out=-0.2),
+          "influencer": gen_influencer(n, [1, 5, 70_000], w_inf=0.9, w_base=0.4)}[structured]
+    g = np.random.default_rng(4).normal(size=n)
+    ws.apply(g, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = ws.apply(g, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert peak <= out.nbytes + (64 << 10), f"{peak / n:.1f} B/unit"
+
+
 @pytest.mark.parametrize("engine", [LazyGaussianWeights, DenseGaussianWeights])
 def test_both_gaussian_engines_check_the_population_alike(engine):
     params = GaussianWeightParams(1.0, 1.0)
