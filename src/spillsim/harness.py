@@ -222,8 +222,7 @@ def observed_inputs(
     builds its own (the base seed's, for a fixed network)."""
     n, t_max = config.n_units, config.n_rounds
     if weights is None:
-        weight_seed = config.base_seed if config.fixed_network else seed
-        weights = config.weights.build(n, t_max, weight_seed, shared=config.fixed_network)
+        weights = config.weights.build(n, t_max, config.base_seed if config.fixed_network else seed)
     w_obs = design_mod.assign(config.design, seed)
     x = round_index_covariates(n, t_max)
     y0 = config.baseline_mean + config.baseline_sd * substream(seed, "baseline").standard_normal(n)
@@ -292,10 +291,8 @@ def run_once(
 def _every_seed(config: ScenarioConfig, **kwargs) -> list:
     """``run_once`` with ``kwargs`` under every seed of the run, in seed order.
     The seeds share one weight set unless each draws its own."""
-    if not config.weights.depends_on_seed(config.fixed_network):
-        kwargs["weights"] = config.weights.build(
-            config.n_units, config.n_rounds, config.base_seed, shared=config.fixed_network
-        )
+    if config.fixed_network or not WEIGHT_KINDS[config.weights.kind].per_seed:
+        kwargs["weights"] = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
     return [run_once(config, config.base_seed + r, **kwargs) for r in range(config.n_reps)]
 
 

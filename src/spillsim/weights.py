@@ -9,12 +9,11 @@ weighted peer sums ``apply(gv, t)``. Five representations are provided:
   per-round delta of Normal(mu_t/n, sigma2_t/n) entries, never built: the
   products W @ G are drawn with exactly the joint law of the materialized
   matrix by Gaussian conditioning. Memory and work per round are O(n k), where
-  k is the number of distinct signal columns seen so far. It serves one
-  forward pass through the rounds.
-* ``DenseGaussianWeights``: the same law, materialized (8 n^2 bytes). It is
-  the small-n oracle the lazy engine is tested against and the engine for a
-  network shared by several replications (``fixed_network``), whose signals
-  differ.
+  k is the number of distinct signal columns seen so far. It serves any number
+  of passes through the rounds, so one set is the fixed network several
+  replications share (``fixed_network``).
+* ``DenseGaussianWeights``: the same law, materialized (8 n^2 bytes): the
+  small-n oracle the lazy engine is tested against.
 * ``ClusteredWeights``: block structure, w_in/n within a cluster and w_out/n
   across clusters.
 * ``InfluencerWeights``: a small set of m high-reach units whose columns carry
@@ -26,7 +25,7 @@ weighted peer sums ``apply(gv, t)``. Five representations are provided:
 Cost of ``apply`` on n units and s signal columns:
 
 * lazy Gaussian: O(n s k) time and O(n k) memory, k the distinct columns
-  seen so far in the pass;
+  seen so far;
 * dense Gaussian and explicit: one n x n matrix product, O(n^2 s);
 * clustered and influencer: O(n s) time. Each column's total and its sum
   over each cluster (the influencer set) fill a small exposure table, k x s
@@ -40,12 +39,11 @@ Cost of ``apply`` on n units and s signal columns:
 
 No kind's bits depend on the memory layout of G: each structured sum is a
 function of the values it adds alone, and the lazy engine and the BLAS kinds
-(explicit, and the materialized Gaussian that serves ``fixed_network``) make
-G C-contiguous before any product. Structured kinds also promise that
-``apply(G)[:, j]`` is bit for bit ``apply(G[:, j])`` whatever the width of G,
-and say so with ``column_independent``, so the evolution engine gives them
-one column at a time. The other kinds promise no such column independence:
-the lazy engine
+(explicit, and the materialized Gaussian oracle) make G C-contiguous before
+any product. Structured kinds also promise that ``apply(G)[:, j]`` is bit for
+bit ``apply(G[:, j])`` whatever the width of G, and say so with
+``column_independent``, so the evolution engine gives them one column at a
+time. The other kinds promise no such column independence: the lazy engine
 conditions each column on every column it is given, and the BLAS kinds use a
 matrix-matrix product for several columns but a matrix-vector product for
 one. Structured kinds and the lazy engine return a column-contiguous (n, s)
@@ -57,7 +55,8 @@ name, and the result has the shape of the input.
 
 Structured kinds never materialize an n x n matrix. Dense kinds check the
 8 n^2 bytes they need against physical memory before allocating. All weight
-sets except the lazy Gaussian are immutable after construction.
+sets except the lazy Gaussian, which grows with each new column but gives a
+column sent again at a round the bits it got then, are immutable.
 
 ``WEIGHT_KINDS`` is the one table of the kinds a config file can name: each
 kind's keys and defaults, how it is built, whether it draws per seed, and
@@ -153,7 +152,7 @@ class WeightSet:
 @dataclass(frozen=True)
 class DenseGaussianWeights(WeightSet):
     """The dense Gaussian law materialized (8 n^2 bytes): the small-n oracle
-    and the engine of a network shared by several replications."""
+    ``LazyGaussianWeights`` is tested against, never built by a run."""
 
     n_units: int
     params: GaussianWeightParams
@@ -164,7 +163,7 @@ class DenseGaussianWeights(WeightSet):
     def __post_init__(self):
         _check_population(self.n_units, self.n_rounds)
         n = self.n_units
-        _check_dense_fits(n, "materialized dense_gaussian weights (needed by fixed_network)")
+        _check_dense_fits(n, "materialized dense_gaussian oracle")
         rng = substream(self.seed, "weights", "static")
         a = rng.normal(self.params.mu / n, np.sqrt(self.params.sigma2 / n), size=(n, n))
         a.setflags(write=False)
@@ -201,6 +200,11 @@ class _ConditionedGaussian:
     This is a Gram-Schmidt QR of the columns, G = U R, with Z U drawn column
     by column. Each projection step is one matrix-vector product over the
     filled rows, so an image costs O(n k) time and adds at most 16 n bytes.
+
+    ``seen`` keeps the coefficients c of every key's image c @ b, so a key
+    sent again rebuilds the first image's bits. The key is the caller's name
+    for the column, a hash; a hit counts only if the column is c @ q to
+    1e-10, so a collision projects afresh instead of returning a wrong image.
     """
 
     def __init__(self, fresh: np.random.Generator, n: int):
@@ -208,24 +212,29 @@ class _ConditionedGaussian:
         self.k = 0
         self._q = np.empty((0, n))
         self._b = np.empty((0, n))
+        self.seen: dict = {}
 
     # The filled rows, copied: ``resize`` would leave a view dangling.
     basis = property(lambda self: self._q[: self.k].copy())
     images = property(lambda self: self._b[: self.k].copy())
 
-    def add_images(self, out: np.ndarray, g: np.ndarray, columns: Sequence[int], scale: float) -> None:
+    def add_images(self, out: np.ndarray, g: np.ndarray, columns: Sequence[int], keys: Sequence, scale: float) -> None:
         """out[:, j] += scale * Z g[:, j] for each j of ``columns``, in order,
-        after one ``resize`` (a ``realloc``) to room for a row per column."""
+        ``keys`` naming each for ``seen``, after one ``resize`` (a
+        ``realloc``) to room for a row per column."""
         rows = (self.k + len(columns), self._q.shape[1])
         # No view of the arrays outlives a call (``basis`` and ``images`` are
         # copies), so the reference check, which a profiler's hold on the
         # bound method fails, can go.
         self._q.resize(rows, refcheck=False)
         self._b.resize(rows, refcheck=False)
-        for j in columns:
-            out[:, j] += scale * self.image(g[:, j])
+        for j, key in zip(columns, keys):
+            out[:, j] += scale * self.image(g[:, j], key)
 
-    def image(self, g: np.ndarray) -> np.ndarray:
+    def image(self, g: np.ndarray, key) -> np.ndarray:
+        coef = self.seen.get(key)
+        if coef is not None and np.linalg.norm(g - coef @ self._q[: len(coef)]) <= 1e-10 * np.linalg.norm(g):
+            return coef @ self._b[: len(coef)]
         q = self._q[: self.k]
         coef = q @ g
         r = g - coef @ q
@@ -238,6 +247,7 @@ class _ConditionedGaussian:
             self.fresh.standard_normal(out=self._b[self.k])
             coef = np.append(coef, norm)
             self.k += 1
+        self.seen[key] = coef
         return coef @ self._b[: self.k]
 
 
@@ -248,14 +258,19 @@ class LazyGaussianWeights(WeightSet):
     Write the static matrix as (mu/n) 11' + sqrt(sigma2/n) Z and the round-t
     delta as (mu_t/n) 11' + sqrt(sigma2_t/n) Z_t. The mean terms are computed
     directly. ``_ConditionedGaussian`` draws each image Z g conditionally on
-    every image drawn before, so one instance serves the static part for the
-    whole pass and a fresh one, seeded by the round and sized to its distinct
-    columns, serves each delta; it is freed before the static rows grow.
+    every image drawn before, so one instance serves the static part and one
+    per round, seeded by the round and made on the round's first call,
+    serves its delta. Both live as long as the set, so it serves any number
+    of passes through the rounds in any order: a fixed network that several
+    replications feed different signals. Each distinct column adds 16 n bytes
+    to the static part and, when sigma2_t > 0, to its round's delta.
 
     Columns are reduced to their distinct values in a canonical order (sorted
     by their bytes) before any draw, so identical scenarios get bit-identical
-    exposures and scenario order cannot change any result. Rounds must come
-    in increasing order, each at most once: one forward pass.
+    exposures and scenario order cannot change any result. A column sent
+    again at a round it was sent at gets the bits it got then, keyed by the
+    round and the hash of its bytes; at a new round it is projected afresh,
+    as within one pass.
     """
 
     n_units: int
@@ -263,7 +278,7 @@ class LazyGaussianWeights(WeightSet):
     n_rounds: int
     seed: int
     static: _ConditionedGaussian = field(init=False, repr=False)
-    last_round: int = field(init=False, repr=False, default=0)
+    deltas: dict[int, _ConditionedGaussian] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         _check_population(self.n_units, self.n_rounds)
@@ -272,33 +287,29 @@ class LazyGaussianWeights(WeightSet):
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         if not 1 <= t <= self.n_rounds:
             raise IndexError(f"round {t} outside 1..{self.n_rounds}")
-        if t <= self.last_round:
-            raise ValueError(
-                f"round {t} requested after round {self.last_round}: lazy Gaussian weights serve one "
-                "forward pass; use gen_dense_gaussian to revisit a round"
-            )
         n = self.n_units
         # The projections' bits depend on the strides BLAS sees; one layout
         # for every input makes them a function of the values alone.
         g = np.ascontiguousarray(_signal_stack(gv, n))
-        self.last_round = t
         keys = [g[:, j].tobytes() for j in range(g.shape[1])]
         lead: dict[bytes, int] = {}  # distinct column -> its first index, in canonical order
         for j in sorted(range(len(keys)), key=keys.__getitem__):
             lead.setdefault(keys[j], j)
         source = [lead[key] for key in keys]
         distinct = list(lead.values())
+        # bytes cache their hash, which the dict above computed: 8 bytes a key.
+        names = [(t, hash(key)) for key in lead]
         del keys, lead
         p = self.params
         out = np.empty(g.shape, order="F")
         for j in distinct:
             out[:, j] = ((p.mu + p.mu_t) / n) * g[:, j].sum()
         if p.sigma2_t > 0.0:
-            delta = _ConditionedGaussian(substream(self.seed, "weights", "delta", t), n)
-            delta.add_images(out, g, distinct, np.sqrt(p.sigma2_t / n))
-            del delta  # free its rows before the static basis grows
+            if t not in self.deltas:
+                self.deltas[t] = _ConditionedGaussian(substream(self.seed, "weights", "delta", t), n)
+            self.deltas[t].add_images(out, g, distinct, names, np.sqrt(p.sigma2_t / n))
         if p.sigma2 > 0.0:
-            self.static.add_images(out, g, distinct, np.sqrt(p.sigma2 / n))
+            self.static.add_images(out, g, distinct, names, np.sqrt(p.sigma2 / n))
         for j, src in enumerate(source):
             if src != j:
                 out[:, j] = out[:, src]
@@ -497,15 +508,7 @@ def _influencer_ids(ids: Sequence[int], n: int) -> tuple[int, ...]:
     return ids
 
 
-def _build_gaussian(p: dict, n: int, n_rounds: int, seed: int, shared: bool) -> WeightSet:
-    params = GaussianWeightParams(**p)
-    # Only the materialized oracle can serve several forward passes.
-    if shared:
-        return gen_dense_gaussian(n, params, n_rounds, seed)
-    return LazyGaussianWeights(n, params, n_rounds, seed)
-
-
-def _build_explicit(p: dict, n: int, n_rounds: int, seed: int, shared: bool) -> WeightSet:
+def _build_explicit(p: dict, n: int, *_) -> WeightSet:
     ws = read_explicit_csv(p["matrix_path"])
     if ws.n_units != n:
         raise ValueError(f"explicit matrix is {ws.n_units}x{ws.n_units}, population is {n}")
@@ -517,9 +520,9 @@ class WeightKind:
     """One kind a config file's ``[weights] kind`` can name.
 
     ``keys`` maps each key the kind reads to its default (None: required).
-    ``build(params, n_units, n_rounds, seed, shared)`` makes the set, one that
-    several replications can reuse when ``shared`` (a fixed network);
-    ``per_seed`` says whether it draws a new set for every seed. ``checks``
+    ``build(params, n_units, n_rounds, seed)`` makes the set, which any
+    number of replications may share; ``per_seed`` says whether a run draws
+    a new set for every seed unless its network is fixed. ``checks``
     test single values against the population size before any build and
     raise ``KeyedValueError``, so a config file names the value's line.
     ``engines`` are the classes ``build`` returns; ``structure`` names their
@@ -541,7 +544,8 @@ class WeightKind:
 WEIGHT_KINDS = {
     "dense_gaussian": WeightKind(
         keys={"mu": 0.0, "sigma2": 0.0, "mu_t": 0.0, "sigma2_t": 0.0},
-        build=_build_gaussian,
+        build=lambda p, n, n_rounds, seed: LazyGaussianWeights(n, GaussianWeightParams(**p), n_rounds, seed),
+        # The materialized oracle is never built, but describes as the kind.
         engines=(LazyGaussianWeights, DenseGaussianWeights),
         per_seed=True,
         describe=lambda ws: {"n_rounds": ws.n_rounds, **dataclasses.asdict(ws.params), "seed": ws.seed},
@@ -582,8 +586,8 @@ def kind_of(weights: WeightSet) -> str:
 class WeightConfig:
     """Declarative weight-set choice: a kind of ``WEIGHT_KINDS`` and a value
     for each of its keys in ``params``, the kind's default where none is
-    given. Built once per run unless the kind draws per seed, then once per
-    replication. Errors name the config key."""
+    given. Built once per run unless the kind draws per seed and the network
+    is not fixed, then once per replication. Errors name the config key."""
 
     kind: str
     params: dict
@@ -614,12 +618,6 @@ class WeightConfig:
         """The input files ``build`` reads, as the config names them."""
         return [self.params[key] for key in WEIGHT_KINDS[self.kind].files]
 
-    def depends_on_seed(self, shared: bool = False) -> bool:
-        """Whether ``build`` draws a new weight set for each seed; a shared
-        (fixed) network is drawn once."""
-        return WEIGHT_KINDS[self.kind].per_seed and not shared
-
-    def build(self, n_units: int, n_rounds: int, seed: int, shared: bool = False) -> WeightSet:
-        """The weight set for one forward pass, or for several when ``shared``
-        (a fixed network)."""
-        return WEIGHT_KINDS[self.kind].build(self.params, n_units, n_rounds, seed, shared)
+    def build(self, n_units: int, n_rounds: int, seed: int) -> WeightSet:
+        """The weight set ``seed`` draws, for any number of passes."""
+        return WEIGHT_KINDS[self.kind].build(self.params, n_units, n_rounds, seed)

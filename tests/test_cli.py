@@ -403,8 +403,12 @@ def test_cli_missing_config_file(tmp_path, capsys):
 
 
 def test_cli_reports_a_dense_matrix_too_large_for_memory(tmp_path, capsys):
-    # fixed_network needs the materialized N x N matrix: 8e14 bytes at N = 10^7.
-    text = NULL_CONFIG.replace("n_units = 40", "n_units = 10000000") + "fixed_network = true\n"
+    # One row naming unit 10^7 - 1 makes an explicit matrix of N = 10^7, 8e14
+    # bytes; the reader refuses it from the shape, before any allocation.
+    matrix = tmp_path / "w.csv"
+    matrix.write_text("i,j,weight\n0,9999999,1.0\n")
+    weights = f"\n[weights]\nkind = explicit\nmatrix_path = {matrix}\n"
+    text = NULL_CONFIG.replace("n_units = 40", "n_units = 10000000") + weights
     cfg = _write_config(tmp_path, text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err.strip())

@@ -415,7 +415,8 @@ def _assert_same_bits(got, want, what):
 def _assert_evolves_as_reference(columns, make_weights, scenarios, x, y0, seed):
     """``_evolve`` (with and without exposures) and ``counterfactual_suite``
     match the reference bit for bit, and every panel's round columns are
-    contiguous. Lazy weights serve one pass, so each run gets a fresh set."""
+    contiguous. Each run gets a fresh set, so no run reads the images a lazy
+    set kept from an earlier run."""
     from spillsim.dynamics import _evolve
 
     want_y, want_e = _reference_evolve(columns, make_weights(), scenarios, x, y0, seed)

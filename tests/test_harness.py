@@ -200,48 +200,81 @@ def test_fixed_network_mode_shares_weights_across_reps():
     assert reps[0].gt_control == reps[1].gt_control
 
 
-def test_fixed_network_replications_match_the_materialized_oracle(monkeypatch):
-    # Seed-dependent baselines, noise and assignments make every replication's
-    # signals differ, so only one shared realization reproduces every panel.
+def test_fixed_network_replications_match_the_materialized_oracle():
+    # A fixed network serves every replication's pass, each with signals of
+    # its own. Over independent networks, the engine fixed_network builds and
+    # the materialized oracle must give two passes of two rounds the same law:
+    # per pass, round, unit and column the exposures' mean and variance, and
+    # the covariance of every entry of the first pass with every entry of the
+    # second. Each difference is a two-sample z statistic; the bound leaves a
+    # 0.1% chance that any of them exceeds it by luck.
+    from statistics import NormalDist
+
+    from spillsim.weights import GaussianWeightParams, gen_dense_gaussian
+
+    n, draws = 4, 4000
+    weights = WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0, mu_t=0.3, sigma2_t=0.5)
+    params = GaussianWeightParams(**weights.params)
+    # The second pass sends the first pass's round-1 ones column again.
+    first = np.column_stack([np.linspace(-1.0, 2.0, n), np.ones(n)])
+    second = np.column_stack([np.ones(n), np.linspace(2.0, -0.5, n)])
+
+    def two_passes(ws):
+        exposures = []
+        for g in (first, second):  # round 2's signals follow round 1's exposures
+            e1 = ws.apply(g, 1)
+            exposures.append([e1, ws.apply(np.tanh(e1) + 0.5 * g, 2)])
+        return np.array(exposures).reshape(2, -1)  # (pass, round x unit x column)
+
+    def stats(e):
+        c = e - e.mean(axis=0)
+        cross = c[:, 0, :, None] * c[:, 1, None, :]
+        per_draw = np.concatenate([e.reshape(draws, -1), (c**2).reshape(draws, -1), cross.reshape(draws, -1)], axis=1)
+        return per_draw.mean(axis=0), per_draw.var(axis=0) / draws
+
+    (a, var_a), (b, var_b) = (
+        stats(np.array([two_passes(make(seed)) for seed in range(draws)]))
+        for make in (
+            lambda seed: weights.build(n, 2, seed),
+            # Disjoint seeds: both engines draw from the same substream names.
+            lambda seed: gen_dense_gaussian(n, params, 2, 10**6 + seed),
+        )
+    )
+    z = np.abs(a - b) / np.sqrt(var_a + var_b)
+    assert z.size == 32 + 32 + 16 * 16
+    bound = NormalDist().inv_cdf(1 - 0.001 / (2 * z.size))
+    assert z.max() < bound, f"largest |z| {z.max():.2f} of {z.size}, bound {bound:.2f}"
+
+
+def test_fixed_network_runs_at_a_size_the_materialized_matrix_cannot(monkeypatch):
+    # At N = 10^5 a materialized network takes 80 GB; the lazy one grows by
+    # 16 N bytes per distinct column. Both replications read the one network
+    # the run built.
     import dataclasses
 
     from spillsim import harness
     from spillsim.dynamics import counterfactual_suite
-    from spillsim.panel import column_mean
-    from spillsim.weights import GaussianWeightParams, gen_dense_gaussian
+    from spillsim.weights import LazyGaussianWeights
 
-    params = GaussianWeightParams(1.0, 1.0, 0.2, 0.3)
     cfg = dataclasses.replace(
-        linear_config(n=30, t_max=3, noise=0.2, reps=3, seed=5),
-        weights=WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0, mu_t=0.2, sigma2_t=0.3),
+        linear_config(n=100_000, t_max=2, reps=2, seed=3),
+        weights=WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0),
         fixed_network=True,
+        estimators=("dm",),
     )
-    calls = []
+    builds, networks = [], []
+    build = WeightConfig.build
+    monkeypatch.setattr(WeightConfig, "build", lambda self, *a, **k: builds.append(a) or build(self, *a, **k))
 
-    def spy(spec, weights, scenarios, x, y0, seed, keep=None):
-        suite = counterfactual_suite(spec, weights, scenarios, x, y0, seed, keep)
-        calls.append((scenarios, x, y0, seed, suite))
-        return suite
+    def spy(spec, weights, *args, **kwargs):
+        networks.append(weights)
+        return counterfactual_suite(spec, weights, *args, **kwargs)
 
     monkeypatch.setattr(harness, "counterfactual_suite", spy)
-    replicate(cfg)
-    assert len(calls) == 3 and len({y0.tobytes() for _, _, y0, _, _ in calls}) == 3
-    oracle = gen_dense_gaussian(cfg.n_units, params, cfg.n_rounds, cfg.base_seed)
-    for scenarios, x, y0, seed, suite in calls:
-        again = counterfactual_suite(cfg.dynamics, oracle, scenarios, x, y0, seed)
-        # The observed panel is kept whole; the counterfactuals keep their means.
-        for got, means, want in zip(suite, suite.means, again):
-            if got is not None:
-                assert np.array_equal(got.values, want.values)
-            assert means == tuple(column_mean(want, t) for t in range(want.n_rounds + 1))
-
-
-def test_dense_gaussian_engine_follows_fixed_network():
-    from spillsim.weights import DenseGaussianWeights, LazyGaussianWeights
-
-    wc = WeightConfig(kind="dense_gaussian", mu=1.0, sigma2=1.0)
-    assert isinstance(wc.build(10, 2, 0), LazyGaussianWeights)
-    assert isinstance(wc.build(10, 2, 0, shared=True), DenseGaussianWeights)
+    report = replicate(cfg)
+    assert [r.seed for r in report.records] == [3, 4]
+    assert builds == [(100_000, 2, 3)] and len(networks) == 2
+    assert networks[0] is networks[1] and isinstance(networks[0], LazyGaussianWeights)
 
 
 def test_sweep_degenerate_grid_reduces_to_replicate():
@@ -424,26 +457,18 @@ def test_sweep_reports_equal_per_value_replicates_bit_for_bit(config, parameter,
         _assert_same_report(report, replicate(_at_value(config, parameter, value)))
 
 
-def test_fixed_network_sweep_matches_per_value_replicates():
-    # One materialized network serves every grid value; a wider matrix
-    # product may block its sums differently, so only the last bits may move.
-    config = _trend_config(DENSE_WEIGHTS, fixed_network=True)
-    grid = [0.0, 1.0, 2.5]
-    table = failure_sweep(config, "trend", grid)
-    for value, report in zip(grid, table.reports):
-        _assert_same_report(report, replicate(_at_value(config, "trend", value)), rel=1e-12)
-
-
 def test_lazy_dense_sweep_is_invariant_to_grid_order_and_duplicates():
-    config = _trend_config(DENSE_WEIGHTS)
-    ab = failure_sweep(config, "trend", [0.5, 2.0]).reports
-    ba = failure_sweep(config, "trend", [2.0, 0.5]).reports
-    _assert_same_report(ab[0], ba[1])
-    _assert_same_report(ab[1], ba[0])
-    twice = failure_sweep(config, "trend", [0.5, 0.5]).reports
-    _assert_same_report(twice[0], twice[1])
-    # A grid value's columns alone give the same draws as replicate's pass.
-    _assert_same_report(twice[0], replicate(_at_value(config, "trend", 0.5)))
+    # A fixed network serves every seed's pass; each pass sees the same
+    # distinct columns whatever the grid's order and duplicates.
+    for config in (_trend_config(DENSE_WEIGHTS), _trend_config(DENSE_WEIGHTS, fixed_network=True)):
+        ab = failure_sweep(config, "trend", [0.5, 2.0]).reports
+        ba = failure_sweep(config, "trend", [2.0, 0.5]).reports
+        _assert_same_report(ab[0], ba[1])
+        _assert_same_report(ab[1], ba[0])
+        twice = failure_sweep(config, "trend", [0.5, 0.5]).reports
+        _assert_same_report(twice[0], twice[1])
+        # A grid value's columns alone give the same draws as replicate's pass.
+        _assert_same_report(twice[0], replicate(_at_value(config, "trend", 0.5)))
 
 
 def test_estimators_see_only_observed_panels(monkeypatch):
@@ -664,7 +689,8 @@ def test_ground_truth_is_the_column_means_of_the_full_suite(monkeypatch, tmp_pat
     monkeypatch.setattr(harness, "counterfactual_suite", lambda *a, **k: calls.append(a) or suite(*a, **k))
     records = run_once(config, config.base_seed, sweep=sweep)
     (args,) = calls
-    # Fresh weights of the same seed: lazy Gaussian weights serve one pass.
+    # Fresh weights of the same seed, so the suite draws its images anew
+    # instead of reading those run_once's pass left in a lazy set.
     panels = suite(args[0], config.weights.build(config.n_units, config.n_rounds, config.base_seed), *args[2:])
     assert all(panel is not None for panel in panels)
     if sweep is not None:

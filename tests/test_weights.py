@@ -359,8 +359,8 @@ def test_explicit_matrix_must_match_the_population(tmp_path):
         WeightConfig("explicit", matrix_path=str(path)).build(4, 2, 0)
 
 
-# One weight set of every kind over n = 7 units; the lazy engine serves one
-# forward pass, so each test builds its own.
+# One weight set of every kind over n = 7 units; a lazy engine gives a column
+# it has seen before that column's first bits, so each test builds its own.
 _EVERY_KIND = {
     "clustered": lambda: gen_clustered(7, 2, w_in=1.3, w_out=-0.2),
     "influencer": lambda: gen_influencer(7, [1, 5], w_inf=0.9, w_base=0.4),
@@ -484,7 +484,7 @@ def test_conditioned_gaussian_keeps_the_conditioning_identities():
 
     def image(g):
         out = np.zeros((n, 1))
-        engine.add_images(out, g[:, None], [0], 1.0)
+        engine.add_images(out, g[:, None], [0], [hash(g.tobytes())], 1.0)
         return out[:, 0]
 
     g1, g2 = rng.standard_normal(n), rng.standard_normal(n)
@@ -500,6 +500,24 @@ def test_conditioned_gaussian_keeps_the_conditioning_identities():
     assert np.abs(q @ q.T - np.eye(8)).max() <= 1e-12
     fresh = np.random.default_rng(8)
     assert np.array_equal(engine.images, np.stack([fresh.standard_normal(n) for _ in range(8)]))
+
+
+def test_conditioned_gaussian_projects_a_colliding_key_afresh():
+    # A key names a column by a 64-bit hash. A hit is taken only if the
+    # column is its cached coefficients times the basis, so a key sent again
+    # with another column gets that column's image, not the cached one.
+    n = 200
+    rng = np.random.default_rng(3)
+    engine = _ConditionedGaussian(np.random.default_rng(4), n)
+    g1, g2 = rng.standard_normal(n), rng.standard_normal(n)
+    out = np.zeros((n, 3))
+    engine.add_images(out, np.column_stack([g1, g2, g1]), [0, 1, 2], ["g1", "same", "same"], 1.0)
+    assert len(engine.basis) == 2
+    assert np.linalg.norm(out[:, 2] - out[:, 0]) <= 1e-12 * np.linalg.norm(out[:, 0])
+    again = np.zeros((n, 1))
+    engine.add_images(again, g2[:, None], [0], ["same"], 1.0)  # the key holds g1's coefficients now
+    assert np.linalg.norm(again[:, 0] - out[:, 1]) <= 1e-12 * np.linalg.norm(out[:, 1])
+    assert len(engine.basis) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -537,16 +555,24 @@ def test_lazy_suite_is_order_invariant_and_bit_identical_for_equal_scenarios(n, 
     assert np.array_equal(panels[-1].values, panels[len(distinct) - 1].values)
 
 
-def test_lazy_gaussian_serves_one_forward_pass():
-    ws = LazyGaussianWeights(5, GaussianWeightParams(1.0, 1.0), n_rounds=3, seed=0)
-    ws.apply(np.ones(5), 1)
-    with pytest.raises(ValueError, match="round 1 requested after round 1"):
-        ws.apply(np.ones(5), 1)
-    ws.apply(np.ones(5), 3)
-    with pytest.raises(ValueError, match="round 2 requested after round 3"):
-        ws.apply(np.ones(5), 2)
-    with pytest.raises(IndexError, match="round 4"):
-        ws.apply(np.ones(5), 4)
+def test_lazy_gaussian_gives_a_revisited_column_its_first_bits():
+    # One set is a fixed network that later passes revisit, in any round
+    # order and beside new columns: a column sent again at a round it was
+    # sent at gets its first exposures' bits, static part and delta alike.
+    n = 50
+    ws = LazyGaussianWeights(n, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=3, seed=0)
+    rng = np.random.default_rng(1)
+    signals = {t: rng.standard_normal((n, 2)) for t in (1, 2, 3)}
+    first = {t: ws.apply(g, t) for t, g in signals.items()}
+    new = rng.standard_normal(n)
+    for t in (3, 1, 2):
+        again = ws.apply(np.column_stack([signals[t][:, 1], new, signals[t][:, 0]]), t)
+        assert np.array_equal(again[:, [2, 0]].view(np.uint64), first[t].view(np.uint64))
+    assert np.array_equal(ws.apply(signals[2][:, 1], 2).view(np.uint64), first[2][:, 1].view(np.uint64))
+    assert ws.static.k == 7 and [ws.deltas[t].k for t in (1, 2, 3)] == [3, 3, 3]
+    for t in (0, 4):
+        with pytest.raises(IndexError, match=f"round {t} outside 1..3"):
+            ws.apply(np.ones(n), t)
 
 
 @settings(max_examples=30, deadline=None)
@@ -617,22 +643,25 @@ def test_lazy_gaussian_runs_under_a_profiler():
 
 
 def test_lazy_gaussian_apply_memory_is_linear_in_n():
-    # Basis and images hold 2 * 8 * N * k bytes; signals in and exposures out
-    # take 2 * 8 * N * s. The peak an apply allocates may not exceed their sum.
+    # The static basis and images hold 2 * 8 * N * k_static bytes and round
+    # t's delta 2 * 8 * N * k_delta,t, for as long as the set lives; the
+    # exposures out and an apply's temporaries take 2 * 8 * N * s. What the
+    # set and its applies ever hold beyond the signals in may not exceed the
+    # sum. Column bytes kept as cache keys would add 8 * N * s per round.
     n, s = 200_000, 3
     ws = LazyGaussianWeights(n, GaussianWeightParams(1.0, 1.0, 0.2, 0.5), n_rounds=2, seed=1)
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         for t in (1, 2):
             g = rng.standard_normal((n, s))
-            before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out = ws.apply(g, t)
-            peak = tracemalloc.get_traced_memory()[1] - before
-            k = len(ws.static.basis)
-            assert out.shape == (n, s) and k == s * t
-            assert peak <= 2 * 8 * n * (k + s), f"round {t}: {peak} bytes for k={k}"
-            del out
+            peak = tracemalloc.get_traced_memory()[1] - start - g.nbytes
+            k = ws.static.k + sum(delta.k for delta in ws.deltas.values())
+            assert out.shape == (n, s) and ws.static.k == s * t and k == 2 * s * t
+            assert peak <= 2 * 8 * n * (k + s), f"round {t}: {peak / n:.1f} B/unit for k={k}"
+            del out, g
     finally:
         tracemalloc.stop()
