@@ -56,15 +56,23 @@ class LinearUnit:
     def value(self, w, y, x, t, out=None):
         # Accumulates in place into the first product, written to ``out`` when
         # given (which may be ``y`` itself), then in the order the formula
-        # reads; y_coef*y + w_coef*w has the bits of w_coef*w + y_coef*y.
+        # reads; y_coef*y + w_coef*w has the bits of w_coef*w + y_coef*y. A
+        # zero-coefficient term is skipped, so an outcome of -0.0 (y_coef = 0,
+        # y < 0) stays -0.0 where adding +0.0 made it +0.0; no other bit moves.
         out = np.multiply(y, self.y_coef, out=out)
-        out += self.w_coef * w
-        out += self.intercept
-        out += self.trend * t
+        _add_term(out, self.w_coef, w)
+        _add_term(out, self.intercept, 1.0)
+        _add_term(out, self.trend, t)
         for k, c in enumerate(self.x_coef):
-            if c != 0.0:
-                out += c * x[..., k]
+            _add_term(out, c, x[..., k])
         return out
+
+
+def _add_term(out: np.ndarray, coef: float, v) -> None:
+    """out += coef * v unless coef is zero; an array of stride 0 along the
+    units (a constant treatment, the round index) adds its first row alone."""
+    if coef != 0.0:
+        out += coef * (v[0] if isinstance(v, np.ndarray) and v.strides[0] == 0 else v)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ class LinearPeer:
 
     def value(self, w, y, out=None):
         out = np.multiply(y, self.y_coef, out=out)
-        out += self.w_coef * w
+        _add_term(out, self.w_coef, w)
         return out
 
 
@@ -202,9 +210,10 @@ def compute_exposure(
 def _respond(unit: LinearUnit | SaturatingUnit, w_t, y_prev, x_t, e_t, scaled_noise, t: int, out=None) -> np.ndarray:
     """Unit response plus exposure plus the scaled noise (None: no noise),
     unchecked, each term added in place into ``out`` when given (which may
-    be ``y_prev`` itself)."""
+    be ``y_prev`` itself); a threshold level of zero is not added."""
     y = unit.value(w_t, y_prev, x_t, t, out=out)
-    y += e_t
+    if np.ndim(e_t) or e_t != 0.0:
+        y += e_t
     if scaled_noise is not None:
         y += scaled_noise
     return y
@@ -309,16 +318,18 @@ def _evolve(
     turn before the next group's call. The noise is drawn as the first noisy
     column responds and scaled in place when every noisy column shares one
     scale, else once per run of consecutive columns with the same unit
-    response. Each
-    column responds in its own row (a state row is also its lagged row): the
-    row takes y_coef times the lagged outcomes, then the treatment term of
-    its panel's round column, the intercept, trend, covariates, exposure and
-    noise are added in place. Then each row is reduced to its round mean by
-    one pairwise reduction, and a round with a non-finite mean is scanned for
-    the first non-finite outcome, unit-major. No round buffer outlives its
-    round. Exposures are kept, in a buffer of the full layout and as views of
-    it, only when keep_exposures is set; otherwise the list is empty. They
-    need no scan: a non-finite exposure makes its outcome non-finite."""
+    response. Each column responds in its own row (a state row is also its
+    lagged row): the row takes y_coef times the lagged outcomes, then the
+    treatment term of its panel's round column, the intercept, trend,
+    covariates, exposure and noise are added in place, except a
+    zero-coefficient term or threshold level; a constant treatment panel
+    adds w_coef times its value as one scalar, to the peer signal too. Then
+    each row is reduced to its round mean by one pairwise reduction, and a
+    round with a non-finite mean is scanned for the first non-finite
+    outcome, unit-major. No round buffer outlives its round. Exposures are
+    kept, in a buffer of the full layout and as views of it, only when
+    keep_exposures is set; otherwise the list is empty. They need no scan:
+    a non-finite exposure makes its outcome non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n, t_max = scenarios[0].n_units, scenarios[0].n_rounds

@@ -28,14 +28,15 @@ Cost of ``apply`` on n units and s signal columns:
   seen so far;
 * dense Gaussian and explicit: one n x n matrix product, O(n^2 s);
 * clustered and influencer: O(n s) time. Each column's total and its sum
-  over each cluster (the influencer set) fill a small exposure table, k x s
-  for k clusters or (m + 1) x s for m influencers (a background row plus one
-  per influencer), which one indexing step expands to n rows; one column
-  costs the one row it returns. Each sum is one
-  numpy reduction over a contiguous run: the column, or a cluster's segment
-  of it in cluster order (unit order for ``gen_clustered`` sets, which so
-  gather nothing). numpy adds it pairwise, with rounding error O(log n * eps)
-  where a sum in unit order has O(n * eps).
+  over each cluster (the influencer set) fill a small exposure table, whose
+  rows are written out by segment: each cluster's over its units (read by
+  cluster id when they are not in cluster order), or the background row
+  over every unit, then each influencer's own. One column of a
+  ``gen_clustered`` or influencer set costs the one row it returns. Each sum
+  is one numpy reduction over a contiguous run: the column, or a cluster's
+  segment of it in cluster order (unit order for ``gen_clustered`` sets,
+  which so gather nothing). numpy adds it pairwise, with rounding error
+  O(log n * eps) where a sum in unit order has O(n * eps).
 
 No kind's bits depend on the memory layout of G: each structured sum is a
 function of the values it adds alone, and the lazy engine and the BLAS kinds
@@ -316,16 +317,6 @@ class LazyGaussianWeights(WeightSet):
         return out.reshape(np.shape(gv))
 
 
-def _expand(table: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
-    """Row ``index[i]`` of a small (rows, s) exposure table for every unit i,
-    as an (n, s) stack of contiguous columns in ``shape``. ``take`` copies a
-    read-only index first; a fancy index reads it in place, so one column
-    costs the one row it returns."""
-    if table.shape[1] == 1:
-        return table[:, 0][index].reshape(shape)
-    return table.T.take(index, axis=1).T.reshape(shape)
-
-
 def _column_sums(g: np.ndarray, gather: Sequence[int] | None, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each column's total (s,) and its sums (len(starts), s) over the
     segments of its values in ``gather`` order (None: as they are), segment r
@@ -377,11 +368,14 @@ class ClusteredWeights(WeightSet):
         n = self.n_units
         g = _signal_stack(gv, n)
         total, sums = _column_sums(g, self.order, self.starts)
-        per_cluster = np.zeros((self.n_clusters, g.shape[1]))  # an empty cluster sums to 0.0
-        per_cluster[self.filled] = sums
-        # Row l holds the exposure of every unit in cluster l.
-        table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * per_cluster
-        return _expand(table, self.membership, np.shape(gv))
+        table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * sums
+        if self.order is None:  # row r, the r-th non-empty cluster's, repeated over its segment
+            out = np.repeat(table.T, np.diff(self.starts, append=n), axis=1)
+        else:  # each unit reads its cluster's row; an empty cluster's is never read
+            out = np.empty((g.shape[1], self.n_clusters))
+            out[:, self.filled] = table.T
+            out = out.take(self.membership, axis=1)
+        return out.T.reshape(np.shape(gv))
 
 
 @dataclass(frozen=True)
@@ -391,30 +385,25 @@ class InfluencerWeights(WeightSet):
     influencers: tuple[int, ...]
     w_inf: float
     w_base: float
-    # Exposure-table row of each unit: 0 for a non-influencer, r + 1 for the
-    # r-th influencer.
-    row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = _influencer_ids(self.influencers, self.n_units)
         if not (np.isfinite(self.w_inf) and np.isfinite(self.w_base)):
             raise ValueError("influencer weights must be finite")
         object.__setattr__(self, "influencers", ids)
-        row = np.zeros(self.n_units, dtype=np.intp)
-        row[list(ids)] = np.arange(1, len(ids) + 1)
-        row.setflags(write=False)
-        object.__setattr__(self, "row", row)
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
-        m, n = len(self.influencers), self.n_units
+        m, n, ids = len(self.influencers), self.n_units, list(self.influencers)
         g = _signal_stack(gv, n)
-        total, inf_total = _column_sums(g, self.influencers, [0])
+        total, inf_total = _column_sums(g, ids, [0])
         # Row 0 serves every non-influencer receiver; row r + 1 serves the
         # r-th influencer, whose own column falls back to the base rate.
         own = np.zeros((m + 1, g.shape[1]))
-        own[1:] = g[list(self.influencers)]
+        own[1:] = g[ids]
         table = (self.w_inf / m) * (inf_total - own) + (self.w_base / n) * (total - inf_total + own)
-        return _expand(table, self.row, np.shape(gv))
+        out = np.full((g.shape[1], n), table[0, :, None])
+        out[:, ids] = table[1:].T
+        return out.T.reshape(np.shape(gv))
 
 
 @dataclass(frozen=True)

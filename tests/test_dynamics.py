@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,65 @@ def test_saturating_unit_bounded():
     spec = linear_spec(unit=SaturatingUnit(w_coef=5.0, y_coef=5.0, scale=2.0), peer=ZeroPeer())
     y = step(spec, np.ones(3), np.array([10.0, -10.0, 0.0]), np.zeros((3, 1)), np.zeros(3), np.zeros(3), 1)
     assert np.all(np.abs(y) <= 2.0)
+
+
+# Each response kind with every term non-zero: the treatment, intercept and
+# trend, and a covariate that is the round index broadcast over the units.
+_RESPONSES = {
+    "linear_unit": lambda w_coef: LinearUnit(w_coef=w_coef, y_coef=0.9, x_coef=(0.3,), intercept=-1.1, trend=0.25),
+    "saturating_unit": lambda w_coef: SaturatingUnit(w_coef=w_coef, y_coef=0.9, x_coef=(0.3,), intercept=-1.1,
+                                                     trend=0.25, scale=2.0),
+    "linear_peer": lambda w_coef: LinearPeer(w_coef=w_coef, y_coef=0.9),
+}
+
+
+def _respond_into(response, w, y, out, t=3):
+    x = round_index_covariates(len(y), t).column(t)
+    if isinstance(response, LinearPeer):
+        return response.value(w, y, out=out)
+    return response.value(w, y, x, t, out=out)
+
+
+@pytest.mark.parametrize("kind", sorted(_RESPONSES))
+def test_a_constant_treatment_adds_one_scalar_to_the_response(kind):
+    # A treatment constant over units (stride 0, as the constant panels are)
+    # and the broadcast covariate each add a scalar: with ``out`` given, the
+    # response allocates no array as long as the population.
+    n = 100_000
+    response = _RESPONSES[kind](-0.7)
+    y, out, w = np.random.default_rng(2).normal(size=n), np.empty(n), np.broadcast_to(1.0, (n,))
+    _respond_into(response, w, y, out)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _respond_into(response, w, y, out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n // 4, f"{peak / n:.1f} B/unit"
+
+
+@pytest.mark.parametrize("kind", sorted(_RESPONSES))
+@pytest.mark.parametrize("w_coef", [0.0, 1.0, -0.7])
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_a_constant_treatment_gives_the_bits_of_its_materialized_column(kind, w_coef, value):
+    # The scalar and the skipped zero terms change no bit of an outcome that
+    # is not an exact zero: the broadcast, the materialized column and the
+    # formula with every term added all agree.
+    n, t = 1000, 3
+    response = _RESPONSES[kind](w_coef)
+    y = np.random.default_rng(5).normal(size=n)
+    broadcast, column = np.broadcast_to(value, (n,)), np.full(n, value)
+    got = _respond_into(response, broadcast, y, np.empty(n), t)
+    want = _respond_into(response, column, y, np.empty(n), t)
+    full = response.w_coef * column + response.y_coef * y
+    if not isinstance(response, LinearPeer):
+        full = full + response.intercept + response.trend * t + response.x_coef[0] * np.full(n, float(t))
+    if isinstance(response, SaturatingUnit):
+        full = response.scale * np.tanh(full / response.scale)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
 
 
 def test_monotone_treatment_response_brute_force():

@@ -387,16 +387,9 @@ def test_a_column_gives_the_bits_of_its_one_column_stack(kind):
     assert np.array_equal(column.view(np.uint64), stack[:, 0].view(np.uint64))
 
 
-@pytest.mark.parametrize("structured", ["clustered", "influencer"])
-def test_a_structured_column_costs_the_one_row_it_returns(structured):
-    # One column's exposure table is expanded by a fancy index, which reads
-    # the read-only unit-to-row index in place; ``take`` copied it first, one
-    # more row of N. Unsorted cluster ids make the sums gather in cluster
-    # order, which needs a row of its own, so the sets here are sorted.
-    n = 200_000
-    ws = {"clustered": gen_clustered(n, 3, w_in=1.3, w_out=-0.2),
-          "influencer": gen_influencer(n, [1, 5, 70_000], w_inf=0.9, w_base=0.4)}[structured]
-    g = np.random.default_rng(4).normal(size=n)
+def _apply_peak(ws, g):
+    """The traced peak of one ``ws.apply(g, 1)`` above what was live before,
+    after a first call, and the result."""
     ws.apply(g, 1)
     tracemalloc.start()
     try:
@@ -406,8 +399,36 @@ def test_a_structured_column_costs_the_one_row_it_returns(structured):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return peak, out
+
+
+@pytest.mark.parametrize("structured", ["clustered", "influencer"])
+def test_a_structured_column_costs_the_one_row_it_returns(structured):
+    # One column's exposures are written straight into the row returned: a
+    # cluster's table row repeated over its segment, or the background row
+    # over every unit with the influencers' rows written after, so no array
+    # of N row indices is read or copied. Unsorted cluster ids need rows of
+    # their own, tested below.
+    n = 200_000
+    ws = {"clustered": gen_clustered(n, 3, w_in=1.3, w_out=-0.2),
+          "influencer": gen_influencer(n, [1, 5, 70_000], w_inf=0.9, w_base=0.4)}[structured]
+    peak, out = _apply_peak(ws, np.random.default_rng(4).normal(size=n))
     assert out.shape == (n,)
     assert peak <= out.nbytes + (64 << 10), f"{peak / n:.1f} B/unit"
+
+
+def test_an_unsorted_clustered_column_costs_two_rows():
+    # Unsorted cluster ids: the sums gather the column in cluster order (one
+    # row, freed after), and each unit reads its cluster's row through the
+    # ids with ``take``, which copies them (a second row beside the one
+    # returned).
+    n = 200_000
+    ws = ClusteredWeights(n_units=n, membership=np.random.default_rng(6).integers(0, 5, n), n_clusters=5,
+                          w_in=1.3, w_out=-0.2)
+    assert ws.order is not None
+    peak, out = _apply_peak(ws, np.random.default_rng(4).normal(size=n))
+    assert out.shape == (n,)
+    assert peak <= 2 * out.nbytes + (64 << 10), f"{peak / n:.1f} B/unit"
 
 
 @pytest.mark.parametrize("engine", [LazyGaussianWeights, DenseGaussianWeights])
