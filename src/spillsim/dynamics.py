@@ -174,11 +174,14 @@ class ExposureMatrix(RoundPanel):
 
 class NonFiniteOutcome(FloatingPointError):
     """An outcome overflowed or became undefined. ``scenario`` is the column
-    of a scenario stack, or None for a single column."""
+    of a scenario stack, or None for a single column; ``block`` is the block
+    of units of a suite evolved in several, or None. ``unit`` counts within
+    the block."""
 
-    def __init__(self, unit: int, round_: int, scenario: int | None = None):
-        self.unit, self.round, self.scenario = unit, round_, scenario
+    def __init__(self, unit: int, round_: int, scenario: int | None = None, block: int | None = None):
+        self.unit, self.round, self.scenario, self.block = unit, round_, scenario, block
         where = "" if scenario is None else f" in scenario {scenario}"
+        where += "" if block is None else f" of block {block}"
         super().__init__(f"non-finite outcome for unit {unit} at round {round_}{where}")
 
 
@@ -210,24 +213,27 @@ def compute_exposure(
 def _respond(unit: LinearUnit | SaturatingUnit, w_t, y_prev, x_t, e_t, scaled_noise, t: int, out=None) -> np.ndarray:
     """Unit response plus exposure plus the scaled noise (None: no noise),
     unchecked, each term added in place into ``out`` when given (which may
-    be ``y_prev`` itself); a threshold level of zero is not added."""
+    be ``y_prev`` itself). ``e_t`` is the exposure, or, with one dimension
+    more than the outcomes, a (blocks, 1) threshold level per block of units;
+    a threshold level of zero is not added."""
     y = unit.value(w_t, y_prev, x_t, t, out=out)
-    if np.ndim(e_t) or e_t != 0.0:
+    if np.ndim(e_t) > np.ndim(y):
+        blocks = y.reshape(len(e_t), -1)
+        np.add(blocks, e_t, out=blocks, where=e_t != 0.0)
+    elif np.ndim(e_t) or e_t != 0.0:
         y += e_t
     if scaled_noise is not None:
         y += scaled_noise
     return y
 
 
-def _check_finite(y: np.ndarray, t: int, scenarios: Sequence[int] | None = None) -> None:
+def _check_finite(y: np.ndarray, t: int) -> None:
     """Raise NonFiniteOutcome naming the first non-finite entry of an (n,)
-    column or an (n, s) stack, unit-major; ``scenarios`` numbers the stack's
-    columns (by default 0..s-1)."""
+    column or an (n, s) stack, unit-major."""
     bad = ~np.isfinite(np.atleast_1d(y))
     if bad.any():
         where = np.argwhere(bad)[0]
-        column = None if bad.ndim == 1 else int(where[1]) if scenarios is None else scenarios[where[1]]
-        raise NonFiniteOutcome(int(where[0]), t, column)
+        raise NonFiniteOutcome(int(where[0]), t, None if bad.ndim == 1 else int(where[1]))
 
 
 def _check_covariates(specs: Sequence[DynamicsSpec], dim: int) -> None:
@@ -278,20 +284,41 @@ class Suite(list):
     request order, or None for a column whose rounds were not kept.
     ``index[k]`` is the distinct column that column k evolves as, and
     ``means[k]`` its mean outcome in each round 0..T, the bits of
-    ``column_mean`` of its panel."""
+    ``column_mean`` of its panel. A suite evolved in ``blocks`` blocks of
+    units lists the requested columns of each block in turn, and the index
+    of each block numbers its own distinct columns."""
 
-    def __init__(self, panels: Sequence[OutcomePanel | None], index: list[int], means: list[tuple[float, ...]]):
+    def __init__(self, panels: Sequence[OutcomePanel | None], index: list[int], means: list[tuple[float, ...]],
+                 blocks: int = 1):
         super().__init__(panels)
-        self.index, self.means = index, means
+        self.index, self.means, self.blocks = index, means, blocks
+
+    def block(self, b: int) -> Suite:
+        """The suite of block ``b`` alone."""
+        part = slice(b * len(self) // self.blocks, (b + 1) * len(self) // self.blocks)
+        return Suite(self[part], self.index[part], self.means[part])
+
+
+def _apply_blocks(sets: Sequence[WeightSet], signals: np.ndarray, t: int) -> np.ndarray:
+    """The exposures of the (columns, blocks x n) peer ``signals``, block b
+    through set b: one call for blocks that share a column-independent set,
+    else one per block, on the columns its seed alone sends."""
+    n, first = sets[0].n_units, sets[0]
+    if len(sets) == 1 or (first.column_independent and all(ws is first for ws in sets)):
+        return first.apply(signals.reshape(-1, n).T, t).T.reshape(signals.shape)
+    e = np.empty_like(signals)
+    for b, ws in enumerate(sets):
+        e[:, b * n : (b + 1) * n] = ws.apply(signals[:, b * n : (b + 1) * n].T, t).T
+    return e
 
 
 def _evolve(
     spec: DynamicsSpec | Sequence[DynamicsSpec],
-    weights: WeightSet,
+    weights: WeightSet | Sequence[WeightSet],
     scenarios: Sequence[TreatmentPanel],
     x: CovariatePanel,
     y0: np.ndarray,
-    seed: int,
+    seed: int | Sequence[int],
     keep_exposures: bool,
     keep: Collection[int] | None = None,
 ) -> tuple[Suite, list[ExposureMatrix]]:
@@ -301,68 +328,85 @@ def _evolve(
     scenario. Columns that evolve alike (see ``_distinct_columns``) are evolved
     once and get the same panel and exposure matrix.
 
+    With a sequence of seeds and one weight set each, the units are as many
+    equal blocks. Block b draws seed b's noise into its slice, applies set b
+    and takes its own threshold levels and round means, so it has the bits
+    of its units evolved alone. Columns share a row if alike in every block.
+
     ``keep`` lists the requested columns whose panels the caller needs (by
     default all). Their rounds go to one round-major (n_rounds + 1, kept,
-    n_units) buffer, whose read-only transposed views are the panels, with
-    contiguous round columns; a kept column evolves in its rows there. Every
-    other column evolves in one state row of units, which each round
-    overwrites: it holds no history.
+    n_units) buffer, whose read-only transposed views are the panels, one per
+    block, with contiguous round columns; a kept column evolves in its rows
+    there. Every other column evolves in one state row of units, which each
+    round overwrites: it holds no history.
 
     A round walks its columns in order. Each apply group of weighted-sum
-    columns gets one ``weights.apply`` call when its first column is
+    columns gets one ``_apply_blocks`` call when its first column is
     reached: one group per column for a ``column_independent`` weight kind,
     so no stack of signals or exposures exists, and one group for the whole
     round for any other kind, whose bits depend on the stack. A group's peer
-    signals go into one (columns, n_units) array, passed as an (n_units,
-    columns) view and freed once the exposures are back, which are freed in
-    turn before the next group's call. The noise is drawn as the first noisy
-    column responds and scaled in place when every noisy column shares one
-    scale, else once per run of consecutive columns with the same unit
-    response. Each column responds in its own row (a state row is also its
-    lagged row): the row takes y_coef times the lagged outcomes, then the
-    treatment term of its panel's round column, the intercept, trend,
-    covariates, exposure and noise are added in place, except a
-    zero-coefficient term or threshold level; a constant treatment panel
-    adds w_coef times its value as one scalar, to the peer signal too. Then
-    each row is reduced to its round mean by one pairwise reduction, and a
-    round with a non-finite mean is scanned for the first non-finite
-    outcome, unit-major. No round buffer outlives its round. Exposures are
-    kept, in a buffer of the full layout and as views of it, only when
-    keep_exposures is set; otherwise the list is empty. They need no scan:
-    a non-finite exposure makes its outcome non-finite."""
+    signals go into one (columns, n_units) array and are freed once the
+    exposures are back, which are freed in turn before the next group's
+    call. The noise is drawn as the first noisy column responds and scaled
+    in place when every noisy column shares one scale, else once per run of
+    consecutive columns with the same unit response. Each column responds in
+    its own row (a state row is also its lagged row): the row takes y_coef
+    times the lagged outcomes, then the treatment term of its panel's round
+    column, the intercept, trend, covariates, exposure and noise are added in
+    place, except a zero-coefficient term or threshold level; a constant
+    treatment panel adds w_coef times its value as one scalar, to the peer
+    signal too. Then each block of each row is reduced to its round mean by
+    one pairwise reduction, and a round with a non-finite mean is scanned for
+    the first non-finite outcome, block by block and unit-major. No round
+    buffer outlives its round. Exposures are kept, in a buffer of the full
+    layout and as views of it, only when keep_exposures is set; otherwise
+    the list is empty. They need no scan: a non-finite exposure makes its
+    outcome non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
-    n, t_max = scenarios[0].n_units, scenarios[0].n_rounds
+    n_all, t_max = scenarios[0].n_units, scenarios[0].n_rounds
     for w in scenarios:
-        if (w.n_units, w.n_rounds) != (n, t_max):
+        if (w.n_units, w.n_rounds) != (n_all, t_max):
             raise ValueError("all scenarios must share (n_units, n_rounds)")
+    seeds, sets = np.atleast_1d(seed).tolist(), [weights] if isinstance(weights, WeightSet) else list(weights)
+    blocks, n = len(seeds), n_all // max(len(seeds), 1)
+    if blocks < 1 or len(sets) != blocks or n * blocks != n_all:
+        raise ValueError(f"{len(seeds)} seeds and {len(sets)} weight sets for {n_all} units")
     y0 = np.asarray(y0, dtype=np.float64)
-    if y0.shape != (n,):
-        raise ValueError(f"initial outcomes must have shape ({n},)")
+    if y0.shape != (n_all,):
+        raise ValueError(f"initial outcomes must have shape ({n_all},)")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial outcomes must be finite")
-    if x.n_units != n or x.n_rounds != t_max:
+    if x.n_units != n_all or x.n_rounds != t_max:
         raise ValueError("covariate panel does not match the scenarios")
-    if weights.n_units != n:
+    if any(ws.n_units != n for ws in sets):
         raise ValueError("columns disagree with the weight set population size")
     specs = [spec] * len(scenarios) if isinstance(spec, DynamicsSpec) else list(spec)
     if len(specs) != len(scenarios):
         raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
     _check_covariates(specs, x.dim)
 
-    index, lead, levels = _distinct_columns(specs, scenarios)
+    # Each block's distinct columns; a row serves the columns alike in all.
+    per_block = [_distinct_columns(specs, scenarios, slice(b * n, (b + 1) * n)) for b in range(blocks)]
+    rows_of_key: dict = {}
+    column = [rows_of_key.setdefault(key, len(rows_of_key)) for key in zip(*(index for index, _, _ in per_block))]
+    lead = [column.index(d) for d in range(len(rows_of_key))]
+    # The row whose block b serves requested column k: the row of the first
+    # column alike in block b, so columns alike there share one panel.
+    block_rows = [[column[first[index[k]]] for k in range(len(specs))] for index, first, _ in per_block]
+    levels = np.stack([lv[:, [index[k] for k in lead]] for index, _, lv in per_block], axis=1)[..., None]
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     s = len(lead)
-    kept = list(range(s)) if keep is None else sorted({index[k] for k in keep})
+    kept = list(range(s)) if keep is None else sorted({rows[k] for rows in block_rows for k in keep})
     weighted = [d for d, sp in enumerate(specs) if not isinstance(sp.exposure, MeanFieldThreshold)]
-    groups = [[d] for d in weighted] if weights.column_independent else [weighted] if weighted else []
+    groups = [[d] for d in weighted] if sets[0].column_independent else [weighted] if weighted else []
     group_at = {group[0]: group for group in groups}
-    e_col = {d: j for group in groups for j, d in enumerate(group)}  # its column in its group's exposures
+    e_row = {d: j for group in groups for j, d in enumerate(group)}  # its row in its group's exposures
     response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
     scales = {sp.noise_sd for sp in specs if sp.noise_sd > 0.0}
     one_scale = scales.pop() if len(scales) == 1 else None  # scales the noise in place
 
-    outcomes = np.empty((t_max + 1, len(kept), n))
+    outcomes = np.empty((t_max + 1, len(kept), n_all))
     outcomes[0] = y0
     slot = {d: j for j, d in enumerate(kept)}
     others = [d for d in range(s) if d not in slot]
@@ -374,12 +418,12 @@ def _evolve(
         return [outcomes[t, slot[d]] if d in slot else state_rows[d] for d in range(s)]
 
     def take_means(t: int) -> None:
-        # The bits of each row's mean(), without its call overhead.
-        means[t, kept] = np.add.reduce(outcomes[t], axis=1) / n
-        means[t, others] = np.add.reduce(state, axis=1) / n
+        # The bits of each block's mean(), without its call overhead.
+        means[t, kept] = np.add.reduce(outcomes[t].reshape(len(kept), blocks, n), axis=2) / n
+        means[t, others] = np.add.reduce(state.reshape(len(others), blocks, n), axis=2) / n
 
-    exposures = np.empty((t_max, s, n)) if keep_exposures else None
-    means = np.empty((t_max + 1, s))
+    exposures = np.empty((t_max, s, n_all)) if keep_exposures else None
+    means = np.empty((t_max + 1, s, blocks))
     take_means(0)
     rows = rows_of(0)
     for t in range(1, t_max + 1):
@@ -393,41 +437,53 @@ def _evolve(
                 for d in range(cols.start, cols.stop):
                     if d in group_at:
                         group, e_t, e = group_at[d], None, None
-                        signals = np.empty((len(group), n))
+                        signals = np.empty((len(group), n_all))
                         for j, c in enumerate(group):
                             specs[c].peer.value(scenarios[c].column(t), y_prev[c], out=signals[j])
-                        e_t = weights.apply(signals.T, t)
+                        e_t = _apply_blocks(sets, signals, t)
                         del signals
                     if scaled is None and sp.noise_sd > 0.0:
                         if noise is None:
-                            noise = substream(seed, "noise", t).standard_normal(n)
+                            noise = np.empty(n_all)
+                            for b, sd in enumerate(seeds):
+                                substream(sd, "noise", t).standard_normal(out=noise[b * n : (b + 1) * n])
                             if one_scale:
                                 noise *= one_scale
                         scaled = noise if one_scale else sp.noise_sd * noise
-                    e = e_t[:, e_col[d]] if d in e_col else levels[t - 1, d]
+                    e = e_t[e_row[d]] if d in e_row else levels[t - 1, :, d]
                     # A state row is its own lagged row, read only before it is written.
                     _respond(sp.unit, scenarios[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
                     if keep_exposures:
-                        exposures[t - 1, d] = e
+                        exposures[t - 1, d].reshape(blocks, n)[:] = np.reshape(e, (blocks, -1))
             del e_t, e, noise, scaled  # before the next round allocates its own
             take_means(t)
-        # A non-finite outcome makes its row's mean non-finite, so only such
-        # a round is scanned; a finite round may still overflow a mean.
+        # A non-finite outcome makes its block's mean non-finite, so only
+        # such a round is scanned; a finite round may still overflow a mean.
         if not np.isfinite(means[t]).all():
-            _check_finite(np.array(rows).T, t, lead)
-    panels = dict(zip(kept, OutcomePanel.views(outcomes.transpose(1, 2, 0))))
-    column_means = [tuple(map(float, column)) for column in means.T]
-    suite = Suite([panels.get(d) for d in index], index, [column_means[d] for d in index])
-    if not keep_exposures:
-        return suite, []
-    mats = ExposureMatrix.views(exposures.transpose(1, 2, 0))
-    return suite, [mats[d] for d in index]
+            bad = ~np.isfinite(np.array(rows).reshape(s, blocks, n).transpose(1, 2, 0))
+            if bad.any():
+                b, unit, d = np.argwhere(bad)[0]
+                raise NonFiniteOutcome(int(unit), t, lead[d], int(b) if blocks > 1 else None)
+
+    def block_views(cls, buffer: np.ndarray, rows: Collection[int]) -> list:
+        """Each block's view of each requested column in a (rounds, rows,
+        n_all) buffer, None where its row is not one of ``rows``."""
+        views, at = cls.views(buffer.reshape(len(buffer), -1, n).transpose(1, 2, 0)), {d: j for j, d in enumerate(rows)}
+        return [views[at[d] * blocks + b] if d in at else None for b, row in enumerate(block_rows) for d in row]
+
+    means = [[tuple(block) for block in row] for row in means.transpose(1, 2, 0).tolist()]
+    suite = Suite(block_views(OutcomePanel, outcomes, kept), [c for index, _, _ in per_block for c in index],
+                  [means[d][b] for b, row in enumerate(block_rows) for d in row], blocks)
+    return suite, block_views(ExposureMatrix, exposures, range(s)) if keep_exposures else []
 
 
-def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel]) -> tuple:
+def _distinct_columns(
+    specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], units: slice = slice(None)
+) -> tuple:
     """Per requested column, the distinct column that evolves alike; per
     distinct column (in order of first appearance), its first requested
-    column; and the distinct columns' threshold levels, (n_rounds, d).
+    column; and the distinct columns' threshold levels, (n_rounds, d). The
+    treated fractions are those of the ``units`` of each panel.
 
     Columns share the weights, baseline and noise, so a column is fixed by
     its treatment panel, unit response, noise scale and exposure: the
@@ -440,7 +496,7 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
     # Treated fractions once per treatment panel, reduced along the units of
     # each round. A panel whose units share each round's value (stride 0, as
     # the constant panels are) has that value, 0.0 or 1.0, as the exact mean.
-    panels = {id(scenarios[k]): scenarios[k].values for k in thresholds}
+    panels = {id(scenarios[k]): scenarios[k].values[units] for k in thresholds}
     fractions = {key: v[0] if v.strides[0] == 0 else v.T.mean(axis=1) for key, v in panels.items()}
     mechs = [specs[k].exposure for k in thresholds]
     levels = np.zeros((scenarios[0].n_rounds, len(scenarios)))
@@ -474,11 +530,11 @@ def simulate_panel(
 
 def counterfactual_suite(
     spec: DynamicsSpec | Sequence[DynamicsSpec],
-    weights: WeightSet,
+    weights: WeightSet | Sequence[WeightSet],
     scenarios: Sequence[TreatmentPanel],
     x: CovariatePanel,
     y0: np.ndarray,
-    seed: int,
+    seed: int | Sequence[int],
     keep: Collection[int] | None = None,
 ) -> Suite:
     """Simulate several scenarios under one weight realization and one noise
@@ -487,6 +543,12 @@ def counterfactual_suite(
     views of one buffer, and columns that evolve alike return the same panel:
     the same treatment panel, unit response and noise scale, and the same
     exposure (weighted-sum spec, or threshold level in every round).
+
+    A sequence of seeds, with as many weight sets, evolves that many seeds
+    at once, their populations joined seed after seed in the units of the
+    scenarios, ``x`` and ``y0``. Each seed's panels and means have the bits
+    of its population evolved alone; the suite lists each seed's requested
+    columns in turn (``Suite.block``).
 
     ``keep`` lists the scenarios whose panels the caller needs, by default
     all; the others come back as None and keep only their round means."""

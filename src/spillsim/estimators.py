@@ -239,8 +239,10 @@ def _round_factors(y: OutcomePanel, w: TreatmentPanel, bases: tuple[str, ...]) -
     columns in ``bases`` order, then the round's outcome.
 
     A round of fewer than two leaves of TSQR_LEAF_ROWS rows is factored
-    whole, every round in one batched call. A longer one is factored by a
-    two-level TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    whole, one round at a time in one buffer: the block and the copy that
+    ``qr`` makes of it hold one round, not all (``qr`` factors each matrix
+    of a stack alone, so the bits are those of one call on every round).
+    A longer one is factored by a two-level TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
     Comput. 34(1), 2012): each leaf, then the leaf R factors stacked on the
     leftover rows. Its leaves are filled and factored TSQR_CHUNK_LEAVES at a
     time, in one buffer that every chunk and round reuses, so no N-row block
@@ -250,10 +252,12 @@ def _round_factors(y: OutcomePanel, w: TreatmentPanel, bases: tuple[str, ...]) -
     rounds = [(w.column(t), y.column(t - 1), y.column(t)) for t in range(1, t_max + 1)]
     leaves = n // TSQR_LEAF_ROWS
     if leaves < 2:
-        blocks = np.empty((t_max, b + 1, n))  # each round's block, column by column
-        for block, inputs in zip(blocks, rounds):
+        block = np.empty((b + 1, n))  # the round's block, column by column
+        factors = []
+        for inputs in rounds:
             _fill(block, *inputs, bases)
-        return list(np.linalg.qr(blocks.transpose(0, 2, 1), mode="r"))
+            factors.append(np.linalg.qr(block.T, mode="r"))
+        return factors
     split = leaves * TSQR_LEAF_ROWS
     chunk = np.empty((min(leaves, TSQR_CHUNK_LEAVES), b + 1, TSQR_LEAF_ROWS))
     stack = np.empty((leaves * (b + 1) + n - split, b + 1))  # leaf R factors, then the leftover rows

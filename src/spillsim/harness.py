@@ -5,8 +5,9 @@ bracketing counterfactuals (nobody treated, everybody treated) under the same
 weight and noise realization, runs every configured estimator on the observed
 data alone, and scores each against the simulated truth. The benchmark
 replicates this over a seed range and aggregates bias and RMSE; sweeps run
-the benchmark along a grid of one dynamics parameter, seed by seed, with every
-grid value sharing the seed's draws.
+the benchmark along a grid of one dynamics parameter, with every grid value
+sharing the seed's draws. Small populations evolve several seeds in one pass
+(``_every_seed``), with the bits of each seed evolved alone.
 
 Estimators see only the observed panels, never a counterfactual one.
 """
@@ -14,6 +15,7 @@ Estimators see only the observed panels, never a counterfactual one.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import functools
 import json
@@ -30,6 +32,7 @@ from .dynamics import (
     LinearUnit,
     MeanFieldThreshold,
     NonFiniteOutcome,
+    Suite,
     counterfactual_suite,
 )
 from .estimators import (
@@ -244,24 +247,30 @@ def run_once(
     are kept whole; the counterfactuals keep their round means alone. Values
     whose observed columns evolve alike share one estimator pass, so overflow
     in it names the first of them.
-    ``weights`` is passed on to ``observed_inputs``."""
+    ``weights`` is passed on to ``observed_inputs``. A seed of the batch
+    that ``_every_seed`` is scoring takes its weight set, assignment and
+    suite from the batch's one evolution and is only scored."""
     t_max = config.n_rounds
-    weights, w_obs, x, y0 = observed_inputs(config, seed, weights)
-    structure = structure_of(weights)
-    w_none, w_all = config._constant_scenarios
-
-    specs = (config.dynamics,) if sweep is None else sweep.specs
     wheres = [f"seed {seed}"] if sweep is None else [f"{sweep.parameter}={v!r}, seed {seed}" for v in sweep.values]
-    columns = [spec for spec in specs for _ in SCENARIOS]
+    columns = _columns(config, sweep)
     observed = range(0, len(columns), len(SCENARIOS))
-    try:
-        suite = counterfactual_suite(columns, weights, [w_obs, w_none, w_all] * len(specs), x, y0, seed, keep=observed)
-    except NonFiniteOutcome as exc:
-        k, scenario = divmod(exc.scenario, len(SCENARIOS))
-        raise FloatingPointError(
-            f"{wheres[k]}: non-finite outcome for unit {exc.unit} at round {exc.round} "
-            f"in scenario {SCENARIOS[scenario]}"
-        ) from exc
+    scoring = _scoring.get()
+    evolved = scoring[2].pop(seed, None) if scoring and scoring[0] is config and scoring[1] is sweep else None
+    if evolved is None:
+        weights, w_obs, x, y0 = observed_inputs(config, seed, weights)
+        try:
+            suite = counterfactual_suite(
+                columns, weights, [w_obs, *config._constant_scenarios] * len(wheres), x, y0, seed, keep=observed
+            )
+        except NonFiniteOutcome as exc:
+            k, scenario = divmod(exc.scenario, len(SCENARIOS))
+            raise FloatingPointError(
+                f"{wheres[k]}: non-finite outcome for unit {exc.unit} at round {exc.round} "
+                f"in scenario {SCENARIOS[scenario]}"
+            ) from exc
+    else:
+        weights, w_obs, suite = evolved
+    structure = structure_of(weights)
     records = []
     passes: dict[int, tuple] = {}  # distinct observed column -> its estimator pass
     for k, obs in enumerate(observed):
@@ -288,12 +297,76 @@ def run_once(
     return records[0] if sweep is None else tuple(records)
 
 
+def _columns(config: ScenarioConfig, sweep: SweepGrid | None) -> list[DynamicsSpec]:
+    """The dynamics spec of each column of a seed's suite: the scenarios of
+    each grid value in turn."""
+    return [spec for spec in ((config.dynamics,) if sweep is None else sweep.specs) for _ in SCENARIOS]
+
+
+# Units whose seeds evolve in one pass (see ``_every_seed``).
+SEED_BATCH_UNITS = 1 << 13
+# The batch being scored: (config, sweep, seed -> what run_once takes). It
+# reaches run_once outside its arguments, so a caller that wraps run_once
+# (a test's spy, the benchmark's tracer) still sees one plain call per seed.
+_scoring: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("scoring", default=None)
+
+
 def _every_seed(config: ScenarioConfig, **kwargs) -> list:
     """``run_once`` with ``kwargs`` under every seed of the run, in seed order.
-    The seeds share one weight set unless each draws its own."""
-    if config.fixed_network or not WEIGHT_KINDS[config.weights.kind].per_seed:
+    The seeds share one weight set unless each draws its own.
+
+    Seeds evolve in batches of max(1, SEED_BATCH_UNITS // n_units), each in
+    one ``counterfactual_suite`` call (``_evolve_batch``), so the fixed cost
+    of a column's round is paid once per batch; ``run_once`` then scores each
+    seed, with the bits the seed gives alone. A fixed network of a kind drawn
+    per seed is one lazy engine, whose images depend on the order of its
+    calls: one seed a batch. A batch that raises evolves again seed by seed,
+    so the error is the one such a run gives."""
+    per_seed = WEIGHT_KINDS[config.weights.kind].per_seed
+    if config.fixed_network or not per_seed:
         kwargs["weights"] = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
-    return [run_once(config, config.base_seed + r, **kwargs) for r in range(config.n_reps)]
+    size = 1 if config.fixed_network and per_seed else max(1, SEED_BATCH_UNITS // config.n_units)
+    seeds = range(config.base_seed, config.base_seed + config.n_reps)
+    records = []
+    for start in range(0, len(seeds), size):
+        batch = seeds[start : start + size]
+        try:
+            evolved = _evolve_batch(config, batch, **kwargs) if len(batch) > 1 else {}
+        except (FloatingPointError, MemoryError):  # each seed evolves alone and raises as it would
+            evolved = {}
+        token = _scoring.set((config, kwargs.get("sweep"), evolved))
+        try:
+            records += [run_once(config, seed, **kwargs) for seed in batch]
+        finally:
+            _scoring.reset(token)
+        del evolved  # before the next batch allocates its own
+    return records
+
+
+def _evolve_batch(
+    config: ScenarioConfig, seeds: Sequence[int], sweep: SweepGrid | None = None, weights: WeightSet | None = None
+) -> dict[int, tuple[WeightSet, TreatmentPanel, Suite]]:
+    """Each seed's weight set, assignment and suite, from one
+    ``counterfactual_suite`` call on the populations of ``seeds`` joined.
+    Each seed's ``observed_inputs`` are copied in as they are made, and its
+    assignment is then a view of the joined one."""
+    n, t_max, size = config.n_units, config.n_rounds, len(seeds)
+    rounds, y0, sets = np.empty((t_max, size * n)), np.empty(size * n), []
+    for b, seed in enumerate(seeds):
+        ws, w_obs, _, y0[b * n : (b + 1) * n] = observed_inputs(config, seed, weights)
+        rounds[:, b * n : (b + 1) * n] = w_obs.values.T
+        sets.append(ws)
+    del w_obs  # the last seed's own assignment, copied in
+    joined = TreatmentPanel.views(rounds.T[None])[0]
+    constant = [TreatmentPanel._built(np.broadcast_to(w.values[0], joined.values.shape))
+                for w in config._constant_scenarios]
+    columns = _columns(config, sweep)
+    suite = counterfactual_suite(
+        columns, sets, [joined, *constant] * (len(columns) // len(SCENARIOS)),
+        round_index_covariates(size * n, t_max), y0, list(seeds), keep=range(0, len(columns), len(SCENARIOS)),
+    )
+    assignments = TreatmentPanel.views(rounds.T.reshape(size, n, t_max))
+    return {seed: (ws, w, suite.block(b)) for b, (seed, ws, w) in enumerate(zip(seeds, sets, assignments))}
 
 
 class EstimatorOverflow(FloatingPointError):

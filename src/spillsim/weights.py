@@ -200,7 +200,9 @@ class _ConditionedGaussian:
     independent of everything drawn so far, so it is one fresh N(0, 1) row.
     This is a Gram-Schmidt QR of the columns, G = U R, with Z U drawn column
     by column. Each projection step is one matrix-vector product over the
-    filled rows, so an image costs O(n k) time and adds at most 16 n bytes.
+    filled rows, so an image costs O(n k) time and fills at most 16 n bytes.
+    The rows past k are spare and no projection reads them: fewer than a
+    quarter of k plus 5/4 of the columns of the call that last grew them.
 
     ``seen`` keeps the coefficients c of every key's image c @ b, so a key
     sent again rebuilds the first image's bits. The key is the caller's name
@@ -221,14 +223,19 @@ class _ConditionedGaussian:
 
     def add_images(self, out: np.ndarray, g: np.ndarray, columns: Sequence[int], keys: Sequence, scale: float) -> None:
         """out[:, j] += scale * Z g[:, j] for each j of ``columns``, in order,
-        ``keys`` naming each for ``seen``, after one ``resize`` (a
-        ``realloc``) to room for a row per column."""
-        rows = (self.k + len(columns), self._q.shape[1])
-        # No view of the arrays outlives a call (``basis`` and ``images`` are
-        # copies), so the reference check, which a profiler's hold on the
-        # bound method fails, can go.
-        self._q.resize(rows, refcheck=False)
-        self._b.resize(rows, refcheck=False)
+        ``keys`` naming each for ``seen``. When the arrays lack a row per
+        column, one ``resize`` (a ``realloc``) grows them by a quarter, or
+        to the rows needed if that is more: a heap ``realloc`` may copy, so
+        growing by the call made a long fixed network copy its basis at
+        every call and left the copies' holes in the heap."""
+        need = self.k + len(columns)
+        if need > len(self._q):
+            rows = (max(need, len(self._q) + len(self._q) // 4), self._q.shape[1])
+            # No view of the arrays outlives a call (``basis`` and ``images``
+            # are copies), so the reference check, which a profiler's hold on
+            # the bound method fails, can go.
+            self._q.resize(rows, refcheck=False)
+            self._b.resize(rows, refcheck=False)
         for j, key in zip(columns, keys):
             out[:, j] += scale * self.image(g[:, j], key)
 

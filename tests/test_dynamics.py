@@ -502,6 +502,76 @@ _MAKE_WEIGHTS = {
 }
 
 
+def _blocks_fixture(kind: str, seeds=(7, 8, 9)):
+    """Each seed's weight set, assignment and baseline, and the joined
+    population of all of them: its assignment is column-contiguous, as the
+    harness joins it. Clustered and explicit seeds share one set."""
+    make = {"lazy_gaussian": lambda seed: LazyGaussianWeights(_N, _GAUSSIAN, _T, seed)}.get(kind)
+    shared = None if make else _MAKE_WEIGHTS[kind]()
+    sets = [make(seed) if make else shared for seed in seeds]
+    design = DesignSpec(kind="bernoulli", n_units=_N, n_rounds=_T, probs=(0.0, 0.2, 0.4, 0.8))
+    observed = [assign(design, seed) for seed in seeds]
+    y0 = [np.random.default_rng(seed).normal(0.5, 1.0, _N) for seed in seeds]
+    joined = TreatmentPanel._built(np.concatenate([w.values.T for w in observed], axis=1).T)
+    return sets, observed, y0, joined
+
+
+@pytest.mark.parametrize("kind", ["lazy_gaussian", "clustered", "explicit"])
+def test_a_suite_in_blocks_gives_each_block_the_bits_of_its_seed_alone(kind):
+    # Three seeds' populations joined. Each block draws its own noise and
+    # applies its own weight set, threshold levels and round means. Round 3
+    # crosses tau in some blocks and not in others, so the observed
+    # threshold column evolves alike with another column in some blocks only.
+    from spillsim.dynamics import _evolve
+
+    seeds = (7, 8, 9)
+    sets, observed, y0, joined = _blocks_fixture(kind, seeds)
+    crossed = [w.column(3).mean() > 0.4 for w in observed]
+    assert any(crossed) and not all(crossed)
+    constants = {n: [assign(DesignSpec(kind="constant", n_units=n, n_rounds=_T, value=v), 0) for v in (0, 1)]
+                 for n in (_N, 3 * _N)}
+    noisy = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.7), peer=LinearPeer(0.5, 0.2), noise_sd=0.3)
+    # Taus 0.4 and 0.41 agree wherever round 3 stays below both.
+    specs = [noisy] + [linear_spec(unit=noisy.unit, exposure=MeanFieldThreshold(tau, 2.0), noise_sd=0.3)
+                       for tau in (0.4, 0.41)]
+    columns = [sp for sp in specs for _ in range(3)]
+    for keep in (None, [0, 3, 6]):
+        kwargs = dict(keep_exposures=keep is None, keep=keep)
+        suite, mats = _evolve(columns, sets, [joined, *constants[3 * _N]] * 3, round_index_covariates(3 * _N, _T),
+                              np.concatenate(y0), list(seeds), **kwargs)
+        assert len(suite) == 3 * len(columns)
+        for b, seed in enumerate(seeds):
+            ws = LazyGaussianWeights(_N, _GAUSSIAN, _T, seed) if kind == "lazy_gaussian" else sets[b]
+            alone, alone_mats = _evolve(columns, ws, [observed[b], *constants[_N]] * 3, round_index_covariates(_N, _T),
+                                        y0[b], seed, **kwargs)
+            block = suite.block(b)
+            assert block.index == alone.index and _same_object_groups(block) == _same_object_groups(alone)
+            assert np.array(block.means).tobytes() == np.array(alone.means).tobytes()
+            for k, (got, want) in enumerate(zip(block, alone)):
+                assert (got is None) == (want is None), k
+                if want is not None:
+                    _assert_same_bits(got.values, want.values, f"block {b}, column {k}")
+            for k, (got, want) in enumerate(zip(mats[b * len(columns) : (b + 1) * len(columns)], alone_mats)):
+                _assert_same_bits(got.values, want.values, f"exposures of block {b}, column {k}")
+        assert len({tuple(suite.block(b).index) for b in range(3)}) > 1
+
+
+def test_a_nonfinite_outcome_in_blocks_is_named_by_its_first_block():
+    # Unit 4 of the second block and unit 9 of the third overflow in round 1:
+    # the second is named, with its unit counted within the block, as that
+    # block alone names it.
+    seeds = (7, 8, 9)
+    sets, observed, y0, joined = _blocks_fixture("clustered", seeds)
+    y0[1][4], y0[2][9] = 1e308, -1e308
+    spec = linear_spec(unit=LinearUnit(y_coef=10.0))
+    with pytest.raises(NonFiniteOutcome, match=r"^non-finite outcome for unit 4 at round 1 in scenario 0 of block 1$"):
+        counterfactual_suite(spec, sets, [joined], round_index_covariates(3 * _N, _T), np.concatenate(y0), seeds)
+    with pytest.raises(NonFiniteOutcome, match=r"^non-finite outcome for unit 4 at round 1 in scenario 0$"):
+        counterfactual_suite(spec, sets[1], [observed[1]], round_index_covariates(_N, _T), y0[1], seeds[1])
+    with pytest.raises(ValueError, match=r"^3 seeds and 2 weight sets for 771 units$"):
+        counterfactual_suite(spec, sets[1:], [joined], round_index_covariates(3 * _N, _T), np.concatenate(y0), seeds)
+
+
 def _evolution_fixture():
     x = round_index_covariates(_N, _T)
     y0 = np.random.default_rng(3).normal(0.5, 1.0, _N)

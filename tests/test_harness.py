@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -474,7 +475,8 @@ def test_lazy_dense_sweep_is_invariant_to_grid_order_and_duplicates():
 def test_estimators_see_only_observed_panels(monkeypatch):
     # counterfactual_suite evolves [observed, nobody treated, everybody
     # treated] per dynamics spec; the estimators may get the first alone,
-    # and the counterfactuals are not even kept as panels.
+    # and the counterfactuals are not even kept as panels. Both seeds of the
+    # sweep evolve in one call.
     from spillsim import harness
     from spillsim.dynamics import counterfactual_suite
     from spillsim.harness import estimate_rounds
@@ -496,7 +498,7 @@ def test_estimators_see_only_observed_panels(monkeypatch):
     failure_sweep(_threshold_config(reps=2), "threshold_strength", [0.0, 1.0, 2.0])
     observed = {id(p) for panels in suites for p in panels[0::3]}
     counterfactual = [p for panels in suites for k, p in enumerate(panels) if k % 3]
-    assert len(suites) == 3 and len(fits) >= 3
+    assert len(suites) == 2 and len(fits) >= 3
     assert counterfactual and all(p is None for p in counterfactual)
     for config, y, w in fits:
         assert id(y) in observed
@@ -937,3 +939,172 @@ def test_sweep_evolves_each_distinct_column_once_per_seed(monkeypatch, name, par
     run_once(config, config.base_seed, sweep=harness._sweep_grid(config, parameter, grid))
     (panels,) = suites
     assert len(panels) == 3 * len(grid) and len(set(panels.index)) == distinct
+
+
+# --- seeds evolved in batches ------------------------------------------------------
+
+
+BATCH = 3  # seeds per batch in the tests below
+
+
+def _batched(monkeypatch, config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` with 2 x BATCH + 1 replications, whose seeds evolve BATCH
+    at a time, so the last batch holds one seed."""
+    import dataclasses
+
+    from spillsim import harness
+
+    monkeypatch.setattr(harness, "SEED_BATCH_UNITS", BATCH * config.n_units)
+    return dataclasses.replace(config, n_reps=2 * BATCH + 1)
+
+
+def _count_suites(monkeypatch) -> list:
+    """The seed argument of every ``harness.counterfactual_suite`` call."""
+    from spillsim import harness
+
+    calls, suite = [], harness.counterfactual_suite
+    monkeypatch.setattr(harness, "counterfactual_suite", lambda *a, **k: calls.append(a[5]) or suite(*a, **k))
+    return calls
+
+
+def _seed_by_seed(config: ScenarioConfig, **kwargs) -> list:
+    """``run_once`` of every seed of the run, each evolved alone."""
+    return [run_once(config, seed, **kwargs) for seed in range(config.base_seed, config.base_seed + config.n_reps)]
+
+
+def _crossing_threshold_config() -> ScenarioConfig:
+    # Round 3 treats 40% of units in expectation, and tau sits there: some
+    # seeds cross it and some do not, so the columns a seed evolves alike
+    # differ between the seeds of a batch.
+    import dataclasses
+
+    cfg = _threshold_config()
+    return dataclasses.replace(cfg, dynamics=dataclasses.replace(cfg.dynamics, exposure=MeanFieldThreshold(0.4, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "config, parameter, grid",
+    [
+        (_trend_config(DENSE_WEIGHTS), "trend", [0.0, 0.5, 2.0]),
+        (_trend_config(CLUSTERED_WEIGHTS, estimators=CLUSTER_ESTIMATORS), "trend", [0.0, 1.0, 0.0]),
+        (_trend_config(INFLUENCER_WEIGHTS, estimators=("dm", "ese_basic", "ese_influencer")), "trend", [0.5, 3.0]),
+        (_crossing_threshold_config(), "threshold_strength", [0.0, 1.5, 3.0]),
+    ],
+    ids=["lazy_dense", "clustered", "influencer", "threshold"],
+)
+def test_seeds_evolved_in_batches_keep_the_bits_of_each_seed_alone(monkeypatch, config, parameter, grid):
+    from spillsim import harness
+
+    config = _batched(monkeypatch, config)
+    sweep = harness._sweep_grid(config, parameter, grid)
+    alone, swept_alone = _seed_by_seed(config), _seed_by_seed(config, sweep=sweep)
+    calls = _count_suites(monkeypatch)
+    report, table = replicate(config), failure_sweep(config, parameter, grid)
+    # Batches of 3, 3 and 1 seeds, in both runs.
+    assert [len(c) if isinstance(c, list) else 1 for c in calls] == [BATCH, BATCH, 1] * 2
+    _assert_same_report(report, harness._aggregate(config, alone, 0.0))
+    for k, value in enumerate(grid):
+        want = harness._aggregate(config, [records[k] for records in swept_alone], 0.0, f"{parameter}={value!r}, ")
+        _assert_same_report(table.reports[k], want)
+    if parameter == "threshold_strength":
+        crossed = [assign(config.design, seed).values[:, 2].mean() > 0.4 for seed in (40, 41, 42)]
+        assert any(crossed) and not all(crossed)
+
+
+def test_a_fixed_lazy_network_evolves_one_seed_at_a_time(monkeypatch):
+    # The one lazy engine a fixed network shares draws its images in the
+    # order of its calls, so its seeds evolve one at a time, in seed order.
+    from spillsim.harness import _aggregate
+
+    config = _batched(monkeypatch, _trend_config(DENSE_WEIGHTS, fixed_network=True))
+    network = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
+    alone = _seed_by_seed(config, weights=network)
+    calls = _count_suites(monkeypatch)
+    report = replicate(config)
+    assert calls == list(range(60, 60 + config.n_reps))
+    _assert_same_report(report, _aggregate(config, alone, 0.0))
+
+
+def _plant_baselines(monkeypatch, values: dict) -> None:
+    """Give unit 7 of each seed in ``values`` that baseline outcome."""
+    from spillsim import harness
+
+    inputs = harness.observed_inputs
+
+    def planted(config, seed, weights=None):
+        weights, w_obs, x, y0 = inputs(config, seed, weights)
+        if seed in values:
+            y0 = y0.copy()
+            y0[7] = values[seed]
+        return weights, w_obs, x, y0
+
+    monkeypatch.setattr(harness, "observed_inputs", planted)
+
+
+def _error_of(run) -> str:
+    with pytest.raises(FloatingPointError) as info:
+        run()
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+@pytest.mark.parametrize("later_overflows", [False, True])
+def test_a_batch_raises_the_error_of_the_run_seed_by_seed(monkeypatch, later_overflows):
+    # Outcomes grow tenfold a round. The second seed of the first batch
+    # overflows at round 3; the third, at round 1, is the one the batch's
+    # evolution meets first. The error must still name the second, or an
+    # estimator overflow of the first seed, scored before the second
+    # evolves in a run seed by seed.
+    import dataclasses
+
+    config = linear_config(n=40, seed=5)
+    config = _batched(monkeypatch, dataclasses.replace(
+        config, dynamics=dataclasses.replace(config.dynamics, unit=LinearUnit(y_coef=10.0))))
+    _plant_baselines(monkeypatch, {6: 1e306, 7: 1e308})
+    if later_overflows:
+        _count_fits(monkeypatch, overflow_at=1)
+        want = r"^EstimatorOverflow: ese_basic at seed 5: overflow encountered in matmul$"
+    else:
+        want = r"^FloatingPointError: seed 6: non-finite outcome for unit 7 at round 3 in scenario observed$"
+    alone = _error_of(lambda: _seed_by_seed(config))
+    if later_overflows:
+        _count_fits(monkeypatch, overflow_at=1)
+    assert _error_of(lambda: replicate(config)) == alone
+    assert re.match(want, alone), alone
+
+
+def _traced_peak_of_replicate(n: int) -> tuple[int, int]:
+    """The traced peak of ``replicate`` on clustered.cfg at N = n with one
+    batch of seeds, and the number of seeds in it."""
+    import dataclasses
+    import tracemalloc
+
+    from spillsim.config import parse_config
+    from spillsim.harness import SEED_BATCH_UNITS
+
+    def config_of(n_units):
+        text = (Path(__file__).resolve().parents[1] / "configs" / "clustered.cfg").read_text()
+        config = parse_config(re.sub(r"(?m)^n_units\s*=.*$", f"n_units = {n_units}", text))
+        return dataclasses.replace(config, n_reps=SEED_BATCH_UNITS // n_units)
+
+    replicate(config_of(1200))  # what every later call reuses (imports, caches)
+    config = config_of(n)
+    tracemalloc.start()
+    try:
+        replicate(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, config.n_reps
+
+
+def test_a_batch_of_seeds_holds_each_seed_s_replication_rows():
+    # clustered.cfg at N = 2000 evolves its S = 4 seeds in one batch: the
+    # joined inputs, each seed's kept panel and state rows, the round's
+    # temporaries for all of them, then one seed's fit at a time. A fit that
+    # factors every round at once (about 40 rows of N) on top of the batch's
+    # held rows (about 45) peaks at 87 rows.
+    n = 2000
+    peak, seeds = _traced_peak_of_replicate(n)
+    assert seeds == 4
+    bound = 8 * n * seeds * _evolution_peak_rows(5, 1) + TRACED_SLACK
+    assert peak <= bound, f"traced peak {peak / (8 * n):.1f} rows of N, bound {bound / (8 * n):.1f}"

@@ -33,7 +33,7 @@ def _load(name: str):
     [
         ("ThresholdSweep", [["sweep", "--config", "threshold.cfg", "--reps", "2", "--param", "threshold_strength",
                              "--grid", "0,2"]]),
-        ("DenseMC", [["benchmark", "--config", "spillover.cfg", "--reps", "1"]]),
+        ("DenseMC", [["benchmark", "--config", "spillover.cfg", "--reps", "3"]]),
         ("StructuredMC", [["benchmark", "--config", "clustered.cfg", "--reps", "1"]]),
         ("PanelIO", [["simulate", "--config", "clustered.cfg", "--out", "{tmp}/sim"],
                      ["estimate", "--config", "clustered.cfg", "--out", "{tmp}/est",

@@ -523,6 +523,26 @@ def test_conditioned_gaussian_keeps_the_conditioning_identities():
     assert np.array_equal(engine.images, np.stack([fresh.standard_normal(n) for _ in range(8)]))
 
 
+def test_conditioned_gaussian_grows_its_rows_by_a_quarter_and_keeps_the_bits():
+    # A heap realloc may copy, so the basis and images grow by a quarter
+    # when full, not by each call's columns. The spare rows change no bit:
+    # one column a call gives the images of all the columns in one call.
+    n, calls = 300, 60
+    g = np.random.default_rng(5).standard_normal((n, calls))
+    one_by_one, together = (_ConditionedGaussian(np.random.default_rng(6), n) for _ in range(2))
+    out, rows = np.zeros((n, calls)), []
+    for j in range(calls):
+        one_by_one.add_images(out, g, [j], [j], 1.0)
+        rows.append(len(one_by_one._q))
+        assert 0 <= rows[-1] - one_by_one.k < 0.25 * one_by_one.k + 1.25
+    assert len(set(rows)) <= 20
+    everything = np.zeros((n, calls))
+    together.add_images(everything, g, range(calls), range(calls), 1.0)
+    assert np.array_equal(out.view(np.uint64), everything.view(np.uint64))
+    for got, want in ((one_by_one.basis, together.basis), (one_by_one.images, together.images)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_conditioned_gaussian_projects_a_colliding_key_afresh():
     # A key names a column by a 64-bit hash. A hit is taken only if the
     # column is its cached coefficients times the basis, so a key sent again
