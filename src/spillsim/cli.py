@@ -179,9 +179,8 @@ def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str, Path]:
 
 def _manifest(outdir: Path, text: str, config: ScenarioConfig, extra: dict | None = None, inputs=()) -> None:
     """Write manifest.json: the version, the config's identity and the sha256
-    of every input file the command read (``inputs`` plus any file the weight
-    config names), keyed by the path as given."""
-    files = [*inputs, *config.weights.input_files()]
+    of every input file the command read (``inputs``), keyed by the path as
+    given."""
     payload = {
         "version": __version__,
         "config_hash": config_hash(text),
@@ -193,8 +192,8 @@ def _manifest(outdir: Path, text: str, config: ScenarioConfig, extra: dict | Non
     }
     if extra:
         payload.update(extra)
-    if files:
-        payload["input_sha256"] = {str(path): _sha256(path) for path in files}
+    if inputs:
+        payload["input_sha256"] = {str(path): _sha256(path) for path in inputs}
     (outdir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -229,7 +228,7 @@ def _cmd_estimate(args) -> int:
                 f" config says {config.n_units} x {config.n_rounds}"
             )
     # Only the structure metadata of the weights is used, so a kind that
-    # exposes none (an explicit matrix, say) is not built.
+    # exposes none (dense Gaussian) is not built.
     structure = StructureMetadata()
     if WEIGHT_KINDS[config.weights.kind].structure:
         structure = structure_of(config.weights.build(config.n_units, config.n_rounds, config.base_seed))

@@ -29,7 +29,6 @@ from .dynamics import (
     LinearPeer,
     LinearUnit,
     MeanFieldThreshold,
-    SaturatingUnit,
     WeightedSumExposure,
     ZeroPeer,
 )
@@ -241,9 +240,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# The accessor that reads a weight key, by the type of the key's default;
-# None marks a required string.
-_READERS = {float: _Section.get_float, int: _Section.get_int, tuple: _Section.get_ints, type(None): _Section.get_str}
+# The accessor that reads a weight key, by the type of the key's default.
+_READERS = {float: _Section.get_float, int: _Section.get_int, tuple: _Section.get_ints}
 
 
 def _parse_weights(sec: _Section) -> WeightConfig:
@@ -264,22 +262,17 @@ def _parse_weights(sec: _Section) -> WeightConfig:
 
 
 def _parse_dynamics(sec: _Section) -> DynamicsSpec:
+    # ``unit`` has one value; the key stays so that a file may name it.
     unit_kind = sec.get_str("unit", "linear")
-    common = dict(
+    if unit_kind != "linear":
+        raise ConfigError(f"{sec.where('unit')} must be linear, got {unit_kind!r}")
+    unit = LinearUnit(
         w_coef=sec.get_float("w_coef", 0.0),
         y_coef=sec.get_float("y_coef", 1.0),
         x_coef=sec.get_numbers("x_coef", ()),
         intercept=sec.get_float("intercept", 0.0),
         trend=sec.get_float("trend", 0.0),
     )
-    if unit_kind == "linear":
-        unit = LinearUnit(**common)
-    elif unit_kind == "saturating":
-        scale = sec.get_float("scale", 1.0)
-        with _keyed(sec, "scale"):
-            unit = SaturatingUnit(**common, scale=scale)
-    else:
-        raise ConfigError(f"{sec.where('unit')} must be linear or saturating, got {unit_kind!r}")
 
     peer_kind = sec.get_str("peer", "zero")
     if peer_kind == "linear":

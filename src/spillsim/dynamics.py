@@ -76,27 +76,6 @@ def _add_term(out: np.ndarray, coef: float, v) -> None:
 
 
 @dataclass(frozen=True)
-class SaturatingUnit(LinearUnit):
-    """Linear response squashed through scale*tanh(./scale); bounded and
-    smooth, so higher-order expansion arguments apply to it."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("saturation scale must be positive")
-
-    def value(self, w, y, x, t, out=None):
-        # scale * tanh(linear / scale), each step in place.
-        out = super().value(w, y, x, t, out=out)
-        out /= self.scale
-        np.tanh(out, out=out)
-        out *= self.scale
-        return out
-
-
-@dataclass(frozen=True)
 class LinearPeer:
     """Peer signal g(w, y) = w_coef*w + y_coef*y."""
 
@@ -146,7 +125,7 @@ class MeanFieldThreshold:
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    unit: LinearUnit | SaturatingUnit
+    unit: LinearUnit
     peer: LinearPeer | ZeroPeer
     exposure: WeightedSumExposure | MeanFieldThreshold
     noise_sd: float = 0.0
@@ -210,7 +189,7 @@ def compute_exposure(
     return np.array(e).reshape(w_t.shape)  # a copy: the threshold level is a broadcast
 
 
-def _respond(unit: LinearUnit | SaturatingUnit, w_t, y_prev, x_t, e_t, scaled_noise, t: int, out=None) -> np.ndarray:
+def _respond(unit: LinearUnit, w_t, y_prev, x_t, e_t, scaled_noise, t: int, out=None) -> np.ndarray:
     """Unit response plus exposure plus the scaled noise (None: no noise),
     unchecked, each term added in place into ``out`` when given (which may
     be ``y_prev`` itself). ``e_t`` is the exposure, or, with one dimension

@@ -9,7 +9,7 @@ trajectories at round T is the evolution-based effect estimate.
 
 The pooled fit factors each round once: the round's distinct base columns
 and its outcome column go through a tall-skinny QR, and only the stacked R
-blocks, at most 5 rows per round, reach ``lstsq``. Fits on the same panels
+blocks, at most 4 rows per round, reach ``lstsq``. Fits on the same panels
 whose specs use the same base columns can share those factors. The N·T-row
 design matrix is never built.
 """
@@ -25,14 +25,14 @@ from .panel import OutcomePanel, TreatmentPanel, column_mean
 
 # Relative singular value cutoff used for rank decisions in the pooled fit.
 RANK_RTOL = 1e-10
-# Rows per leaf when factoring a round's block: a 1024 x 5 leaf stays in cache,
+# Rows per leaf when factoring a round's block: a 1024 x 4 leaf stays in cache,
 # which makes the two-level factorization several times faster than one LAPACK
 # call on the whole N-row block.
 TSQR_LEAF_ROWS = 1024
-# Leaves filled and factored at once: 16 leaves of 5 columns are 640 KiB.
+# Leaves filled and factored at once: 16 leaves of 4 columns are 512 KiB.
 TSQR_CHUNK_LEAVES = 16
 
-# Every feature at round t is a scale times one of four unit-level base
+# Every feature at round t is a scale times one of three unit-level base
 # columns of (w_t, y_{t-1}); the constant column is the scalar 1.0. The scale
 # is a function of the round's columns and of the feature's argument: the
 # cluster mask or the influencer id. The third entry is the feature's
@@ -43,7 +43,6 @@ _BASES = {
     "one": lambda w, y: 1.0,
     "w": lambda w, y: w,
     "y": lambda w, y: y,
-    "wy": lambda w, y: w * y,
 }
 _TERMS = {
     "intercept": ("one", lambda w, y, arg: 1.0, lambda pi, m: 1.0),
@@ -51,9 +50,6 @@ _TERMS = {
     "lagged_outcome": ("y", lambda w, y, arg: 1.0, lambda pi, m: m),
     "treated_fraction": ("one", lambda w, y, arg: w.mean(), lambda pi, m: pi),
     "lagged_mean": ("one", lambda w, y, arg: y.mean(), lambda pi, m: m),
-    # Its mean uses the independence of a randomized assignment from the lagged outcome.
-    "own_times_lag": ("wy", lambda w, y, arg: 1.0, lambda pi, m: pi * m),
-    "own_times_fraction": ("w", lambda w, y, arg: w.mean(), lambda pi, m: pi * pi),
     "cluster_fraction": ("one", lambda w, y, mask: w[mask].mean(), lambda pi, m: pi),
     "influencer_treatment": ("one", lambda w, y, j: w[j], lambda pi, m: pi),
 }

@@ -489,7 +489,7 @@ def _aggregate(config: ScenarioConfig, records: list[RunRecord], started: float,
 # Sweepable parameter -> (the part of the dynamics spec that holds it, the
 # class that part must be, its field there, what the class is).
 SWEEP_PARAMETERS = {
-    "trend": ("unit", LinearUnit, "trend", "a linear or saturating unit response"),
+    "trend": ("unit", LinearUnit, "trend", "a linear unit response"),
     "threshold_strength": ("exposure", MeanFieldThreshold, "strength", "the mean-field threshold mechanism"),
 }
 

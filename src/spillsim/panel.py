@@ -19,7 +19,7 @@ import csv
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,12 +135,12 @@ def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
 
 # --- CSV interchange -------------------------------------------------------
 #
-# Format: a header naming the three columns, then one row "row,col,value" per
-# matrix cell. Panel files use the header "unit,round,value"; outcome files
-# carry rounds 0..T, treatment and exposure files rounds 1..T. Unit ids are
-# 0-based. Writers emit cells in unit-major order, values as Python ``repr``
-# floats, lines ended by CRLF (the bytes ``csv.writer`` produces). Readers
-# accept rows in any order, LF or CRLF line ends and blank lines.
+# Format: the header "unit,round,value", then one row per matrix cell.
+# Outcome files carry rounds 0..T, treatment and exposure files rounds 1..T.
+# Unit ids are 0-based. Writers emit cells in unit-major order, values as
+# Python ``repr`` floats, lines ended by CRLF (the bytes ``csv.writer``
+# produces). Readers accept rows in any order, LF or CRLF line ends and blank
+# lines.
 
 PANEL_HEADER = ("unit", "round", "value")
 
@@ -184,7 +184,7 @@ def write_rows(path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_cells(path, values: np.ndarray, first_col: int = 0, header: Sequence[str] = PANEL_HEADER) -> None:
+def write_cells(path, values: np.ndarray, first_col: int = 0) -> None:
     """Write a 2-d matrix as one CSV row "row,col,value" per cell, unit-major.
 
     Columns are numbered from ``first_col``. Units are written in blocks of
@@ -202,7 +202,7 @@ def write_cells(path, values: np.ndarray, first_col: int = 0, header: Sequence[s
     unit_rows = "".join(f"#,{first_col + c},%s\r\n" for c in range(cols))
     per_block = max(1, _BLOCK_CELLS // max(cols, 1))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(PANEL_HEADER) + "\r\n")
         for lo in range(0, n, per_block):
             fh.write(_block_rows(values, lo, min(n, lo + per_block), unit_rows))
 
@@ -219,30 +219,24 @@ def _block_rows(values: np.ndarray, lo: int, hi: int, unit_rows: str) -> str:
     return "".join([unit_rows.replace("#", str(i)) for i in range(lo, hi)]) % cells
 
 
-def read_cells(
-    path,
-    first_col: int = 0,
-    header: Sequence[str] = PANEL_HEADER,
-    shape: Callable[[int, int], tuple[int, int]] | None = None,
-) -> np.ndarray:
+def read_cells(path, first_col: int = 0) -> np.ndarray:
     """Read a CSV written by ``write_cells`` back into its matrix.
 
     Row ids start at 0 and column ids at ``first_col``; every (row, col) cell
     in the bounding rectangle must appear exactly once, in any order, with a
-    finite value. ``shape``, if given, maps the (rows, cols) extent of the keys
-    to the matrix shape to allocate, and may raise before that allocation.
-    Errors name the file and, where one row is at fault, its line.
+    finite value. Errors name the file and, where one row is at fault, its
+    line.
     """
-    row_name, col_name, value_name = header
+    row_name, col_name, value_name = PANEL_HEADER
     with open(path) as fh:
-        if next(csv.reader([fh.readline()]), None) != list(header):
-            raise ValueError(f"{path}: expected header {','.join(header)}")
+        if next(csv.reader([fh.readline()]), None) != list(PANEL_HEADER):
+            raise ValueError(f"{path}: expected header {','.join(PANEL_HEADER)}")
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 cells = np.loadtxt(fh, dtype=_CELL, delimiter=",", comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:
-            raise _parse_fault(path, header) or ValueError(f"{path}: {exc}") from None
+            raise _parse_fault(path) or ValueError(f"{path}: {exc}") from None
     if cells.size == 0:
         raise ValueError(f"{path}: no data rows")
     a, b, v = cells["row"], cells["col"], cells["value"]
@@ -258,15 +252,13 @@ def read_cells(
         raise _row_fault(path, k, f"non-finite {value_name} at {row_name} {a[k]}, {col_name} {b[k]}")
 
     rows, cols = int(a.max()) + 1, int(b.max()) - first_col + 1
-    if shape is not None:
-        rows, cols = shape(rows, cols)
     if rows * cols == cells.size:
         flat = a * cols + (b - first_col)
         if np.bincount(flat, minlength=cells.size).max() == 1:
             values = np.empty(rows * cols)
             values[flat] = v
             return values.reshape(rows, cols)
-    raise _key_fault(path, a, b, first_col, cols, header)
+    raise _key_fault(path, a, b, first_col, cols)
 
 
 def _data_lines(path) -> list[tuple[int, str]]:
@@ -282,32 +274,32 @@ def _row_fault(path, k: int, message: str) -> ValueError:
     return ValueError(f"{path}:{line}: {message}: {text!r}")
 
 
-def _parse_fault(path, header: Sequence[str]) -> ValueError | None:
+def _parse_fault(path) -> ValueError | None:
     """The first row ``np.loadtxt`` could not parse, found by a rescan in Python."""
     for line, text in _data_lines(path):
-        message = _field_fault(next(csv.reader([text])), header)
+        message = _field_fault(next(csv.reader([text])))
         if message is not None:
             return ValueError(f"{path}:{line}: {message}: {text!r}")
     return None
 
 
-def _field_fault(fields: list[str], header: Sequence[str]) -> str | None:
+def _field_fault(fields: list[str]) -> str | None:
     if len(fields) != 3:
-        return f"expected 3 fields {','.join(header)}, found {len(fields)}"
-    for name, field in zip(header, fields[:2]):
+        return f"expected 3 fields {','.join(PANEL_HEADER)}, found {len(fields)}"
+    for name, field in zip(PANEL_HEADER, fields[:2]):
         if not _INT_FIELD.fullmatch(field) or not -(2**63) <= int(field) < 2**63:
             return f"{name} {field!r} is not an integer id"
     try:
         float(fields[2])
     except ValueError:
-        return f"{header[2]} {fields[2]!r} is not a number"
+        return f"{PANEL_HEADER[2]} {fields[2]!r} is not a number"
     return None
 
 
-def _key_fault(path, a: np.ndarray, b: np.ndarray, first_col: int, cols: int, header: Sequence[str]) -> ValueError:
+def _key_fault(path, a: np.ndarray, b: np.ndarray, first_col: int, cols: int) -> ValueError:
     """Name the first repeated key in file order, else the first missing cell
     in row-major order. Only called once the keys are known to be faulty."""
-    row_name, col_name, _ = header
+    row_name, col_name, _ = PANEL_HEADER
     order = np.lexsort((b, a))  # stable: a repeated key keeps its file order
     sa, sb = a[order], b[order]
     repeats = order[1:][(sa[1:] == sa[:-1]) & (sb[1:] == sb[:-1])]

@@ -21,6 +21,8 @@ weighted peer sums ``apply(gv, t)``. Five representations are provided:
   the background w_base/n. Influencer columns scale by 1/m so their total
   influence stays O(1) as n grows.
 * ``ExplicitDenseWeights``: any fixed matrix, for arbitrary heterogeneity.
+  It is built in code only (the evolution identity of the acceptance tests
+  runs on it) and is the engine of no kind.
 
 Cost of ``apply`` on n units and s signal columns:
 
@@ -29,14 +31,12 @@ Cost of ``apply`` on n units and s signal columns:
 * dense Gaussian and explicit: one n x n matrix product, O(n^2 s);
 * clustered and influencer: O(n s) time. Each column's total and its sum
   over each cluster (the influencer set) fill a small exposure table, whose
-  rows are written out by segment: each cluster's over its units (read by
-  cluster id when they are not in cluster order), or the background row
-  over every unit, then each influencer's own. One column of a
-  ``gen_clustered`` or influencer set costs the one row it returns. Each sum
-  is one numpy reduction over a contiguous run: the column, or a cluster's
-  segment of it in cluster order (unit order for ``gen_clustered`` sets,
-  which so gather nothing). numpy adds it pairwise, with rounding error
-  O(log n * eps) where a sum in unit order has O(n * eps).
+  rows are written out by segment: each cluster's over its units, which a
+  clustered set holds in cluster order, or the background row over every
+  unit, then each influencer's own. One column costs the one row it
+  returns. Each sum is one numpy reduction over a contiguous run: the
+  column, or a cluster's segment of it. numpy adds it pairwise, with
+  rounding error O(log n * eps) where a sum in unit order has O(n * eps).
 
 No kind's bits depend on the memory layout of G: each structured sum is a
 function of the values it adds alone, and the lazy engine and the BLAS kinds
@@ -73,7 +73,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .panel import read_cells
 from .rng import substream
 
 
@@ -342,16 +341,15 @@ def _column_sums(g: np.ndarray, gather: Sequence[int] | None, starts: Sequence[i
 
 @dataclass(frozen=True)
 class ClusteredWeights(WeightSet):
+    """Units in cluster order: ``membership`` never decreases, so each
+    non-empty cluster is one segment of units, which starts at ``starts``."""
+
     column_independent = True
     n_units: int
     membership: np.ndarray
     n_clusters: int
     w_in: float
     w_out: float
-    # The units in cluster order (None: they are in it already), the
-    # non-empty clusters and where each one's segment starts in that order.
-    order: np.ndarray | None = field(init=False, repr=False, compare=False)
-    filled: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -362,26 +360,22 @@ class ClusteredWeights(WeightSet):
             raise ValueError(f"cluster ids must lie in 0..{self.n_clusters - 1}")
         if not (np.isfinite(self.w_in) and np.isfinite(self.w_out)):
             raise ValueError("cluster weights must be finite")
+        steps = np.diff(mem, prepend=-1)  # ids are non-negative, so unit 0 starts a segment
+        if (steps < 0).any():
+            u = int(np.argmax(steps < 0))
+            raise ValueError(f"membership must be in cluster order: unit {u} is in cluster {mem[u]}, "
+                             f"after unit {u - 1} in cluster {mem[u - 1]}")
         mem.setflags(write=False)
         object.__setattr__(self, "membership", mem)
-        order = None if np.all(mem[1:] >= mem[:-1]) else np.argsort(mem, kind="stable")
-        bounds = np.searchsorted(mem if order is None else mem[order], np.arange(self.n_clusters + 1))
-        filled = np.flatnonzero(np.diff(bounds))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "filled", filled)
-        object.__setattr__(self, "starts", bounds[filled])
+        object.__setattr__(self, "starts", np.flatnonzero(steps))
 
     def apply(self, gv: np.ndarray, t: int) -> np.ndarray:
         n = self.n_units
         g = _signal_stack(gv, n)
-        total, sums = _column_sums(g, self.order, self.starts)
+        total, sums = _column_sums(g, None, self.starts)
         table = (self.w_out / n) * total + ((self.w_in - self.w_out) / n) * sums
-        if self.order is None:  # row r, the r-th non-empty cluster's, repeated over its segment
-            out = np.repeat(table.T, np.diff(self.starts, append=n), axis=1)
-        else:  # each unit reads its cluster's row; an empty cluster's is never read
-            out = np.empty((g.shape[1], self.n_clusters))
-            out[:, self.filled] = table.T
-            out = out.take(self.membership, axis=1)
+        # Row r, the r-th non-empty cluster's, repeated over its segment.
+        out = np.repeat(table.T, np.diff(self.starts, append=n), axis=1)
         return out.T.reshape(np.shape(gv))
 
 
@@ -458,19 +452,6 @@ def gen_influencer(n: int, influencers: Sequence[int], w_inf: float, w_base: flo
     return InfluencerWeights(n_units=n, influencers=tuple(influencers), w_inf=w_inf, w_base=w_base)
 
 
-# Explicit matrices interchange as rows i,j,weight, in panel CSV form.
-EXPLICIT_HEADER = ("i", "j", "weight")
-
-
-def read_explicit_csv(path) -> ExplicitDenseWeights:
-    def square(rows: int, cols: int) -> tuple[int, int]:
-        n = max(rows, cols)
-        _check_dense_fits(n, str(path))
-        return n, n
-
-    return ExplicitDenseWeights(read_cells(path, header=EXPLICIT_HEADER, shape=square))
-
-
 # --- weight kinds ------------------------------------------------------------
 
 
@@ -504,18 +485,11 @@ def _influencer_ids(ids: Sequence[int], n: int) -> tuple[int, ...]:
     return ids
 
 
-def _build_explicit(p: dict, n: int, *_) -> WeightSet:
-    ws = read_explicit_csv(p["matrix_path"])
-    if ws.n_units != n:
-        raise ValueError(f"explicit matrix is {ws.n_units}x{ws.n_units}, population is {n}")
-    return ws
-
-
 @dataclass(frozen=True)
 class WeightKind:
     """One kind a config file's ``[weights] kind`` can name.
 
-    ``keys`` maps each key the kind reads to its default (None: required).
+    ``keys`` maps each key the kind reads to its default.
     ``build(params, n_units, n_rounds, seed)`` makes the set, which any
     number of replications may share; ``per_seed`` says whether a run draws
     a new set for every seed unless its network is fixed. ``checks``
@@ -524,7 +498,7 @@ class WeightKind:
     ``engines`` are the classes ``build`` returns; ``structure`` names their
     attributes that estimators may use as structure metadata, and
     ``describe`` the parameters a descriptor records (by default the
-    attributes named as the keys). ``files`` are the keys naming input files.
+    attributes named as the keys).
     """
 
     keys: dict
@@ -534,7 +508,6 @@ class WeightKind:
     checks: dict = field(default_factory=dict)
     structure: tuple[str, ...] = ()
     describe: Callable[[WeightSet], dict] | None = None
-    files: tuple[str, ...] = ()
 
 
 WEIGHT_KINDS = {
@@ -559,13 +532,6 @@ WEIGHT_KINDS = {
         engines=(InfluencerWeights,),
         checks={"influencers": _influencer_ids},
         structure=("influencers",),
-    ),
-    "explicit": WeightKind(
-        keys={"matrix_path": None},
-        build=_build_explicit,
-        engines=(ExplicitDenseWeights,),
-        describe=lambda ws: {},
-        files=("matrix_path",),
     ),
 }
 
@@ -596,9 +562,6 @@ class WeightConfig:
             if key not in values:
                 raise ValueError(f"weights.{key} is not read by kind = {kind}")
             values[key] = value
-        for key, value in values.items():
-            if value is None:
-                raise ValueError(f"weights.{key} is required by kind = {kind}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", values)
 
@@ -609,10 +572,6 @@ class WeightConfig:
                 check(self.params[key], n_units)
             except KeyedValueError as exc:
                 raise KeyedValueError(exc.message, f"weights.{key}") from None
-
-    def input_files(self) -> list[str]:
-        """The input files ``build`` reads, as the config names them."""
-        return [self.params[key] for key in WEIGHT_KINDS[self.kind].files]
 
     def build(self, n_units: int, n_rounds: int, seed: int) -> WeightSet:
         """The weight set ``seed`` draws, for any number of passes."""

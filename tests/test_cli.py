@@ -341,7 +341,16 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
          "dynamics.x_coef: lists 2 coefficients; the only covariate is the round index"),
         ("n_rounds = 4", "n_rounds = 0", "population.n_rounds must be a positive integer, got 0"),
         ("seed = 5", "seed = -1", "run.seed must be non-negative"),
-        ("unit = linear", "unit = cubic", "dynamics.unit must be linear or saturating, got 'cubic'"),
+        ("unit = linear", "unit = cubic", "dynamics.unit must be linear, got 'cubic'"),
+        # Options the config format does not have, each refused by key and line.
+        ("unit = linear", "unit = saturating", "dynamics.unit must be linear, got 'saturating'"),
+        ("unit = linear", "unit = linear\nscale = 2.0", f"dynamics.scale is not read with {_DYNAMICS_KINDS}"),
+        (_CLUSTERED_WEIGHTS, "kind = explicit",
+         "weights.kind must be one of dense_gaussian, clustered, influencer; got 'explicit'"),
+        (_CLUSTERED_WEIGHTS, _CLUSTERED_WEIGHTS + "\nmatrix_path = w.csv",
+         "weights.matrix_path is not read with kind = clustered"),
+        ("use = dm, ht, ese_basic", "use = dm, ht, ese_basic\nfeatures_ese_basic = own_times_lag",
+         "estimators.features_ese_basic: unknown feature kind 'own_times_lag'"),
         ("peer = linear", "peer = quadratic", "dynamics.peer must be linear or zero, got 'quadratic'"),
         ("exposure = weighted_sum", "exposure = contagion",
          "dynamics.exposure must be weighted_sum or threshold, got 'contagion'"),
@@ -353,7 +362,8 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
         "duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed",
         "scenario_check", "estimator_check", "weight_check", "cluster_count", "estimator_weight_kind",
         "influencer_range", "influencer_subset", "baseline_check", "covariate_check", "no_rounds",
-        "negative_seed", "unit_kind", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers",
+        "negative_seed", "unit_kind", "saturating_unit", "saturating_scale", "explicit_kind", "explicit_matrix_path",
+        "own_times_lag", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers",
     ],
 )
 def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):
@@ -402,19 +412,6 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
 
-def test_cli_reports_a_dense_matrix_too_large_for_memory(tmp_path, capsys):
-    # One row naming unit 10^7 - 1 makes an explicit matrix of N = 10^7, 8e14
-    # bytes; the reader refuses it from the shape, before any allocation.
-    matrix = tmp_path / "w.csv"
-    matrix.write_text("i,j,weight\n0,9999999,1.0\n")
-    weights = f"\n[weights]\nkind = explicit\nmatrix_path = {matrix}\n"
-    text = NULL_CONFIG.replace("n_units = 40", "n_units = 10000000") + weights
-    cfg = _write_config(tmp_path, text)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"].startswith("MemoryError:") and "N=10000000" in err["error"]
-
-
 def test_sweep_overflow_in_the_fit_is_one_named_error(tmp_path, capsys):
     # At trend=1e300 every outcome stays finite, but the fit's residual sum
     # of squares does not.
@@ -456,14 +453,15 @@ def test_simulate_writes_the_observed_panel_of_run_once(tmp_path, monkeypatch, n
     assert np.array_equal(simulated.view(np.uint64), observed[0].view(np.uint64))
 
 
-EXPLICIT_CONFIG = """
+DENSE_CONFIG = """
 [population]
-n_units = 3
+n_units = 20
 n_rounds = 4
 
 [weights]
-kind = explicit
-matrix_path = {path}
+kind = dense_gaussian
+mu = 1.0
+sigma2 = 1.0
 
 [dynamics]
 unit = linear
@@ -480,47 +478,34 @@ kind = bernoulli
 def test_manifests_record_the_sha256_of_every_input(tmp_path):
     import hashlib
 
-    from spillsim.panel import write_cells
-    from spillsim.weights import EXPLICIT_HEADER
+    cfg = _write_config(tmp_path, DENSE_CONFIG)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    # simulate reads no file but its config, whose hash the manifest has.
+    assert "input_sha256" not in json.loads((sim / "manifest.json").read_text())
+    inputs = (sim / "outcomes.csv", sim / "treatments.csv")
 
-    matrix = tmp_path / "w.csv"
-    write_cells(matrix, np.full((3, 3), 0.25), header=EXPLICIT_HEADER)
-    cfg = _write_config(tmp_path, EXPLICIT_CONFIG.format(path=matrix))
-
-    def simulate_manifest(out):
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    def estimate_manifest(out):
+        args = ["--outcomes", str(inputs[0]), "--treatments", str(inputs[1])]
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / out), *args]) == 0
         return (tmp_path / out / "manifest.json").read_text()
 
-    before = simulate_manifest("a")
-    manifest = json.loads(before)
-    assert manifest["input_sha256"] == {str(matrix): hashlib.sha256(matrix.read_bytes()).hexdigest()}
-    assert manifest["weights"] == {"kind": "explicit", "n_units": 3}  # the matrix itself is not embedded
-    assert simulate_manifest("b") == before
-    # One byte of the matrix CSV: same config text, different manifest.
-    matrix.write_bytes(matrix.read_bytes().replace(b"0.25\r\n", b"0.35\r\n", 1))
-    assert simulate_manifest("c") != before
-
-    sim = tmp_path / "a"
-    args = ["--outcomes", str(sim / "outcomes.csv"), "--treatments", str(sim / "treatments.csv")]
-    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "est"), *args]) == 0
-    recorded = json.loads((tmp_path / "est" / "manifest.json").read_text())["input_sha256"]
-    assert recorded == {
-        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in (sim / "outcomes.csv", sim / "treatments.csv", matrix)
-    }
+    before = estimate_manifest("a")
+    recorded = json.loads(before)["input_sha256"]
+    assert recorded == {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+    assert estimate_manifest("b") == before
+    # One byte of the outcome CSV (a line end the reader accepts either
+    # way): same config text and panels, different manifest.
+    inputs[0].write_bytes(inputs[0].read_bytes().replace(b"\r\n", b"\n", 1))
+    assert estimate_manifest("c") != before
 
 
-def test_estimate_does_not_parse_an_explicit_matrix(tmp_path, monkeypatch):
-    # Explicit weights expose no structure metadata, so estimate has no use
-    # for the N x N matrix; its manifest still records the matrix's sha256.
-    from spillsim import weights
-    from spillsim.panel import write_cells
-    from spillsim.weights import EXPLICIT_HEADER
+def test_estimate_does_not_build_weights_that_expose_no_structure(tmp_path, monkeypatch):
+    # Dense Gaussian weights expose no structure metadata, so estimate has no
+    # use for a weight set and never builds one.
+    from spillsim.weights import WeightConfig
 
-    n = 20
-    matrix = tmp_path / "w.csv"
-    write_cells(matrix, np.random.default_rng(0).random((n, n)) / n, header=EXPLICIT_HEADER)
-    cfg = _write_config(tmp_path, EXPLICIT_CONFIG.format(path=matrix).replace("n_units = 3", f"n_units = {n}"))
+    cfg = _write_config(tmp_path, DENSE_CONFIG)
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
 
@@ -530,14 +515,13 @@ def test_estimate_does_not_parse_an_explicit_matrix(tmp_path, monkeypatch):
         names = ("coefficients.json", "estimates.csv", "manifest.json")
         return {name: (tmp_path / out / name).read_bytes() for name in names}
 
-    parsed = estimate("parsed")
-    assert str(matrix) in json.loads(parsed["manifest.json"])["input_sha256"]
+    free = estimate("free")
 
-    def refuse(path):
-        raise AssertionError(f"estimate parsed {path}")
+    def refuse(self, *args):
+        raise AssertionError(f"estimate built {self.kind} weights")
 
-    monkeypatch.setattr(weights, "read_explicit_csv", refuse)
-    assert estimate("unparsed") == parsed
+    monkeypatch.setattr(WeightConfig, "build", refuse)
+    assert estimate("refused") == free
 
 
 def test_two_calls_in_one_process_write_what_fresh_processes_write(tmp_path):

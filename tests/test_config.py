@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillsim.config import ConfigError, SECTIONS, config_hash, parse_config
-from spillsim.dynamics import LinearUnit, MeanFieldThreshold, SaturatingUnit, ZeroPeer
+from spillsim.dynamics import LinearUnit, MeanFieldThreshold, ZeroPeer
 
 MINIMAL = """
 [population]
@@ -94,13 +94,6 @@ def test_threshold_tau_bounds():
         parse_config(text)
 
 
-def test_saturating_unit_parse():
-    text = MINIMAL + "\n[dynamics]\nunit = saturating\nscale = 2.5\nw_coef = 1.0\n"
-    config = parse_config(text)
-    assert isinstance(config.dynamics.unit, SaturatingUnit)
-    assert config.dynamics.unit.scale == 2.5
-
-
 def test_feature_override_parse():
     text = MINIMAL + "\n[estimators]\nuse = ese_basic\nfeatures_ese_basic = intercept, own_treatment, lagged_outcome, treated_fraction\n"
     config = parse_config(text)
@@ -170,6 +163,9 @@ def _weights_config(n_units, weights):
             r"dynamics\.tau is not read with .*exposure = weighted_sum",
         ),
         (MINIMAL + "\n[dynamics]\nunit = linear\nscale = 2.0\n", r"dynamics\.scale is not read with unit = linear"),
+        # No saturating unit and no `scale`: each is refused with its line.
+        (MINIMAL + "\n[dynamics]\nunit = saturating\n", r"^line 10: dynamics\.unit must be linear, got 'saturating'$"),
+        (MINIMAL + "\n[dynamics]\nscale = 2.0\n", r"^line 10: dynamics\.scale is not read with unit = linear, "),
         (MINIMAL + "\n[dynamics]\npeer = zero\npeer_w = 1.0\n", r"dynamics\.peer_w is not read with .*peer = zero"),
         (MINIMAL + "value = 1\n", r"design\.value is not read with kind = bernoulli"),
     ],
@@ -187,8 +183,11 @@ def test_keys_the_chosen_kind_never_reads_are_rejected(text, pattern):
         (1500, "kind = influencer", r"weights\.influencers: influencer set must be non-empty"),
         (1200, "kind = clustered\nn_clusters = 5000", r"weights\.n_clusters: cannot split 1200 units into 5000"),
         (1200, "kind = clustered\nn_clusters = 0", r"weights\.n_clusters: need at least one cluster"),
-        (10, "kind = explicit", r"weights\.matrix_path is required by kind = explicit"),
-        (10, "kind = ring", r"weights\.kind must be one of dense_gaussian, clustered, influencer, explicit"),
+        (10, "kind = ring", r"weights\.kind must be one of dense_gaussian, clustered, influencer; got 'ring'"),
+        # No explicit kind and no `matrix_path`: each is refused with its line.
+        (10, "kind = explicit", r"^line 5: weights\.kind must be one of dense_gaussian, clustered, influencer; "
+                                r"got 'explicit'$"),
+        (10, "matrix_path = w.csv", r"^line 5: weights\.matrix_path is not read with kind = dense_gaussian$"),
         (10, "mu = inf", r"weights\.mu must be a finite number"),
     ],
 )
@@ -204,6 +203,11 @@ def test_bad_weight_parameters_fail_at_parse_time_naming_the_key(n_units, weight
         ("\n[dynamics]\nexposure = threshold\ntau = 0.0\n", r"dynamics\.tau: threshold tau"),
         ("\n[run]\nreps = 0\n", r"run\.reps: replication count must be at least 1"),
         ("baseline_sd = -1.0\n", r"population\.baseline_sd: must be finite and non-negative"),
+        # No w*y features: each is refused with its line.
+        ("\n[estimators]\nfeatures_ese_basic = own_times_lag\n",
+         r"^line 10: estimators\.features_ese_basic: unknown feature kind 'own_times_lag'$"),
+        ("\n[estimators]\nfeatures_ese_basic = intercept, own_times_fraction\n",
+         r"^line 10: estimators\.features_ese_basic: unknown feature kind 'own_times_fraction'$"),
     ],
 )
 def test_dataclass_errors_are_prefixed_with_the_key(extra, pattern):

@@ -11,7 +11,6 @@ from spillsim.dynamics import (
     LinearUnit,
     MeanFieldThreshold,
     NonFiniteOutcome,
-    SaturatingUnit,
     WeightedSumExposure,
     ZeroPeer,
     compute_exposure,
@@ -225,18 +224,10 @@ def test_evolution_identity_with_noise():
     assert evolution_residual(spec, weights, w, x, panel, exposure, seed=77) == 0.0
 
 
-def test_saturating_unit_bounded():
-    spec = linear_spec(unit=SaturatingUnit(w_coef=5.0, y_coef=5.0, scale=2.0), peer=ZeroPeer())
-    y = step(spec, np.ones(3), np.array([10.0, -10.0, 0.0]), np.zeros((3, 1)), np.zeros(3), np.zeros(3), 1)
-    assert np.all(np.abs(y) <= 2.0)
-
-
 # Each response kind with every term non-zero: the treatment, intercept and
 # trend, and a covariate that is the round index broadcast over the units.
 _RESPONSES = {
     "linear_unit": lambda w_coef: LinearUnit(w_coef=w_coef, y_coef=0.9, x_coef=(0.3,), intercept=-1.1, trend=0.25),
-    "saturating_unit": lambda w_coef: SaturatingUnit(w_coef=w_coef, y_coef=0.9, x_coef=(0.3,), intercept=-1.1,
-                                                     trend=0.25, scale=2.0),
     "linear_peer": lambda w_coef: LinearPeer(w_coef=w_coef, y_coef=0.9),
 }
 
@@ -284,8 +275,6 @@ def test_a_constant_treatment_gives_the_bits_of_its_materialized_column(kind, w_
     full = response.w_coef * column + response.y_coef * y
     if not isinstance(response, LinearPeer):
         full = full + response.intercept + response.trend * t + response.x_coef[0] * np.full(n, float(t))
-    if isinstance(response, SaturatingUnit):
-        full = response.scale * np.tanh(full / response.scale)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
 
@@ -588,7 +577,7 @@ def test_evolution_matches_the_unit_major_reference(kind):
                        peer=LinearPeer(1.2, 0.3))
     _assert_evolves_as_reference([spec] * 3, make_weights, scenarios, x, y0, seed=4)
     # One scenario, as simulate_panel evolves it, with noise.
-    noisy = linear_spec(unit=SaturatingUnit(w_coef=1.0, y_coef=0.9, scale=2.0), noise_sd=0.3)
+    noisy = linear_spec(unit=LinearUnit(w_coef=1.0, y_coef=0.9, intercept=-0.3), noise_sd=0.3)
     (want_y,), (want_e,) = _reference_evolve([noisy], make_weights(), scenarios[:1], x, y0, 6)
     panel, exposure = simulate_panel(noisy, make_weights(), scenarios[0], x, y0, seed=6)
     _assert_same_bits(panel.values, want_y, "simulate_panel outcomes")
@@ -596,7 +585,7 @@ def test_evolution_matches_the_unit_major_reference(kind):
     # A sweep: exposure runs (A, B) and (C), response runs (A), (B, C) and
     # (D), and a threshold column D beside the weighted-sum ones.
     unit_1 = LinearUnit(w_coef=1.0, y_coef=0.7, trend=0.1)
-    unit_2 = SaturatingUnit(w_coef=0.8, y_coef=0.6, scale=3.0)
+    unit_2 = LinearUnit(w_coef=0.8, y_coef=0.6, intercept=-0.2)
     sweep = [
         linear_spec(unit=unit_1, peer=LinearPeer(1.2, 0.3), noise_sd=0.2),
         linear_spec(unit=unit_2, peer=LinearPeer(1.2, 0.3), noise_sd=0.2),
@@ -687,7 +676,7 @@ def test_evolution_with_several_noise_scales_matches_the_unit_major_reference(ki
     # Noise scales 0.2, 0.5 and none: the noise is scaled once per response
     # run, not in place, and a noiseless run sits between noisy ones.
     scenarios, x, y0 = _evolution_fixture()
-    unit = SaturatingUnit(w_coef=0.8, y_coef=0.6, scale=3.0)
+    unit = LinearUnit(w_coef=0.8, y_coef=0.6, intercept=-0.2)
     sweep = [
         linear_spec(unit=unit, peer=LinearPeer(1.2, 0.3), noise_sd=0.2),
         linear_spec(unit=unit, peer=LinearPeer(1.2, 0.3), noise_sd=0.0),

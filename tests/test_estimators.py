@@ -181,9 +181,8 @@ def test_fit_duplicated_feature_minimum_norm():
             Feature("intercept"),
         )
     )
-    # Duplicate own_treatment through own_times_fraction when fractions are
-    # constant? Instead duplicate exactly: build the matrix twice via two
-    # aliases of the same column kind.
+    # Duplicate exactly: build the matrix twice via two aliases of the same
+    # column kind.
     x1, target = design_matrix(spec_dup, w, y)
     coeffs = fit_ese(y, w, spec_dup)
     fitted = x1 @ coeffs.values
@@ -241,8 +240,6 @@ UNINDEXED_KINDS = (
     "lagged_outcome",
     "treated_fraction",
     "lagged_mean",
-    "own_times_lag",
-    "own_times_fraction",
 )
 
 
@@ -376,7 +373,7 @@ def test_round_factors_have_the_bits_of_the_two_level_tsqr(n):
     w = TreatmentPanel((rng.random((n, 3)) < np.array([0.2, 0.5, 0.8])).astype(float))
     for y in (OutcomePanel(rng.normal(size=(n, 4)) * 3.0 + 1.0),
               OutcomePanel(np.asfortranarray(rng.normal(size=(n, 4))))):
-        for bases in (("one", "w", "y"), ("one", "w", "y", "wy"), ("wy",), ("y", "one")):
+        for bases in (("one", "w", "y"), ("w",), ("y", "one")):
             got, want = _round_factors(y, w, bases), _reference_round_factors(y, w, bases)
             assert len(got) == len(want) == w.n_rounds
             for t, (a, b) in enumerate(zip(got, want), start=1):
@@ -564,7 +561,7 @@ def test_design_matrix_columns_by_hand():
     x, target = design_matrix(FeatureSpec.parse(UNINDEXED_KINDS), TreatmentPanel(w_vals), OutcomePanel(y_vals))
     w, y_prev = w_vals.T.reshape(-1), y_vals[:, :2].T.reshape(-1)
     w_bar, y_bar = np.repeat([2 / 3, 1 / 3], 3), np.repeat([4.0, 5.0], 3)
-    expected = [np.ones(6), w, y_prev, w_bar, y_bar, w * y_prev, w * w_bar]
+    expected = [np.ones(6), w, y_prev, w_bar, y_bar]
     assert np.allclose(x, np.column_stack(expected), rtol=1e-15, atol=0)
     assert np.array_equal(target, y_vals[:, 1:].T.reshape(-1))
 
@@ -648,16 +645,6 @@ def test_tte_zero_when_treatment_cannot_enter():
     coeffs = ESECoefficients(names=spec.names, values=np.array([0.7, 0.3]), rss=0.0, n_rows=0)
     for t in range(4):
         assert tte_from_coeffs(coeffs, spec, 2.0, t) == 0.0
-
-
-def test_propagate_cross_moments_use_fraction_times_mean():
-    spec = FeatureSpec.parse(["own_times_lag", "own_times_fraction"])
-    from spillsim.estimators import ESECoefficients
-
-    coeffs = ESECoefficients(names=spec.names, values=np.array([1.0, 1.0]), rss=0.0, n_rows=0)
-    traj = propagate(coeffs, spec, 2.0, ScenarioPath.constant(0.5, 1))
-    # 0.5 * 2.0 + 0.5^2
-    assert traj[1] == pytest.approx(1.25)
 
 
 def test_propagate_requires_aligned_names():

@@ -341,7 +341,7 @@ def test_each_estimator_and_weight_kind_name_is_listed_once_in_the_source():
 
     lines = [line for path in Path(spillsim.__file__).parent.glob("*.py") for line in path.read_text().splitlines()]
     names = [*ESTIMATORS, *WEIGHT_KINDS]
-    assert len(names) == 9
+    assert len(names) == 8
     counts = {name: sum(f'"{name}"' in line for line in lines) for name in names}
     needed = {name: sum(est.weight_kind == name for est in ESTIMATORS.values()) for name in names}
     assert needed["clustered"] == needed["influencer"] == 1
@@ -595,7 +595,7 @@ def test_replication_errors_name_the_scenario():
 
 
 CLUSTERED_WEIGHTS = WeightConfig(kind="clustered", n_clusters=2, w_in=1.0, w_out=0.2)
-OWN_TIMES_LAG = "intercept, own_treatment, lagged_outcome, own_times_lag"
+NO_LAGGED_OUTCOME = "intercept, own_treatment, treated_fraction, lagged_mean"
 
 
 @pytest.mark.parametrize(
@@ -603,10 +603,10 @@ OWN_TIMES_LAG = "intercept, own_treatment, lagged_outcome, own_times_lag"
     [
         (CLUSTERED_WEIGHTS, ("dm", "ese_basic", "ese_cluster"), {}, 1),
         (INFLUENCER_WEIGHTS, ("ht", "ese_basic", "ese_influencer"), {}, 1),
-        # own_times_lag adds the w*y base column, so its fit factors anew.
-        (CLUSTERED_WEIGHTS, ("ese_basic", "ese_cluster"), {"ese_basic": OWN_TIMES_LAG}, 2),
+        # Without the lagged outcome the base columns are (1, w), so that fit factors anew.
+        (CLUSTERED_WEIGHTS, ("ese_basic", "ese_cluster"), {"ese_basic": NO_LAGGED_OUTCOME}, 2),
     ],
-    ids=["clustered", "influencer", "own_times_lag_override"],
+    ids=["clustered", "influencer", "no_lagged_outcome_override"],
 )
 def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estimators, overrides, factorings):
     import dataclasses
@@ -666,21 +666,17 @@ def test_ground_truth_trajectories_are_the_round_means_of_gt_tte(monkeypatch):
     assert np.float64(record.gt_tte).view(np.uint64) == gap.view(np.uint64)
 
 
-@pytest.mark.parametrize("kind", ["clustered", "influencer", "lazy_gaussian", "explicit", "threshold_sweep"])
-def test_ground_truth_is_the_column_means_of_the_full_suite(monkeypatch, tmp_path, kind):
+@pytest.mark.parametrize("kind", ["clustered", "influencer", "lazy_gaussian", "threshold_sweep"])
+def test_ground_truth_is_the_column_means_of_the_full_suite(monkeypatch, kind):
     # run_once keeps only the observed panels whole and takes the ground truth
     # from the counterfactual columns' round means as they evolve. Those have
     # the bits of column_mean of the panels that counterfactual_suite returns
     # when it keeps every column. The sweep's grid values share columns.
     from spillsim import harness
     from spillsim.dynamics import ground_truth_tte
-    from spillsim.panel import column_mean, write_cells
-    from spillsim.weights import EXPLICIT_HEADER
+    from spillsim.panel import column_mean
 
-    matrix = tmp_path / "weights.csv"
-    write_cells(matrix, np.random.default_rng(1).random((70, 70)) / 70, header=EXPLICIT_HEADER)
-    weights = {"clustered": CLUSTERED_WEIGHTS, "influencer": INFLUENCER_WEIGHTS, "lazy_gaussian": DENSE_WEIGHTS,
-               "explicit": WeightConfig(kind="explicit", matrix_path=str(matrix))}
+    weights = {"clustered": CLUSTERED_WEIGHTS, "influencer": INFLUENCER_WEIGHTS, "lazy_gaussian": DENSE_WEIGHTS}
     sweep = None
     if kind == "threshold_sweep":
         config = _threshold_config(reps=1)

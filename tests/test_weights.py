@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillsim.dynamics import DynamicsSpec, LinearPeer, LinearUnit, WeightedSumExposure, counterfactual_suite
-from spillsim.panel import TreatmentPanel, round_index_covariates, write_cells
+from spillsim.panel import TreatmentPanel, round_index_covariates
 from spillsim.rng import substream
 from spillsim.weights import (
     ClusteredWeights,
@@ -21,9 +21,6 @@ from spillsim.weights import (
     gen_clustered,
     gen_dense_gaussian,
     gen_influencer,
-    EXPLICIT_HEADER,
-    WeightConfig,
-    read_explicit_csv,
 )
 
 
@@ -123,7 +120,7 @@ def _structured_apply_reference(ws, gv):
 @pytest.mark.parametrize("s", [1, 3])
 def test_structured_apply_sums_each_contiguous_run_alone(s):
     rng = np.random.default_rng(s)
-    membership = rng.choice([0, 2, 3], size=1000, p=[0.6, 0.3, 0.1])  # unsorted; cluster 1 is empty
+    membership = np.sort(rng.choice([0, 2, 3], size=1000, p=[0.6, 0.3, 0.1]))  # uneven; cluster 1 is empty
     uneven = ClusteredWeights(n_units=1000, membership=membership, n_clusters=4, w_in=1.3, w_out=0.2)
     remainder = gen_clustered(1003, 7, w_in=0.9, w_out=-0.4)  # last cluster has 145 units, the others 143
     influencer = gen_influencer(1000, rng.choice(1000, size=40, replace=False), w_inf=0.9, w_base=0.35)
@@ -164,9 +161,7 @@ def test_structured_sums_reduce_only_contiguous_columns(monkeypatch):
     # only this check pins the copy that keeps the sums layout-free on a numpy
     # that buffers strided reductions in chunks.
     rng = np.random.default_rng(11)
-    unsorted = ClusteredWeights(n_units=300, membership=rng.integers(0, 4, 300), n_clusters=4, w_in=1.3, w_out=0.2)
-    sets = (gen_clustered(300, 4, 1.3, 0.2), unsorted, gen_influencer(300, (3, 40, 299), 0.9, 0.35))
-    assert sets[0].order is None and unsorted.order is not None
+    sets = (gen_clustered(300, 4, 1.3, 0.2), gen_influencer(300, (3, 40, 299), 0.9, 0.35))
     g = rng.normal(size=(300, 3))
     stacks = (g, np.asfortranarray(g), g[::-1, ::-1])
     want = [[ws.apply(stack, 1) for stack in stacks] for ws in sets]
@@ -209,6 +204,19 @@ def test_clustered_rejects_bad_counts():
         gen_clustered(3, 0, 1.0, 0.0)
     with pytest.raises(ValueError):
         gen_clustered(3, 4, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "membership, message",
+    [
+        ([0, 1, 0], "unit 2 is in cluster 0, after unit 1 in cluster 1"),
+        ([2, 2, 0, 1], "unit 2 is in cluster 0, after unit 1 in cluster 2"),
+    ],
+)
+def test_clustered_refuses_units_out_of_cluster_order(membership, message):
+    # Each cluster is one segment of units; ``gen_clustered`` builds them so.
+    with pytest.raises(ValueError, match=rf"^membership must be in cluster order: {message}$"):
+        ClusteredWeights(n_units=len(membership), membership=np.array(membership), n_clusters=3, w_in=1.0, w_out=0.0)
 
 
 def test_influencer_hand_values():
@@ -320,43 +328,9 @@ def test_descriptor_records_the_kind_and_its_parameters(tmp_path):
     assert gen_influencer(8, [7, 0], 1.0, 0.2).to_descriptor() == {
         "kind": "influencer", "n_units": 8, "influencers": (0, 7), "w_inf": 1.0, "w_base": 0.2
     }
-    # An explicit matrix is identified by its file's digest in the manifest,
-    # not embedded in the descriptor.
-    assert ExplicitDenseWeights(np.eye(3)).to_descriptor() == {"kind": "explicit", "n_units": 3}
-
-
-def test_explicit_csv_roundtrip(tmp_path):
-    ws = ExplicitDenseWeights(np.array([[0.5, -1.0], [2.0, 0.0]]))
-    path = tmp_path / "weights.csv"
-    write_cells(path, ws.matrix, header=EXPLICIT_HEADER)
-    again = read_explicit_csv(path)
-    assert np.array_equal(again.matrix, ws.matrix)
-
-
-def test_explicit_csv_rejects_negative_ids(tmp_path):
-    # These rows once loaded as a 2x2 matrix with (-1, 1) written into (1, 1).
-    path = tmp_path / "neg.csv"
-    path.write_text("i,j,weight\n0,0,1.0\n0,1,2.0\n1,0,3.0\n-1,1,4.0\n")
-    with pytest.raises(ValueError, match=r"neg\.csv:5: i -1 is out of range \(first i is 0\)"):
-        read_explicit_csv(path)
-
-
-def test_explicit_csv_names_duplicate_and_missing_pairs(tmp_path):
-    path = tmp_path / "dup.csv"
-    path.write_text("i,j,weight\n0,0,1.0\n0,1,2.0\n1,0,3.0\n0,1,4.0\n")
-    with pytest.raises(ValueError, match=r"dup\.csv:5: duplicate \(i, j\) key \(0, 1\), first at line 3"):
-        read_explicit_csv(path)
-    path = tmp_path / "wide.csv"
-    path.write_text("i,j,weight\n" + "".join(f"{i},{j},1.0\n" for i in range(2) for j in range(3)))
-    with pytest.raises(ValueError, match=r"wide\.csv: no row for i 2, j 0"):
-        read_explicit_csv(path)
-
-
-def test_explicit_matrix_must_match_the_population(tmp_path):
-    path = tmp_path / "weights.csv"
-    write_cells(path, np.eye(3), header=EXPLICIT_HEADER)
-    with pytest.raises(ValueError, match=r"^explicit matrix is 3x3, population is 4$"):
-        WeightConfig("explicit", matrix_path=str(path)).build(4, 2, 0)
+    # A matrix built in code is the engine of no kind, so it has no descriptor.
+    with pytest.raises(ValueError, match="^ExplicitDenseWeights is not the engine of any weight kind$"):
+        ExplicitDenseWeights(np.eye(3)).to_descriptor()
 
 
 # One weight set of every kind over n = 7 units; a lazy engine gives a column
@@ -407,28 +381,13 @@ def test_a_structured_column_costs_the_one_row_it_returns(structured):
     # One column's exposures are written straight into the row returned: a
     # cluster's table row repeated over its segment, or the background row
     # over every unit with the influencers' rows written after, so no array
-    # of N row indices is read or copied. Unsorted cluster ids need rows of
-    # their own, tested below.
+    # of N row indices is read or copied.
     n = 200_000
     ws = {"clustered": gen_clustered(n, 3, w_in=1.3, w_out=-0.2),
           "influencer": gen_influencer(n, [1, 5, 70_000], w_inf=0.9, w_base=0.4)}[structured]
     peak, out = _apply_peak(ws, np.random.default_rng(4).normal(size=n))
     assert out.shape == (n,)
     assert peak <= out.nbytes + (64 << 10), f"{peak / n:.1f} B/unit"
-
-
-def test_an_unsorted_clustered_column_costs_two_rows():
-    # Unsorted cluster ids: the sums gather the column in cluster order (one
-    # row, freed after), and each unit reads its cluster's row through the
-    # ids with ``take``, which copies them (a second row beside the one
-    # returned).
-    n = 200_000
-    ws = ClusteredWeights(n_units=n, membership=np.random.default_rng(6).integers(0, 5, n), n_clusters=5,
-                          w_in=1.3, w_out=-0.2)
-    assert ws.order is not None
-    peak, out = _apply_peak(ws, np.random.default_rng(4).normal(size=n))
-    assert out.shape == (n,)
-    assert peak <= 2 * out.nbytes + (64 << 10), f"{peak / n:.1f} B/unit"
 
 
 @pytest.mark.parametrize("engine", [LazyGaussianWeights, DenseGaussianWeights])
@@ -442,7 +401,7 @@ def test_both_gaussian_engines_check_the_population_alike(engine):
         engine(n_units=3, params=params, n_rounds=2, seed=0, static=None)
 
 
-def test_dense_kinds_name_the_allocation_they_cannot_make(tmp_path):
+def test_dense_kinds_name_the_allocation_they_cannot_make():
     # N = 10^7 would need 8e14 bytes; each check fires before any allocation.
     n = 10**7
     pattern = rf"N={n} needs .* {8 * n * n} bytes, more than the \d+ bytes of physical memory"
@@ -450,10 +409,6 @@ def test_dense_kinds_name_the_allocation_they_cannot_make(tmp_path):
         gen_dense_gaussian(n, GaussianWeightParams(1.0, 1.0), 1, 0)
     with pytest.raises(MemoryError, match=pattern):
         ExplicitDenseWeights(np.broadcast_to(0.0, (n, n)))
-    path = tmp_path / "huge.csv"
-    path.write_text(f"i,j,weight\n0,{n - 1},1.0\n")
-    with pytest.raises(MemoryError, match=pattern):
-        read_explicit_csv(path)
 
 
 # --- lazy Gaussian engine ----------------------------------------------------
