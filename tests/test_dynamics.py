@@ -225,9 +225,11 @@ def test_evolution_identity_with_noise():
 
 
 # Each response kind with every term non-zero: the treatment, intercept and
-# trend, and a covariate that is the round index broadcast over the units.
+# trend, and a covariate that is the round index broadcast over the units;
+# and a unit whose intercept and trend are zero, so both terms are skipped.
 _RESPONSES = {
     "linear_unit": lambda w_coef: LinearUnit(w_coef=w_coef, y_coef=0.9, x_coef=(0.3,), intercept=-1.1, trend=0.25),
+    "linear_unit_no_shift": lambda w_coef: LinearUnit(w_coef=w_coef, y_coef=0.9, x_coef=(0.3,)),
     "linear_peer": lambda w_coef: LinearPeer(w_coef=w_coef, y_coef=0.9),
 }
 

@@ -49,6 +49,15 @@ def null_config(n=100, reps=1, seed=3, noise=0.1) -> ScenarioConfig:
     return dataclasses.replace(cfg, dynamics=dyn)
 
 
+def test_run_once_refuses_a_weight_set_of_no_kind():
+    # A matrix built in code exposes no structure to the estimators, so the
+    # replication names its class instead of scoring it.
+    from spillsim.weights import ExplicitDenseWeights
+
+    with pytest.raises(ValueError, match="^ExplicitDenseWeights is not the engine of any weight kind$"):
+        run_once(linear_config(n=6), 11, weights=ExplicitDenseWeights(np.full((6, 6), 1 / 6)))
+
+
 def _hand_oracle(config: ScenarioConfig, seed: int):
     """Loop re-implementation of one replication, independent of the engine."""
     from spillsim.rng import substream

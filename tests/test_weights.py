@@ -207,6 +207,22 @@ def test_clustered_rejects_bad_counts():
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"membership": np.zeros(4, dtype=int)}, "membership must assign one cluster per unit"),
+        ({"membership": np.array([-1, 0, 1])}, r"cluster ids must lie in 0\.\.2"),
+        ({"membership": np.array([0, 1, 3])}, r"cluster ids must lie in 0\.\.2"),
+        ({"w_in": np.nan}, "cluster weights must be finite"),
+        ({"w_out": np.inf}, "cluster weights must be finite"),
+    ],
+)
+def test_clustered_names_a_malformed_membership_or_weight(change, message):
+    args = {"n_units": 3, "membership": np.array([0, 1, 2]), "n_clusters": 3, "w_in": 1.0, "w_out": 0.0, **change}
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        ClusteredWeights(**args)
+
+
+@pytest.mark.parametrize(
     "membership, message",
     [
         ([0, 1, 0], "unit 2 is in cluster 0, after unit 1 in cluster 1"),
@@ -269,6 +285,30 @@ def test_all_zero_weights_zero_exposure():
     assert np.array_equal(ws.apply(np.ones(3), 1), np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.ones((2, 3)), "explicit weights must be a square matrix"),
+        (np.ones(4), "explicit weights must be a square matrix"),
+        (np.ones((0, 0)), "explicit weights must be a square matrix"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), "explicit weights must all be finite"),
+    ],
+)
+def test_explicit_dense_names_a_matrix_it_cannot_use(matrix, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        ExplicitDenseWeights(matrix)
+
+
+def test_explicit_dense_keeps_a_read_only_copy_of_its_matrix():
+    # Writing to the caller's array afterwards changes no exposure.
+    source = np.array([[0.0, 1.0], [2.0, 0.0]])
+    ws = ExplicitDenseWeights(source)
+    source[0, 1] = 5.0
+    assert np.array_equal(ws.apply(np.array([1.0, 1.0]), 1), [1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        ws.matrix[0, 0] = 1.0
+
+
 def _materialize(ws, t):
     """Round t's n x n matrix, built from the kind's parameters and never by
     ``apply``: the reference ``apply`` is checked against."""
@@ -302,6 +342,8 @@ def _materialize(ws, t):
         gen_influencer(50, [0, 24, 49], w_inf=1.1, w_base=-0.3),
         gen_dense_gaussian(9, GaussianWeightParams(1.0, 0.5, 0.2, 0.1), n_rounds=2, seed=21),
         gen_dense_gaussian(50, GaussianWeightParams(0.7, 1.0, 0.1, 0.4), n_rounds=2, seed=22),
+        # Clusters 0, 3 and 5 are empty: the first, one between and the last.
+        ClusteredWeights(9, np.array([1, 1, 1, 2, 2, 4, 4, 4, 4]), n_clusters=6, w_in=1.3, w_out=-0.2),
     ],
 )
 def test_apply_agrees_with_materialized_matrix(ws):
