@@ -40,6 +40,7 @@ from .harness import structure_of
 from .panel import (
     read_outcome_csv,
     read_treatment_csv,
+    undecodable_line,
     write_matrix_csv,
     write_outcome_csv,
     write_rows,
@@ -158,7 +159,11 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args, text: str | None = None) -> tuple[ScenarioConfig, str, Path]:
     """The config with the ``--seed`` and ``--reps`` overrides, its text, and the created ``--out``."""
     if text is None:
-        text = args.config.read_text()
+        try:
+            text = args.config.read_text()
+        except UnicodeDecodeError as exc:
+            line, message = undecodable_line(args.config, exc.encoding)
+            raise ConfigError(f"{args.config}: line {line}: {message}") from None
         try:
             config = parse_config(text)
         except ConfigError as exc:

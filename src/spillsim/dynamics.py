@@ -366,7 +366,7 @@ def _evolve(
     _check_covariates(specs, x.dim)
 
     # Each block's distinct columns; a row serves the columns alike in all.
-    per_block = [_distinct_columns(specs, scenarios, slice(b * n, (b + 1) * n)) for b in range(blocks)]
+    per_block = _distinct_columns(specs, scenarios, blocks)
     rows_of_key: dict = {}
     column = [rows_of_key.setdefault(key, len(rows_of_key)) for key in zip(*(index for index, _, _ in per_block))]
     lead = [column.index(d) for d in range(len(rows_of_key))]
@@ -456,13 +456,12 @@ def _evolve(
     return suite, block_views(ExposureMatrix, exposures, range(s)) if keep_exposures else []
 
 
-def _distinct_columns(
-    specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], units: slice = slice(None)
-) -> tuple:
-    """Per requested column, the distinct column that evolves alike; per
-    distinct column (in order of first appearance), its first requested
-    column; and the distinct columns' threshold levels, (n_rounds, d). The
-    treated fractions are those of the ``units`` of each panel.
+def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], blocks: int = 1) -> list:
+    """For each of ``blocks`` equal blocks of units: per requested column,
+    the distinct column that evolves alike in the block; per distinct column
+    (in order of first appearance), its first requested column; and the
+    distinct columns' threshold levels, (n_rounds, d), from the treated
+    fractions of the block's units of each panel.
 
     Columns share the weights, baseline and noise, so a column is fixed by
     its treatment panel, unit response, noise scale and exposure: the
@@ -470,28 +469,37 @@ def _distinct_columns(
     treatment panel alone decides. Spec parts compare with ``==`` as in
     ``_runs``: parameters 0.0 and -0.0 share a column, evolved with the
     first one's spec, which changes no bit unless another term of the unit
-    response is -0.0 (an intercept of -0.0)."""
+    response is -0.0 (an intercept of -0.0). The spec parts are keyed once
+    for all blocks; only the levels differ between blocks."""
     thresholds = [k for k, sp in enumerate(specs) if isinstance(sp.exposure, MeanFieldThreshold)]
-    # Treated fractions once per treatment panel, reduced along the units of
-    # each round. A panel whose units share each round's value (stride 0, as
-    # the constant panels are) has that value, 0.0 or 1.0, as the exact mean.
-    panels = {id(scenarios[k]): scenarios[k].values[units] for k in thresholds}
-    fractions = {key: v[0] if v.strides[0] == 0 else v.T.mean(axis=1) for key, v in panels.items()}
-    mechs = [specs[k].exposure for k in thresholds]
-    levels = np.zeros((scenarios[0].n_rounds, len(scenarios)))
-    levels[:, thresholds] = np.array([m.strength for m in mechs]) * (
-        np.array([fractions[id(scenarios[k])] for k in thresholds]).T > np.array([m.tau for m in mechs])
-    )
-    distinct: dict = {}  # key -> (its distinct column, its first requested column)
-    index = []
-    for k, (sp, w) in enumerate(zip(specs, scenarios)):
-        exposure = levels[:, k].tobytes() if isinstance(sp.exposure, MeanFieldThreshold) else (sp.exposure, sp.peer)
-        key = (id(w), sp.unit, sp.noise_sd, exposure)
-        if key not in distinct:
-            distinct[key] = (len(distinct), k)
-        index.append(distinct[key][0])
-    lead = [k for _, k in distinct.values()]
-    return index, lead, levels[:, lead]
+    n, t_max = scenarios[0].n_units // blocks, scenarios[0].n_rounds
+    levels = np.zeros((blocks, t_max, len(scenarios)))
+    if thresholds:
+        # Treated fractions once per treatment panel and block, (blocks,
+        # n_rounds). Entries are 0 or 1, so each sum is exact in any order. A
+        # panel whose units share each round's value (stride 0, as the
+        # constant panels are) has that value, 0.0 or 1.0, as the exact mean.
+        panels = {id(scenarios[k]): scenarios[k].values for k in thresholds}
+        fractions = {key: np.broadcast_to(v[0], (blocks, t_max)) if v.strides[0] == 0
+                     else v.reshape(blocks, n, t_max).mean(axis=1) for key, v in panels.items()}
+        mechs = [specs[k].exposure for k in thresholds]
+        levels[:, :, thresholds] = np.array([m.strength for m in mechs]) * (
+            np.stack([fractions[id(scenarios[k])] for k in thresholds], axis=-1) > np.array([m.tau for m in mechs])
+        )
+    parts: dict = {}  # a column's key but its levels -> a number, so no block hashes a spec
+    part = []
+    for sp, w in zip(specs, scenarios):
+        exposure = None if isinstance(sp.exposure, MeanFieldThreshold) else (sp.exposure, sp.peer)
+        part.append(parts.setdefault((id(w), sp.unit, sp.noise_sd, exposure), len(parts)))
+    # The bytes of each block's levels of each column, from one call.
+    level_bytes = np.ascontiguousarray(levels.transpose(0, 2, 1)).view(f"V{8 * t_max}")[..., 0].tolist()
+    per_block = []
+    for lv, column_bytes in zip(levels, level_bytes):
+        distinct: dict = {}  # key -> (its distinct column, its first requested column)
+        index = [distinct.setdefault(key, (len(distinct), k))[0] for k, key in enumerate(zip(part, column_bytes))]
+        lead = [k for _, k in distinct.values()]
+        per_block.append((index, lead, lv[:, lead]))
+    return per_block
 
 
 def simulate_panel(

@@ -16,9 +16,11 @@ threads: a panel the package builds itself is a read-only view
 from __future__ import annotations
 
 import csv
+import os
 import re
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +142,10 @@ def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
 # Unit ids are 0-based. Writers emit cells in unit-major order, values as
 # Python ``repr`` floats, lines ended by CRLF (the bytes ``csv.writer``
 # produces). Readers accept rows in any order, LF or CRLF line ends and blank
-# lines.
+# lines. A reader checks the header itself, then hands numpy's chunked parser
+# the file by its absolute path, which numpy cannot take for a URL; given a
+# handle, numpy would pull one line at a time through Python. numpy would
+# also pick a decompressor by suffix, so such suffixes are refused.
 
 PANEL_HEADER = ("unit", "round", "value")
 
@@ -151,6 +156,8 @@ _BLOCK_CELLS = 1 << 14
 # ``repr`` of each entry of a float64 array, as an object array of str.
 _repr = np.frompyfunc(repr, 1, 1)
 _INT_FIELD = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
+# Suffixes for which numpy's datasource would open a path through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def write_outcome_csv(path, panel: OutcomePanel) -> None:
@@ -227,16 +234,22 @@ def read_cells(path, first_col: int = 0) -> np.ndarray:
     finite value. Errors name the file and, where one row is at fault, its
     line.
     """
+    suffix = os.path.splitext(path)[1]
+    if suffix in _COMPRESSED_SUFFIXES:
+        raise ValueError(f"{path}: panel CSVs are read as plain text, not as {suffix} archives")
     row_name, col_name, value_name = PANEL_HEADER
-    with open(path) as fh:
-        if next(csv.reader([fh.readline()]), None) != list(PANEL_HEADER):
-            raise ValueError(f"{path}: expected header {','.join(PANEL_HEADER)}")
-        try:
+    try:
+        with open(path) as fh:
+            header_ok = next(csv.reader([fh.readline()]), None) == list(PANEL_HEADER)
+        if header_ok:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                cells = np.loadtxt(fh, dtype=_CELL, delimiter=",", comments=None, quotechar='"', ndmin=1)
-        except ValueError as exc:
-            raise _parse_fault(path) or ValueError(f"{path}: {exc}") from None
+                cells = np.loadtxt(os.path.abspath(path), dtype=_CELL, delimiter=",", comments=None, quotechar='"',
+                                   ndmin=1, skiprows=1)
+    except ValueError as exc:
+        raise _parse_fault(path) or ValueError(f"{path}: {exc}") from None
+    if not header_ok:
+        raise ValueError(f"{path}: expected header {','.join(PANEL_HEADER)}")
     if cells.size == 0:
         raise ValueError(f"{path}: no data rows")
     a, b, v = cells["row"], cells["col"], cells["value"]
@@ -261,6 +274,18 @@ def read_cells(path, first_col: int = 0) -> np.ndarray:
     raise _key_fault(path, a, b, first_col, cols)
 
 
+def undecodable_line(path, encoding: str) -> tuple[int, str]:
+    """The number of the first line of ``path`` that ``encoding`` cannot
+    decode, and which byte of it fails. Only called once decoding the file is
+    known to fail."""
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode(encoding)
+        except UnicodeDecodeError as exc:
+            return number, f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} is not valid {exc.encoding}"
+    raise ValueError(f"{path}: every line decodes as {encoding}")
+
+
 def _data_lines(path) -> list[tuple[int, str]]:
     """(line number, text) of the rows ``np.loadtxt`` parses, in order: every
     line after the header that is not empty."""
@@ -275,8 +300,14 @@ def _row_fault(path, k: int, message: str) -> ValueError:
 
 
 def _parse_fault(path) -> ValueError | None:
-    """The first row ``np.loadtxt`` could not parse, found by a rescan in Python."""
-    for line, text in _data_lines(path):
+    """The first line that does not decode, else the first row ``np.loadtxt``
+    could not parse, found by a rescan in Python."""
+    try:
+        lines = _data_lines(path)
+    except UnicodeDecodeError as exc:
+        line, message = undecodable_line(path, exc.encoding)
+        return ValueError(f"{path}:{line}: {message}")
+    for line, text in lines:
         message = _field_fault(next(csv.reader([text])))
         if message is not None:
             return ValueError(f"{path}:{line}: {message}: {text!r}")

@@ -81,7 +81,7 @@ def _child_env() -> dict[str, str]:
 
 def _write_config(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, errors="surrogateescape")
     return path
 
 
@@ -357,13 +357,15 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
         ("kind = bernoulli", "kind = cluster", "design.kind must be bernoulli or constant, got 'cluster'"),
         ("probs = 0.0, 0.2, 0.4, 0.8", "probs = 0.0, 0.2, high, 0.8",
          "design.probs must list finite numbers, got [0.0, 0.2, 'high', 0.8]"),
+        # The byte 0xff, written through surrogateescape.
+        ("seed = 5", "seed = 5\udcff", "byte 0xff at column 9 is not valid utf-8"),
     ],
     ids=[
         "duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed",
         "scenario_check", "estimator_check", "weight_check", "cluster_count", "estimator_weight_kind",
         "influencer_range", "influencer_subset", "baseline_check", "covariate_check", "no_rounds",
         "negative_seed", "unit_kind", "saturating_unit", "saturating_scale", "explicit_kind", "explicit_matrix_path",
-        "own_times_lag", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers",
+        "own_times_lag", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers", "undecodable_byte",
     ],
 )
 def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):

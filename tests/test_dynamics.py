@@ -430,7 +430,7 @@ def _reference_evolve(specs, weights, scenarios, x, y0, seed):
     from spillsim.dynamics import _distinct_columns, _runs
     from spillsim.rng import substream
 
-    index, lead, levels = _distinct_columns(specs, scenarios)
+    [(index, lead, levels)] = _distinct_columns(specs, scenarios)
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     n, t_max, s = y0.size, scenarios[0].n_rounds, len(lead)
     weighted = [run for run in _runs(specs, lambda sp: (sp.exposure, sp.peer))
@@ -701,7 +701,7 @@ def test_panels_constant_over_units_take_their_fractions_from_one_row():
     unit = LinearUnit(w_coef=1.0, y_coef=0.5)
     specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(tau, 2.0)) for tau in (0.25, 0.75)] * 4
     scenarios = [panel for panel in (by_round, nobody, everybody, observed) for _ in range(2)]
-    index, lead, levels = _distinct_columns(specs, scenarios)
+    [(index, lead, levels)] = _distinct_columns(specs, scenarios)
     want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
     assert (index, lead) == (want_index, want_lead)
     assert levels.tobytes() == want_levels.tobytes()
@@ -729,6 +729,28 @@ def _distinct_columns_per_column(specs, scenarios):
     return index, lead, levels[:, lead]
 
 
+def test_each_block_of_units_gets_the_columns_it_would_get_alone():
+    # Three blocks of four units: the ramp's block 1 crosses tau = 0.5 where
+    # blocks 0 and 2 do not, so its threshold columns part where theirs merge.
+    from spillsim.dynamics import _distinct_columns
+
+    block_ramps = [[[0, 0, 0, 0]] * 4, [[0, 1, 1, 1]] * 4, [[0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
+    ramp = TreatmentPanel(np.concatenate(block_ramps).astype(float))
+    everybody = assign(DesignSpec(kind="constant", n_units=12, n_rounds=4, value=1), 0)
+    unit = LinearUnit(w_coef=1.0, y_coef=0.5)
+    specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(0.5, 2.0)), linear_spec(unit=unit),
+             linear_spec(unit=unit, exposure=MeanFieldThreshold(0.5, 0.0)), linear_spec(unit=unit)]
+    scenarios = [ramp, ramp, ramp, everybody]
+    per_block = _distinct_columns(specs, scenarios, blocks=3)
+    assert len(per_block) == 3
+    for b, (index, lead, levels) in enumerate(per_block):
+        alone = {id(w): TreatmentPanel(w.values[4 * b : 4 * b + 4]) for w in scenarios}
+        want_index, want_lead, want_levels = _distinct_columns_per_column(specs, [alone[id(w)] for w in scenarios])
+        assert (index, lead) == (want_index, want_lead)
+        assert levels.tobytes() == want_levels.tobytes()
+    assert [index for index, _, _ in per_block] == [[0, 1, 0, 2], [0, 1, 2, 3], [0, 1, 0, 2]]
+
+
 @pytest.mark.parametrize("order", ["requested", "reversed", "shuffled"])
 def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
     from spillsim.dynamics import _distinct_columns
@@ -753,7 +775,7 @@ def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
             "shuffled": np.random.default_rng(5).permutation(len(specs))}[order]
     specs, scenarios = [specs[k] for k in perm], [scenarios[k] for k in perm]
 
-    index, lead, levels = _distinct_columns(specs, scenarios)
+    [(index, lead, levels)] = _distinct_columns(specs, scenarios)
     want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
     assert (index, lead) == (want_index, want_lead)
     assert levels.shape == want_levels.shape and levels.dtype == want_levels.dtype

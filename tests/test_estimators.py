@@ -365,8 +365,8 @@ _LEAF, _CHUNK = TSQR_LEAF_ROWS, TSQR_CHUNK_LEAVES * TSQR_LEAF_ROWS
      _CHUNK + _LEAF - 1, _CHUNK + _LEAF, 2 * _CHUNK + 1, 2 * _CHUNK + _LEAF + 17],
 )
 def test_round_factors_have_the_bits_of_the_two_level_tsqr(n):
-    # Leaf and chunk boundaries, each +-1: single-leaf rounds factored in
-    # one batched call, leftover rows, a last chunk of one leaf or of one
+    # Leaf and chunk boundaries, each +-1: rounds of fewer than two leaves
+    # factored whole, leftover rows, a last chunk of one leaf or of one
     # leaf less than a full chunk. Row-major and column-major outcome panels
     # give the factors different strides to read.
     rng = np.random.default_rng(n)

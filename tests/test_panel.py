@@ -249,6 +249,13 @@ _BAD_PANELS = {
     "long_row": ("0,0,1.0\n0,1,1.0,2.0\n", r":3: expected 3 fields unit,round,value, found 4"),
     "bad_value": ("0,0,1.0\n\n0,1,one\n", r":4: value 'one' is not a number"),
     "non_finite": ("0,0,1.0\n0,1,nan\n", r":3: non-finite value at unit 0, round 1"),
+    # The byte 0xff, written through surrogateescape.
+    "undecodable_byte": ("0,0,1.0\n0,1,1.\udcff\n", r":3: byte 0xff at column 7 is not valid utf-8$"),
+    # Past the first 8 KiB, which the header check decodes, so numpy's parser meets it.
+    "undecodable_byte_past_8_kib": (
+        "".join(f"{i},0,1.0\n" for i in range(1000)) + "1000,0,\udcff\n",
+        r":1002: byte 0xff at column 8 is not valid utf-8$",
+    ),
 }
 
 
@@ -256,8 +263,39 @@ _BAD_PANELS = {
 def test_csv_reader_errors_name_file_and_line(tmp_path, case):
     body, pattern = _BAD_PANELS[case]
     path = tmp_path / f"{case}.csv"
-    path.write_text("unit,round,value\n" + body)
+    path.write_text("unit,round,value\n" + body, errors="surrogateescape")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{pattern}"):
+        read_outcome_csv(path)
+
+
+def test_csv_reader_names_an_undecodable_header_byte(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_bytes(b"unit,round,val\xffe\n0,0,1.0\n0,1,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: byte 0xff at column 15 is not valid utf-8$"):
+        read_outcome_csv(path)
+
+
+def test_csv_reader_takes_a_str_or_a_path(tmp_path):
+    w = TreatmentPanel(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    path = tmp_path / "w.csv"
+    write_treatment_csv(path, w)
+    for given in (str(path), path):
+        assert np.array_equal(read_treatment_csv(given).values, w.values)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_csv_reader_refuses_a_compression_suffix_by_name(tmp_path, monkeypatch, suffix):
+    # A plain-text panel: numpy would open it through a decompressor by its suffix.
+    path = tmp_path / f"outcomes.csv{suffix}"
+    write_outcome_csv(path, OutcomePanel(np.array([[0.25, -1.5]])))
+
+    def opened(*args, **kwargs):
+        raise AssertionError("the reader opened the file")
+
+    monkeypatch.setattr(np, "loadtxt", opened)
+    monkeypatch.setattr("builtins.open", opened)
+    message = f"{path}: panel CSVs are read as plain text, not as {suffix} archives"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_outcome_csv(path)
 
 
