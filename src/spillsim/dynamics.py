@@ -247,35 +247,22 @@ def step(
     return y
 
 
-def _runs(specs: Sequence[DynamicsSpec], key) -> list[tuple[DynamicsSpec, slice]]:
-    """Maximal runs of consecutive columns whose specs agree on ``key``, each
-    with the spec of its first column."""
-    runs, start = [], 0
-    for k in range(1, len(specs) + 1):
-        if k == len(specs) or key(specs[k]) != key(specs[start]):
-            runs.append((specs[start], slice(start, k)))
-            start = k
-    return runs
-
-
 class Suite(list):
     """The outcome panel of each requested column of a scenario suite, in
-    request order, or None for a column whose rounds were not kept.
-    ``index[k]`` is the distinct column that column k evolves as, and
-    ``means[k]`` its mean outcome in each round 0..T, the bits of
-    ``column_mean`` of its panel. A suite evolved in ``blocks`` blocks of
-    units lists the requested columns of each block in turn, and the index
-    of each block numbers its own distinct columns."""
+    request order, or None for a column whose rounds were not kept; columns
+    that evolve alike share one panel object. ``means[k]`` is column k's
+    mean outcome in each round 0..T, the bits of ``column_mean`` of its
+    panel. A suite evolved in ``blocks`` blocks of units lists the requested
+    columns of each block in turn, and alike there means alike in the block."""
 
-    def __init__(self, panels: Sequence[OutcomePanel | None], index: list[int], means: list[tuple[float, ...]],
-                 blocks: int = 1):
+    def __init__(self, panels: Sequence[OutcomePanel | None], means: list[tuple[float, ...]], blocks: int = 1):
         super().__init__(panels)
-        self.index, self.means, self.blocks = index, means, blocks
+        self.means, self.blocks = means, blocks
 
     def block(self, b: int) -> Suite:
         """The suite of block ``b`` alone."""
         part = slice(b * len(self) // self.blocks, (b + 1) * len(self) // self.blocks)
-        return Suite(self[part], self.index[part], self.means[part])
+        return Suite(self[part], self.means[part])
 
 
 def _apply_blocks(sets: Sequence[WeightSet], signals: np.ndarray, t: int) -> np.ndarray:
@@ -305,7 +292,7 @@ def _evolve(
 
     ``spec`` is one DynamicsSpec for every scenario or a sequence with one per
     scenario. Columns that evolve alike (see ``_distinct_columns``) are evolved
-    once and get the same panel and exposure matrix.
+    once, in one row, and get the same panel and exposure matrix.
 
     With a sequence of seeds and one weight set each, the units are as many
     equal blocks. Block b draws seed b's noise into its slice, applies set b
@@ -319,28 +306,27 @@ def _evolve(
     there. Every other column evolves in one state row of units, which each
     round overwrites: it holds no history.
 
-    A round walks its columns in order. Each apply group of weighted-sum
-    columns gets one ``_apply_blocks`` call when its first column is
-    reached: one group per column for a ``column_independent`` weight kind,
-    so no stack of signals or exposures exists, and one group for the whole
-    round for any other kind, whose bits depend on the stack. A group's peer
-    signals go into one (columns, n_units) array and are freed once the
-    exposures are back, which are freed in turn before the next group's
-    call. The noise is drawn as the first noisy column responds and scaled
-    in place when every noisy column shares one scale, else once per run of
-    consecutive columns with the same unit response. Each column responds in
-    its own row (a state row is also its lagged row): the row takes y_coef
-    times the lagged outcomes, then the treatment term of its panel's round
-    column, the intercept, trend, covariates, exposure and noise are added in
-    place, except a zero-coefficient term or threshold level; a constant
-    treatment panel adds w_coef times its value as one scalar, to the peer
-    signal too. Then each block of each row is reduced to its round mean by
-    one pairwise reduction, and a round with a non-finite mean is scanned for
-    the first non-finite outcome, block by block and unit-major. No round
-    buffer outlives its round. Exposures are kept, in a buffer of the full
-    layout and as views of it, only when keep_exposures is set; otherwise
-    the list is empty. They need no scan: a non-finite exposure makes its
-    outcome non-finite."""
+    A round runs in three steps. A weight kind that is not
+    ``column_independent``, whose bits depend on the stack, first gets one
+    ``_apply_blocks`` call on the stacked peer signals of every weighted-sum
+    row, freed when the exposures come back, before the noise exists. Then
+    the noise is drawn, each block from its seed's substream, and scaled in
+    place when every noisy row shares one scale, else afresh for each row.
+    Then each row responds with its own spec; a ``column_independent`` kind
+    gets one call per weighted-sum row just before it responds, once the
+    previous row's exposures are freed, so no stack of signals or exposures
+    exists. A row (a state row is also its lagged row) takes y_coef times the
+    lagged outcomes, then the treatment term of its panel's round column, the
+    intercept, trend, covariates, exposure and noise are added in place,
+    except a zero-coefficient term or threshold level; a constant treatment
+    panel adds w_coef times its value as one scalar, to the peer signal too.
+    Then each block of each row is reduced to its round mean by one pairwise
+    reduction, and a round with a non-finite mean is scanned for the first
+    non-finite outcome, block by block and unit-major. No round buffer
+    outlives its round. Exposures are kept, in a buffer of the full layout
+    and as views of it, only when keep_exposures is set; otherwise the list
+    is empty. They need no scan: a non-finite exposure makes its outcome
+    non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n_all, t_max = scenarios[0].n_units, scenarios[0].n_rounds
@@ -363,27 +349,19 @@ def _evolve(
     specs = [spec] * len(scenarios) if isinstance(spec, DynamicsSpec) else list(spec)
     if len(specs) != len(scenarios):
         raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
+    for k in () if keep is None else keep:
+        if not 0 <= k < len(scenarios):
+            raise ValueError(f"keep entry {k} outside the scenarios 0..{len(scenarios) - 1}")
     _check_covariates(specs, x.dim)
 
-    # Each block's distinct columns; a row serves the columns alike in all.
-    per_block = _distinct_columns(specs, scenarios, blocks)
-    rows_of_key: dict = {}
-    column = [rows_of_key.setdefault(key, len(rows_of_key)) for key in zip(*(index for index, _, _ in per_block))]
-    lead = [column.index(d) for d in range(len(rows_of_key))]
-    # The row whose block b serves requested column k: the row of the first
-    # column alike in block b, so columns alike there share one panel.
-    block_rows = [[column[first[index[k]]] for k in range(len(specs))] for index, first, _ in per_block]
-    levels = np.stack([lv[:, [index[k] for k in lead]] for index, _, lv in per_block], axis=1)[..., None]
+    lead, block_rows, levels = _distinct_columns(specs, scenarios, blocks)
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     s = len(lead)
     kept = list(range(s)) if keep is None else sorted({rows[k] for rows in block_rows for k in keep})
     weighted = [d for d, sp in enumerate(specs) if not isinstance(sp.exposure, MeanFieldThreshold)]
-    groups = [[d] for d in weighted] if sets[0].column_independent else [weighted] if weighted else []
-    group_at = {group[0]: group for group in groups}
-    e_row = {d: j for group in groups for j, d in enumerate(group)}  # its row in its group's exposures
-    response_runs = _runs(specs, lambda sp: (sp.unit, sp.noise_sd))
+    stacked = weighted and not sets[0].column_independent
     scales = {sp.noise_sd for sp in specs if sp.noise_sd > 0.0}
-    one_scale = scales.pop() if len(scales) == 1 else None  # scales the noise in place
+    one_scale = next(iter(scales)) if len(scales) == 1 else None  # scales the noise in place
 
     outcomes = np.empty((t_max + 1, len(kept), n_all))
     outcomes[0] = y0
@@ -393,13 +371,21 @@ def _evolve(
     state_rows = dict(zip(others, state))
 
     def rows_of(t: int) -> list[np.ndarray]:
-        """Each distinct column's contiguous row of round t."""
+        """Each row's contiguous round t."""
         return [outcomes[t, slot[d]] if d in slot else state_rows[d] for d in range(s)]
 
     def take_means(t: int) -> None:
         # The bits of each block's mean(), without its call overhead.
         means[t, kept] = np.add.reduce(outcomes[t].reshape(len(kept), blocks, n), axis=2) / n
         means[t, others] = np.add.reduce(state.reshape(len(others), blocks, n), axis=2) / n
+
+    def exposures_of(ds: list[int], t: int) -> np.ndarray:
+        """The (len(ds), n_all) exposures of rows ``ds`` in round t, from the
+        stack of their peer signals, which is freed on return."""
+        signals = np.empty((len(ds), n_all))
+        for j, d in enumerate(ds):
+            specs[d].peer.value(scenarios[d].column(t), y_prev[d], out=signals[j])
+        return _apply_blocks(sets, signals, t)
 
     exposures = np.empty((t_max, s, n_all)) if keep_exposures else None
     means = np.empty((t_max + 1, s, blocks))
@@ -408,33 +394,26 @@ def _evolve(
     for t in range(1, t_max + 1):
         y_prev, rows = rows, rows_of(t)
         x_t = x.column(t)
-        noise = e_t = e = None
         # A non-finite outcome is named by the scan below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for sp, cols in response_runs:
-                scaled = None
-                for d in range(cols.start, cols.stop):
-                    if d in group_at:
-                        group, e_t, e = group_at[d], None, None
-                        signals = np.empty((len(group), n_all))
-                        for j, c in enumerate(group):
-                            specs[c].peer.value(scenarios[c].column(t), y_prev[c], out=signals[j])
-                        e_t = _apply_blocks(sets, signals, t)
-                        del signals
-                    if scaled is None and sp.noise_sd > 0.0:
-                        if noise is None:
-                            noise = np.empty(n_all)
-                            for b, sd in enumerate(seeds):
-                                substream(sd, "noise", t).standard_normal(out=noise[b * n : (b + 1) * n])
-                            if one_scale:
-                                noise *= one_scale
-                        scaled = noise if one_scale else sp.noise_sd * noise
-                    e = e_t[e_row[d]] if d in e_row else levels[t - 1, :, d]
-                    # A state row is its own lagged row, read only before it is written.
-                    _respond(sp.unit, scenarios[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
-                    if keep_exposures:
-                        exposures[t - 1, d].reshape(blocks, n)[:] = np.reshape(e, (blocks, -1))
-            del e_t, e, noise, scaled  # before the next round allocates its own
+            # Each weighted-sum row's exposures in turn; a column-independent kind calls as each row asks.
+            pending = iter(exposures_of(weighted, t)) if stacked else (exposures_of([d], t)[0] for d in weighted)
+            noise = None
+            if scales:
+                noise = np.empty(n_all)
+                for b, sd in enumerate(seeds):
+                    substream(sd, "noise", t).standard_normal(out=noise[b * n : (b + 1) * n])
+                if one_scale:
+                    noise *= one_scale
+            for d, sp in enumerate(specs):
+                e = scaled = None  # the previous row's, freed before this row allocates its own
+                e = levels[t - 1, :, d] if isinstance(sp.exposure, MeanFieldThreshold) else next(pending)
+                scaled = None if sp.noise_sd == 0.0 else noise if one_scale else sp.noise_sd * noise
+                # A state row is its own lagged row, read only before it is written.
+                _respond(sp.unit, scenarios[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
+                if keep_exposures:
+                    exposures[t - 1, d].reshape(blocks, n)[:] = np.reshape(e, (blocks, -1))
+            del pending, e, noise, scaled  # before the next round allocates its own
             take_means(t)
         # A non-finite outcome makes its block's mean non-finite, so only
         # such a round is scanned; a finite round may still overflow a mean.
@@ -451,26 +430,28 @@ def _evolve(
         return [views[at[d] * blocks + b] if d in at else None for b, row in enumerate(block_rows) for d in row]
 
     means = [[tuple(block) for block in row] for row in means.transpose(1, 2, 0).tolist()]
-    suite = Suite(block_views(OutcomePanel, outcomes, kept), [c for index, _, _ in per_block for c in index],
+    suite = Suite(block_views(OutcomePanel, outcomes, kept),
                   [means[d][b] for b, row in enumerate(block_rows) for d in row], blocks)
     return suite, block_views(ExposureMatrix, exposures, range(s)) if keep_exposures else []
 
 
-def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], blocks: int = 1) -> list:
-    """For each of ``blocks`` equal blocks of units: per requested column,
-    the distinct column that evolves alike in the block; per distinct column
-    (in order of first appearance), its first requested column; and the
-    distinct columns' threshold levels, (n_rounds, d), from the treated
-    fractions of the block's units of each panel.
+def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], blocks: int = 1) -> tuple:
+    """The rows that evolve the requested columns of ``blocks`` equal blocks
+    of units, numbered in order of first appearance: each row's first
+    requested column (``lead``); for each block, the row that each requested
+    column reads, the row of its first column alike in the block, so columns
+    alike there share one panel; and the rows' threshold levels, (n_rounds,
+    blocks, rows, 1), from the treated fractions of each block's units of
+    each panel. A row serves the columns alike in every block.
 
-    Columns share the weights, baseline and noise, so a column is fixed by
-    its treatment panel, unit response, noise scale and exposure: the
-    weighted-sum spec, or the threshold level of each round, which the
-    treatment panel alone decides. Spec parts compare with ``==`` as in
-    ``_runs``: parameters 0.0 and -0.0 share a column, evolved with the
-    first one's spec, which changes no bit unless another term of the unit
-    response is -0.0 (an intercept of -0.0). The spec parts are keyed once
-    for all blocks; only the levels differ between blocks."""
+    Columns share the weights, baseline and noise, so a column is fixed in a
+    block by its treatment panel, unit response, noise scale and exposure:
+    the weighted-sum spec, or the threshold level of each round, which the
+    treatment panel alone decides. Spec parts compare with ``==``: parameters
+    0.0 and -0.0 share a column, evolved with the first one's spec, which
+    changes no bit unless another term of the unit response is -0.0 (an
+    intercept of -0.0). The spec parts are keyed once for all blocks; only
+    the levels differ between blocks."""
     thresholds = [k for k, sp in enumerate(specs) if isinstance(sp.exposure, MeanFieldThreshold)]
     n, t_max = scenarios[0].n_units // blocks, scenarios[0].n_rounds
     levels = np.zeros((blocks, t_max, len(scenarios)))
@@ -493,13 +474,14 @@ def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[Treatme
         part.append(parts.setdefault((id(w), sp.unit, sp.noise_sd, exposure), len(parts)))
     # The bytes of each block's levels of each column, from one call.
     level_bytes = np.ascontiguousarray(levels.transpose(0, 2, 1)).view(f"V{8 * t_max}")[..., 0].tolist()
-    per_block = []
-    for lv, column_bytes in zip(levels, level_bytes):
-        distinct: dict = {}  # key -> (its distinct column, its first requested column)
-        index = [distinct.setdefault(key, (len(distinct), k))[0] for k, key in enumerate(zip(part, column_bytes))]
-        lead = [k for _, k in distinct.values()]
-        per_block.append((index, lead, lv[:, lead]))
-    return per_block
+    firsts: dict = {}  # a column's keys in every block -> (its row, its first requested column)
+    row = [firsts.setdefault(key, (len(firsts), k))[0] for k, key in enumerate(zip(part, *level_bytes))]
+    lead = [k for _, k in firsts.values()]
+    block_rows = []
+    for column_bytes in level_bytes:
+        first: dict = {}  # a column's key in the block -> its first requested column
+        block_rows.append([row[first.setdefault(key, k)] for k, key in enumerate(zip(part, column_bytes))])
+    return lead, block_rows, levels[:, :, lead].transpose(1, 0, 2)[..., None]
 
 
 def simulate_panel(

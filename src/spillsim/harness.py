@@ -272,16 +272,16 @@ def run_once(
         weights, w_obs, suite = evolved
     structure = structure_of(weights)
     records = []
-    passes: dict[int, tuple] = {}  # distinct observed column -> its estimator pass
+    passes: dict[int, tuple] = {}  # id of a distinct observed panel -> its estimator pass
     for k, obs in enumerate(observed):
         control, treated = suite.means[obs + 1], suite.means[obs + 2]
         if not np.isfinite(control + treated).all():  # finite outcomes, an overflowing mean
             raise EstimatorOverflow("ground truth", wheres[k], FloatingPointError("overflow encountered in reduce"))
 
         # Estimators receive the observed panel and design probabilities only.
-        if suite.index[obs] not in passes:
-            passes[suite.index[obs]] = estimate_rounds(config, suite[obs], w_obs, structure, (t_max,), wheres[k])
-        estimates, trajectories, coefficients = passes[suite.index[obs]]
+        if id(suite[obs]) not in passes:
+            passes[id(suite[obs])] = estimate_rounds(config, suite[obs], w_obs, structure, (t_max,), wheres[k])
+        estimates, trajectories, coefficients = passes[id(suite[obs])]
         records.append(
             RunRecord(
                 seed=seed,

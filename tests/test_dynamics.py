@@ -422,15 +422,28 @@ def test_nonfinite_outcome_names_the_lowest_unit_then_the_earliest_requested_col
 # --- the evolution against a unit-major reference loop ----------------------
 
 
+def _runs(specs, key):
+    """Maximal runs of consecutive columns whose specs agree on ``key``, each
+    with the spec of its first column."""
+    runs, start = [], 0
+    for k in range(1, len(specs) + 1):
+        if k == len(specs) or key(specs[k]) != key(specs[start]):
+            runs.append((specs[start], slice(start, k)))
+            start = k
+    return runs
+
+
 def _reference_evolve(specs, weights, scenarios, x, y0, seed):
     """The evolution loop in unit-major layout: a C-ordered (N, s) state,
-    treatments gathered by ``np.column_stack`` and an (s, N, T + 1) outcome
-    buffer. Columns that evolve alike are evolved once, as in the engine.
-    Returns the outcome and exposure matrix of every requested column."""
-    from spillsim.dynamics import _distinct_columns, _runs
+    treatments gathered by ``np.column_stack``, one stacked ``weights.apply``
+    call per run of weighted-sum columns, one response per run of columns
+    with one unit response and noise scale, and an (s, N, T + 1) outcome
+    buffer. Columns that evolve alike are evolved once, as in the engine,
+    but found by the reference ``_distinct_columns_per_column``. Returns the
+    outcome and exposure matrix of every requested column."""
     from spillsim.rng import substream
 
-    [(index, lead, levels)] = _distinct_columns(specs, scenarios)
+    index, lead, levels = _distinct_columns_per_column(specs, scenarios)
     scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
     n, t_max, s = y0.size, scenarios[0].n_rounds, len(lead)
     weighted = [run for run in _runs(specs, lambda sp: (sp.exposure, sp.peer))
@@ -536,7 +549,7 @@ def test_a_suite_in_blocks_gives_each_block_the_bits_of_its_seed_alone(kind):
             alone, alone_mats = _evolve(columns, ws, [observed[b], *constants[_N]] * 3, round_index_covariates(_N, _T),
                                         y0[b], seed, **kwargs)
             block = suite.block(b)
-            assert block.index == alone.index and _same_object_groups(block) == _same_object_groups(alone)
+            assert _same_object_groups(block) == _same_object_groups(alone)
             assert np.array(block.means).tobytes() == np.array(alone.means).tobytes()
             for k, (got, want) in enumerate(zip(block, alone)):
                 assert (got is None) == (want is None), k
@@ -544,7 +557,8 @@ def test_a_suite_in_blocks_gives_each_block_the_bits_of_its_seed_alone(kind):
                     _assert_same_bits(got.values, want.values, f"block {b}, column {k}")
             for k, (got, want) in enumerate(zip(mats[b * len(columns) : (b + 1) * len(columns)], alone_mats)):
                 _assert_same_bits(got.values, want.values, f"exposures of block {b}, column {k}")
-        assert len({tuple(suite.block(b).index) for b in range(3)}) > 1
+        if keep is None:
+            assert len({str(_same_object_groups(suite.block(b))) for b in range(3)}) > 1
 
 
 def test_a_nonfinite_outcome_in_blocks_is_named_by_its_first_block():
@@ -655,28 +669,32 @@ def test_structured_exposures_are_the_stacked_apply_bit_for_bit(kind):
 @pytest.mark.parametrize("kind", sorted(_MAKE_WEIGHTS))
 def test_each_structured_column_gets_its_own_apply_call(kind, monkeypatch):
     # A column-independent kind is called once per weighted-sum column and
-    # round with that column alone; any other kind once per round with the
-    # whole stack. Threshold columns never reach weights.apply.
+    # round with that column alone, after the round's noise is drawn; any
+    # other kind once per round with the whole stack, before the noise row
+    # exists. Threshold columns never reach weights.apply.
+    from spillsim import dynamics
+
     weights = _MAKE_WEIGHTS[kind]()
-    widths, apply = [], type(weights).apply
-    monkeypatch.setattr(type(weights), "apply", lambda ws, gv, t: widths.append((t, np.shape(gv))) or apply(ws, gv, t))
+    calls, apply, substream = [], type(weights).apply, dynamics.substream
+    monkeypatch.setattr(type(weights), "apply", lambda ws, gv, t: calls.append((t, np.shape(gv))) or apply(ws, gv, t))
+    monkeypatch.setattr(dynamics, "substream", lambda *key: calls.append(key) or substream(*key))
     scenarios, x, y0 = _evolution_fixture()
     unit = LinearUnit(w_coef=1.0, y_coef=0.7)
-    specs = [linear_spec(unit=unit), linear_spec(unit=unit, exposure=MeanFieldThreshold(0.3, 1.5)),
-             linear_spec(unit=unit, peer=LinearPeer(0.5, -0.4))]
+    specs = [linear_spec(unit=unit, noise_sd=0.2), linear_spec(unit=unit, exposure=MeanFieldThreshold(0.3, 1.5)),
+             linear_spec(unit=unit, peer=LinearPeer(0.5, -0.4), noise_sd=0.2)]
     counterfactual_suite(specs * 3, weights, [w for w in scenarios for _ in specs], x, y0, seed=1)
     if weights.column_independent:
-        want = [(t, (_N, 1)) for t in range(1, _T + 1) for _ in range(6)]
+        want = [call for t in range(1, _T + 1) for call in [(1, "noise", t)] + [(t, (_N, 1))] * 6]
     else:
-        want = [(t, (_N, 6)) for t in range(1, _T + 1)]
-    assert widths == want
+        want = [call for t in range(1, _T + 1) for call in [(t, (_N, 6)), (1, "noise", t)]]
+    assert calls == want
     assert weights.column_independent == (kind in ("clustered", "influencer"))
 
 
 @pytest.mark.parametrize("kind", sorted(_MAKE_WEIGHTS))
 def test_evolution_with_several_noise_scales_matches_the_unit_major_reference(kind):
-    # Noise scales 0.2, 0.5 and none: the noise is scaled once per response
-    # run, not in place, and a noiseless run sits between noisy ones.
+    # Noise scales 0.2, 0.5 and none: the noise is scaled afresh for each
+    # row, not in place, and a noiseless row sits between noisy ones.
     scenarios, x, y0 = _evolution_fixture()
     unit = LinearUnit(w_coef=0.8, y_coef=0.6, intercept=-0.2)
     sweep = [
@@ -701,11 +719,23 @@ def test_panels_constant_over_units_take_their_fractions_from_one_row():
     unit = LinearUnit(w_coef=1.0, y_coef=0.5)
     specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(tau, 2.0)) for tau in (0.25, 0.75)] * 4
     scenarios = [panel for panel in (by_round, nobody, everybody, observed) for _ in range(2)]
-    [(index, lead, levels)] = _distinct_columns(specs, scenarios)
+    distinct = _distinct_columns(specs, scenarios)
+    index, lead, levels = _block_columns(distinct, 0)
     want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
-    assert (index, lead) == (want_index, want_lead)
+    assert (index, lead, distinct[0]) == (want_index, want_lead, want_lead)
     assert levels.tobytes() == want_levels.tobytes()
     assert levels[:, 0].tolist() == (2.0 * rounds).tolist()
+
+
+def _block_columns(distinct, b):
+    """Block b's part of the output of ``_distinct_columns`` in the format of
+    ``_distinct_columns_per_column``: the rows its requested columns read,
+    renumbered in order of first appearance, the first column to read each
+    and their threshold levels, (n_rounds, d)."""
+    _, block_rows, levels = distinct
+    rows, number = block_rows[b], {}
+    index = [number.setdefault(row, len(number)) for row in rows]
+    return index, [rows.index(row) for row in number], levels[:, b, list(number), 0]
 
 
 def _distinct_columns_per_column(specs, scenarios):
@@ -741,14 +771,16 @@ def test_each_block_of_units_gets_the_columns_it_would_get_alone():
     specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(0.5, 2.0)), linear_spec(unit=unit),
              linear_spec(unit=unit, exposure=MeanFieldThreshold(0.5, 0.0)), linear_spec(unit=unit)]
     scenarios = [ramp, ramp, ramp, everybody]
-    per_block = _distinct_columns(specs, scenarios, blocks=3)
-    assert len(per_block) == 3
-    for b, (index, lead, levels) in enumerate(per_block):
+    distinct = _distinct_columns(specs, scenarios, blocks=3)
+    assert distinct[2].shape == (4, 3, 4, 1)
+    for b in range(3):
+        index, lead, levels = _block_columns(distinct, b)
         alone = {id(w): TreatmentPanel(w.values[4 * b : 4 * b + 4]) for w in scenarios}
         want_index, want_lead, want_levels = _distinct_columns_per_column(specs, [alone[id(w)] for w in scenarios])
         assert (index, lead) == (want_index, want_lead)
         assert levels.tobytes() == want_levels.tobytes()
-    assert [index for index, _, _ in per_block] == [[0, 1, 0, 2], [0, 1, 2, 3], [0, 1, 0, 2]]
+    # Columns 0 and 2 part in block 1, so they take two rows.
+    assert distinct[:2] == ([0, 1, 2, 3], [[0, 1, 0, 3], [0, 1, 2, 3], [0, 1, 0, 3]])
 
 
 @pytest.mark.parametrize("order", ["requested", "reversed", "shuffled"])
@@ -775,9 +807,10 @@ def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
             "shuffled": np.random.default_rng(5).permutation(len(specs))}[order]
     specs, scenarios = [specs[k] for k in perm], [scenarios[k] for k in perm]
 
-    [(index, lead, levels)] = _distinct_columns(specs, scenarios)
+    distinct = _distinct_columns(specs, scenarios)
+    index, lead, levels = _block_columns(distinct, 0)
     want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
-    assert (index, lead) == (want_index, want_lead)
+    assert (index, lead, distinct[0]) == (want_index, want_lead, want_lead)
     assert levels.shape == want_levels.shape and levels.dtype == want_levels.dtype
     assert levels.tobytes() == want_levels.tobytes()
     # The fixture shares columns, and its levels fall on both sides of a tau
@@ -806,6 +839,8 @@ def _input_fault(case):
         return counterfactual_suite(spec, ws, [w, other], x, y0, 0)
     if case == "spec_count":
         return counterfactual_suite([spec], ws, [w, w], x, y0, 0)
+    if case == "keep_range":
+        return counterfactual_suite(spec, ws, [w], x, y0, 0, keep=[3])
     if case == "baseline_shape":
         return simulate_panel(spec, ws, w, x, np.zeros(5), 0)
     if case == "baseline_finite":
@@ -829,6 +864,7 @@ def _input_fault(case):
         ("no_scenarios", "need at least one treatment scenario"),
         ("scenario_shapes", r"all scenarios must share \(n_units, n_rounds\)"),
         ("spec_count", "1 dynamics specs for 2 scenarios"),
+        ("keep_range", r"keep entry 3 outside the scenarios 0\.\.0"),
         ("baseline_shape", r"initial outcomes must have shape \(4,\)"),
         ("baseline_finite", "initial outcomes must be finite"),
         ("covariate_shape", "covariate panel does not match the scenarios"),

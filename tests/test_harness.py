@@ -740,8 +740,9 @@ def _evolution_peak_rows(t_max: int, grid_values: int) -> int:
     T + 2 rows. Each value keeps its observed panel's T + 1 rounds, and its
     two counterfactual columns one state row each. Clustered weights take
     one column per ``weights.apply`` call, so the round's temporaries do not
-    grow with the columns: the noise, scaled in place, and while a column
-    responds its exposure row and one product (3)."""
+    grow with the columns: the noise, drawn before the columns respond and
+    scaled in place, and while a column responds its exposure row and one
+    product (3)."""
     distinct = 3 * grid_values
     held = grid_values * (t_max + 1) + (distinct - grid_values)
     return (t_max + 2) + held + 3
@@ -939,11 +940,13 @@ def test_sweep_evolves_each_distinct_column_once_per_seed(monkeypatch, name, par
     from spillsim.config import parse_config
 
     config = parse_config((Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text())
+    # Every column is kept, so that each distinct column has its own panel.
     suites, suite = [], harness.counterfactual_suite
-    monkeypatch.setattr(harness, "counterfactual_suite", lambda *a, **k: suites.append(suite(*a, **k)) or suites[-1])
+    monkeypatch.setattr(harness, "counterfactual_suite",
+                        lambda *a, **k: suites.append(suite(*a, **{**k, "keep": None})) or suites[-1])
     run_once(config, config.base_seed, sweep=harness._sweep_grid(config, parameter, grid))
     (panels,) = suites
-    assert len(panels) == 3 * len(grid) and len(set(panels.index)) == distinct
+    assert len(panels) == 3 * len(grid) and len({id(panel) for panel in panels}) == distinct
 
 
 # --- seeds evolved in batches ------------------------------------------------------
