@@ -23,7 +23,7 @@ lines only.
 numpy dispatches on). ``tests/data/digests-<version>.txt`` is this output for
 the package version, and a tier-1 test compares every run with it:
 
-    python scripts/output_digests.py --record > tests/data/digests-0.10.0.txt
+    python scripts/output_digests.py --record > tests/data/digests-0.11.0.txt
 
 ``--keep DIR`` writes the output tree to DIR (which must not exist yet)
 instead of a temporary directory. ``--diff A B`` runs nothing; it compares two

@@ -1,4 +1,4 @@
 """spillsim: simulation and estimation lab for randomized experiments with
 network spillovers."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -32,8 +32,7 @@ from .dynamics import (
     WeightedSumExposure,
     ZeroPeer,
 )
-from .estimators import FeatureSpec
-from .harness import ESTIMATORS, ScenarioConfig
+from .harness import ScenarioConfig
 from .weights import WEIGHT_KINDS, KeyedValueError, WeightConfig
 
 
@@ -202,13 +201,6 @@ def parse_config(text: str) -> ScenarioConfig:
     design = _parse_design(sections["design"], n_units, n_rounds)
 
     use = estimators_sec.get_list("use", list(ScenarioConfig.estimators))
-    overrides = {}
-    # ESE estimators take a feature override, ``features_<name>``.
-    for name, est in ESTIMATORS.items():
-        items = None if est.features is None else estimators_sec.get_list(f"features_{name}")
-        if items is not None:
-            with _keyed(estimators_sec, f"features_{name}"):
-                overrides[name] = FeatureSpec.parse([str(s).strip() for s in items])
     estimators_sec.check_read()
 
     seed = run_sec.get_int("seed", 0)
@@ -226,7 +218,6 @@ def parse_config(text: str) -> ScenarioConfig:
             dynamics=dynamics,
             design=design,
             estimators=tuple(str(e).strip() for e in use),
-            feature_overrides=overrides,
             baseline_mean=baseline_mean,
             baseline_sd=baseline_sd,
             base_seed=seed,
@@ -269,7 +260,6 @@ def _parse_dynamics(sec: _Section) -> DynamicsSpec:
     unit = LinearUnit(
         w_coef=sec.get_float("w_coef", 0.0),
         y_coef=sec.get_float("y_coef", 1.0),
-        x_coef=sec.get_numbers("x_coef", ()),
         intercept=sec.get_float("intercept", 0.0),
         trend=sec.get_float("trend", 0.0),
     )
@@ -299,19 +289,16 @@ def _parse_dynamics(sec: _Section) -> DynamicsSpec:
 
 
 def _parse_design(sec: _Section, n_units: int, n_rounds: int) -> DesignSpec:
+    # ``kind`` has one value; the key stays so that a file may name it.
     kind = sec.get_str("kind", "bernoulli")
-    if kind == "bernoulli":
-        probs = sec.get_numbers("probs")
-        if probs is None and n_rounds == len(RAMP_PROBS):
-            probs = RAMP_PROBS  # the canonical ramp is the default
-        key, params = "probs", {"probs": probs}
-    elif kind == "constant":
-        key, params = "value", {"value": sec.get_int("value", 0)}
-    else:
-        raise ConfigError(f"{sec.where('kind')} must be bernoulli or constant, got {kind!r}")
-    sec.check_read(f"kind = {kind}")
-    with _keyed(sec, key):
-        return DesignSpec(kind=kind, n_units=n_units, n_rounds=n_rounds, **params)
+    if kind != "bernoulli":
+        raise ConfigError(f"{sec.where('kind')} must be bernoulli, got {kind!r}")
+    probs = sec.get_numbers("probs")
+    if probs is None and n_rounds == len(RAMP_PROBS):
+        probs = RAMP_PROBS  # the canonical ramp is the default
+    sec.check_read("kind = bernoulli")
+    with _keyed(sec, "probs"):
+        return DesignSpec(kind=kind, n_units=n_units, n_rounds=n_rounds, probs=probs)
 
 
 def config_hash(text: str) -> str:

@@ -20,7 +20,7 @@ import dataclasses
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,8 +68,8 @@ def _ht_or_none(design: DesignSpec, y: OutcomePanel, w: TreatmentPanel, t: int) 
 @dataclass(frozen=True)
 class Estimator:
     """One estimator ``estimators.use`` can name: a classical contrast
-    ``(design, y, w, t) -> estimate or None``, or an ESE fit with default
-    features for the run's structure metadata, which may need one weight
+    ``(design, y, w, t) -> estimate or None``, or an ESE fit with one
+    feature set for the run's structure metadata, which may need one weight
     kind. Estimator functions are looked up in this module at call time."""
 
     contrast: Callable | None = None
@@ -97,7 +97,6 @@ class ScenarioConfig:
     design: DesignSpec
     # By default every estimator that needs no particular weight kind.
     estimators: tuple[str, ...] = tuple(name for name, est in ESTIMATORS.items() if est.weight_kind is None)
-    feature_overrides: dict = field(default_factory=dict)
     baseline_mean: float = 0.0
     baseline_sd: float = 1.0
     base_seed: int = 0
@@ -112,12 +111,11 @@ class ScenarioConfig:
         if self.n_reps < 1:
             raise KeyedValueError(f"replication count must be at least 1, got {self.n_reps}", "run.reps")
         self.weights.check(self.n_units)
-        k = len(self.dynamics.unit.x_coef)
-        if k > 1:  # observed_inputs' covariates
-            raise KeyedValueError(f"lists {k} coefficients; the only covariate is the round index", "dynamics.x_coef")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise KeyedValueError(f"unknown estimator {name!r}", "estimators.use")
+            if self.estimators.count(name) > 1:
+                raise KeyedValueError(f"lists {name} twice", "estimators.use")
             needs = ESTIMATORS[name].weight_kind
             if needs is not None and self.weights.kind != needs:
                 raise KeyedValueError(f"{name} requires {needs} weights", "estimators.use")
@@ -127,8 +125,6 @@ class ScenarioConfig:
             raise KeyedValueError(f"must be finite and non-negative, got {self.baseline_sd}", "population.baseline_sd")
 
     def feature_spec(self, estimator: str, structure: StructureMetadata) -> FeatureSpec:
-        if estimator in self.feature_overrides:
-            return self.feature_overrides[estimator]
         features = ESTIMATORS[estimator].features
         if features is None:
             raise ValueError(f"{estimator} has no feature spec")
@@ -404,8 +400,9 @@ def estimate_rounds(
     undefined), the ESE mean trajectories (control, treated) over rounds
     0..T, and the ESE coefficients. ESE fits whose specs use the same base
     columns share one factoring of the panels, which is dropped on return.
-    Arithmetic that overflows or goes invalid raises ``EstimatorOverflow``
-    naming the estimator and ``where``.
+    Arithmetic that overflows or goes invalid raises ``EstimatorOverflow``,
+    and a panel an ESE fit cannot use a ``ValueError``, each naming the
+    estimator and ``where``.
     """
     t_max = config.n_rounds
     estimates: dict[str, tuple[float | None, ...]] = {}
@@ -419,7 +416,10 @@ def estimate_rounds(
                 estimates[name] = tuple(contrast(config.design, y, w, t) for t in rounds)
             else:
                 spec = config.feature_spec(name, structure)
-                coeffs = fit_ese(y, w, spec, structure, round_factors)
+                try:
+                    coeffs = fit_ese(y, w, spec, structure, round_factors)
+                except ValueError as exc:  # a panel the fit cannot use
+                    raise ValueError(f"{name} at {where}: {exc}") from exc
                 y0_mean = column_mean(y, 0)
                 lo = propagate(coeffs, spec, y0_mean, ScenarioPath.all_control(t_max))
                 hi = propagate(coeffs, spec, y0_mean, ScenarioPath.all_treated(t_max))

@@ -326,6 +326,7 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
         # Checked by ScenarioConfig and WeightConfig.check, which pass the key back.
         ("reps = 2", "reps = 0", "run.reps: replication count must be at least 1, got 0"),
         ("use = dm, ht, ese_basic", "use = dm, bogus", "estimators.use: unknown estimator 'bogus'"),
+        ("use = dm, ht, ese_basic", "use = dm, ht, dm", "estimators.use: lists dm twice"),
         ("n_clusters = 1", "n_clusters = 0", "weights.n_clusters: need at least one cluster"),
         # Checked against the population, and still named by the line that set them.
         ("n_clusters = 1", "n_clusters = 200", "weights.n_clusters: cannot split 120 units into 200 clusters"),
@@ -336,9 +337,6 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
         (_CLUSTERED_WEIGHTS, _INFLUENCER_WEIGHTS + ", ".join(map(str, range(120))),
          "weights.influencers: influencers must be a strict subset of the population"),
         ("baseline_sd = 1.0", "baseline_sd = -1", "population.baseline_sd: must be finite and non-negative, got -1.0"),
-        # The covariates are the round index alone, so one coefficient at most.
-        ("intercept = 0.2", "intercept = 0.2\nx_coef = 1.0, 2.0",
-         "dynamics.x_coef: lists 2 coefficients; the only covariate is the round index"),
         ("n_rounds = 4", "n_rounds = 0", "population.n_rounds must be a positive integer, got 0"),
         ("seed = 5", "seed = -1", "run.seed must be non-negative"),
         ("unit = linear", "unit = cubic", "dynamics.unit must be linear, got 'cubic'"),
@@ -350,11 +348,17 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
         (_CLUSTERED_WEIGHTS, _CLUSTERED_WEIGHTS + "\nmatrix_path = w.csv",
          "weights.matrix_path is not read with kind = clustered"),
         ("use = dm, ht, ese_basic", "use = dm, ht, ese_basic\nfeatures_ese_basic = own_times_lag",
-         "estimators.features_ese_basic: unknown feature kind 'own_times_lag'"),
+         "estimators.features_ese_basic is not read"),
+        # `trend` is the one spelling of a term in the round index t.
+        ("intercept = 0.2", "intercept = 0.2\nx_coef = 1.0",
+         f"dynamics.x_coef is not read with {_DYNAMICS_KINDS}"),
         ("peer = linear", "peer = quadratic", "dynamics.peer must be linear or zero, got 'quadratic'"),
         ("exposure = weighted_sum", "exposure = contagion",
          "dynamics.exposure must be weighted_sum or threshold, got 'contagion'"),
-        ("kind = bernoulli", "kind = cluster", "design.kind must be bernoulli or constant, got 'cluster'"),
+        ("kind = bernoulli", "kind = cluster", "design.kind must be bernoulli, got 'cluster'"),
+        ("kind = bernoulli", "kind = constant", "design.kind must be bernoulli, got 'constant'"),
+        ("probs = 0.0, 0.2, 0.4, 0.8", "probs = 0.0, 0.2, 0.4, 0.8\nvalue = 1",
+         "design.value is not read with kind = bernoulli"),
         ("probs = 0.0, 0.2, 0.4, 0.8", "probs = 0.0, 0.2, high, 0.8",
          "design.probs must list finite numbers, got [0.0, 0.2, 'high', 0.8]"),
         # The byte 0xff, written through surrogateescape.
@@ -362,10 +366,11 @@ _INFLUENCER_WEIGHTS = "kind = influencer\nw_inf = 1.0\nw_base = 0.2\ninfluencers
     ],
     ids=[
         "duplicate", "unknown", "not_read_by_kind", "unknown_in_unkinded_section", "wrong_type", "keyed",
-        "scenario_check", "estimator_check", "weight_check", "cluster_count", "estimator_weight_kind",
-        "influencer_range", "influencer_subset", "baseline_check", "covariate_check", "no_rounds",
+        "scenario_check", "estimator_check", "repeated_estimator", "weight_check", "cluster_count",
+        "estimator_weight_kind", "influencer_range", "influencer_subset", "baseline_check", "no_rounds",
         "negative_seed", "unit_kind", "saturating_unit", "saturating_scale", "explicit_kind", "explicit_matrix_path",
-        "own_times_lag", "peer_kind", "exposure_kind", "design_kind", "word_in_numbers", "undecodable_byte",
+        "own_times_lag", "x_coef", "peer_kind", "exposure_kind", "design_kind", "constant_design", "design_value",
+        "word_in_numbers", "undecodable_byte",
     ],
 )
 def test_config_errors_name_the_file_and_the_line(tmp_path, capsys, old, new, message):
@@ -397,6 +402,21 @@ def test_estimate_names_a_panel_file_with_the_wrong_header(tmp_path, capsys):
     assert main(argv) == 1
     error = json.loads(capsys.readouterr().err.strip())["error"]
     assert error == f"ValueError: {outcomes}: expected header unit,round,value"
+
+
+def test_a_fit_that_cannot_run_names_the_estimator_and_where(tmp_path, capsys):
+    # ese_basic's three scenario-level features need three rounds.
+    text = LINEAR_CONFIG.replace("n_rounds = 4", "n_rounds = 2").replace("0.0, 0.2, 0.4, 0.8", "0.2, 0.4")
+    cfg = _write_config(tmp_path, text)
+    reason = "3 scenario-level features need at least that many rounds, panel has 2"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "bench")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == f"ValueError: ese_basic at seed 5: {reason}"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    outcomes = tmp_path / "sim" / "outcomes.csv"
+    argv = ["estimate", "--config", str(cfg), "--out", str(tmp_path / "est"), "--outcomes", str(outcomes),
+            "--treatments", str(tmp_path / "sim" / "treatments.csv")]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == f"ValueError: ese_basic at {outcomes}: {reason}"
 
 
 def test_demo_takes_no_config(tmp_path, capsys):

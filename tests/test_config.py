@@ -94,11 +94,27 @@ def test_threshold_tau_bounds():
         parse_config(text)
 
 
-def test_feature_override_parse():
-    text = MINIMAL + "\n[estimators]\nuse = ese_basic\nfeatures_ese_basic = intercept, own_treatment, lagged_outcome, treated_fraction\n"
-    config = parse_config(text)
-    spec = config.feature_overrides["ese_basic"]
-    assert spec.names == ("intercept", "own_treatment", "lagged_outcome", "treated_fraction")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # `trend` is the one spelling of a term in the round index t.
+        (MINIMAL + "\n[dynamics]\nx_coef = 0.37\n",
+         "line 10: dynamics.x_coef is not read with unit = linear, peer = zero, exposure = weighted_sum"),
+        # Each ESE estimator has one feature set.
+        *((MINIMAL + f"\n[estimators]\nfeatures_{name} = intercept, own_treatment\n",
+           f"line 10: estimators.features_{name} is not read")
+          for name in ("ese_basic", "ese_cluster", "ese_influencer")),
+        # A file's design is Bernoulli.
+        (MINIMAL.replace("kind = bernoulli", "kind = constant"), "line 6: design.kind must be bernoulli, got 'constant'"),
+        (MINIMAL + "value = 1\n", "line 8: design.value is not read with kind = bernoulli"),
+    ],
+    ids=["x_coef", "features_ese_basic", "features_ese_cluster", "features_ese_influencer", "constant_design",
+         "design_value"],
+)
+def test_removed_options_are_refused_with_their_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
 
 
 def test_unknown_estimator_named():
@@ -126,10 +142,10 @@ probs = 0.0, 0.2, 0.4, 0.8
 
 
 def test_comments_and_blank_lines_ignored():
-    text = "# top comment\n\n[population]\n# inline\nn_units = 4\n\n[design]\nkind = constant\nvalue = 1\n"
+    text = "# top comment\n\n[population]\n# inline\nn_units = 4\nn_rounds = 2\n\n[design]\n# inline\nprobs = 0.5, 1\n"
     config = parse_config(text)
     assert config.n_units == 4
-    assert config.design.value == 1
+    assert config.design.probs == (0.5, 1.0)
 
 
 def test_config_hash_stable():
@@ -203,11 +219,6 @@ def test_bad_weight_parameters_fail_at_parse_time_naming_the_key(n_units, weight
         ("\n[dynamics]\nexposure = threshold\ntau = 0.0\n", r"dynamics\.tau: threshold tau"),
         ("\n[run]\nreps = 0\n", r"run\.reps: replication count must be at least 1"),
         ("baseline_sd = -1.0\n", r"population\.baseline_sd: must be finite and non-negative"),
-        # No w*y features: each is refused with its line.
-        ("\n[estimators]\nfeatures_ese_basic = own_times_lag\n",
-         r"^line 10: estimators\.features_ese_basic: unknown feature kind 'own_times_lag'$"),
-        ("\n[estimators]\nfeatures_ese_basic = intercept, own_times_fraction\n",
-         r"^line 10: estimators\.features_ese_basic: unknown feature kind 'own_times_fraction'$"),
     ],
 )
 def test_dataclass_errors_are_prefixed_with_the_key(extra, pattern):

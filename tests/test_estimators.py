@@ -409,6 +409,33 @@ def test_round_factors_hold_one_chunk_of_leaves_at_a_time():
     assert peak <= bound, f"{peak / n:.1f} B/unit above the panels, bound {bound / n:.1f}"
 
 
+def test_fits_sharing_round_factors_factor_once_per_base_tuple(monkeypatch):
+    # Without the lagged outcome the base columns are (1, w), so that fit
+    # factors anew; a second fit on the basic spec factors nothing.
+    import spillsim.estimators as estimators_mod
+
+    rng = np.random.default_rng(8)
+    w = TreatmentPanel((rng.random((300, 4)) < np.array([0.0, 0.2, 0.4, 0.8])).astype(float))
+    y = OutcomePanel(rng.normal(size=(300, 5)))
+    specs = (basic_feature_spec(),
+             FeatureSpec.parse(["intercept", "own_treatment", "treated_fraction", "lagged_mean"]))
+    unshared = [fit_ese(y, w, spec) for spec in specs]
+    calls, round_factors = [], estimators_mod._round_factors
+
+    def counted(*args):
+        calls.append(args[2])
+        return round_factors(*args)
+
+    monkeypatch.setattr(estimators_mod, "_round_factors", counted)
+    shared: dict = {}
+    for spec, want in zip((*specs, specs[0]), (*unshared, unshared[0])):
+        got = fit_ese(y, w, spec, round_factors=shared)
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), spec.names
+        assert got.rss == want.rss
+    assert calls == [("one", "w", "y"), ("one", "w")]
+    assert list(shared) == calls
+
+
 # Relabeling moves an ESE effect by rounding alone, through a least-squares
 # fit whose forward error is about cond(X) * eps relative, X the N·T-row
 # design matrix, and a propagation over T rounds that amplifies it. In 6000

@@ -604,30 +604,27 @@ def test_replication_errors_name_the_scenario():
 
 
 CLUSTERED_WEIGHTS = WeightConfig(kind="clustered", n_clusters=2, w_in=1.0, w_out=0.2)
-NO_LAGGED_OUTCOME = "intercept, own_treatment, treated_fraction, lagged_mean"
 
 
 @pytest.mark.parametrize(
-    "weights, estimators, overrides, factorings",
+    "weights, estimators",
     [
-        (CLUSTERED_WEIGHTS, ("dm", "ese_basic", "ese_cluster"), {}, 1),
-        (INFLUENCER_WEIGHTS, ("ht", "ese_basic", "ese_influencer"), {}, 1),
-        # Without the lagged outcome the base columns are (1, w), so that fit factors anew.
-        (CLUSTERED_WEIGHTS, ("ese_basic", "ese_cluster"), {"ese_basic": NO_LAGGED_OUTCOME}, 2),
+        (CLUSTERED_WEIGHTS, ("dm", "ese_basic", "ese_cluster")),
+        (INFLUENCER_WEIGHTS, ("ht", "ese_basic", "ese_influencer")),
     ],
-    ids=["clustered", "influencer", "no_lagged_outcome_override"],
+    ids=["clustered", "influencer"],
 )
-def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estimators, overrides, factorings):
+def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estimators):
+    # Every shipped ESE feature set has the base columns (1, w, y), so a
+    # replication factors its observed panels once. Specs with different
+    # base tuples are tested on fit_ese directly.
     import dataclasses
 
     from spillsim import estimators as estimators_mod
     from spillsim import harness
-    from spillsim.estimators import FeatureSpec, fit_ese
+    from spillsim.estimators import fit_ese
 
-    config = dataclasses.replace(
-        _trend_config(weights, reps=1, seed=8), estimators=estimators,
-        feature_overrides={name: FeatureSpec.parse(items.split(", ")) for name, items in overrides.items()},
-    )
+    config = dataclasses.replace(_trend_config(weights, reps=1, seed=8), estimators=estimators)
     calls, panels = [], []
     round_factors, suite = estimators_mod._round_factors, harness.counterfactual_suite
 
@@ -643,7 +640,7 @@ def test_ese_fits_share_one_factoring_per_base_tuple(monkeypatch, weights, estim
     monkeypatch.setattr(estimators_mod, "_round_factors", counted)
     monkeypatch.setattr(harness, "counterfactual_suite", captured)
     record = run_once(config, 8)
-    assert len(calls) == factorings
+    assert len(calls) == 1
     (y, w, structure), = panels
     for name in estimators:
         if name.startswith("ese_"):
