@@ -174,8 +174,7 @@ def compute_exposure(
 ) -> np.ndarray:
     """Exposure column for round t given that round's assignments and the
     previous round's outcomes. Accepts (n,) columns or (n, s) scenario stacks."""
-    w_t = np.asarray(w_t, dtype=np.float64)
-    y_prev = np.asarray(y_prev, dtype=np.float64)
+    w_t, y_prev = (np.asarray(a, dtype=np.float64) for a in (w_t, y_prev))
     if w_t.shape != y_prev.shape:
         raise ValueError("treatment and lagged outcome columns must share a shape")
     if w_t.shape[0] != weights.n_units:
@@ -231,11 +230,7 @@ def step(
 ) -> np.ndarray:
     """One evolution round: unit response plus exposure plus scaled noise.
     ``x_t`` holds each unit's covariates along its last axis."""
-    w_t = np.asarray(w_t, dtype=np.float64)
-    y_prev = np.asarray(y_prev, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    e_t = np.asarray(e_t, dtype=np.float64)
-    noise_t = np.asarray(noise_t, dtype=np.float64)
+    w_t, y_prev, x_t, e_t, noise_t = (np.asarray(a, dtype=np.float64) for a in (w_t, y_prev, x_t, e_t, noise_t))
     if not (w_t.shape == y_prev.shape == e_t.shape):
         raise ValueError("step inputs must share a shape")
     _check_covariates([spec], x_t.shape[-1])
@@ -265,17 +260,149 @@ class Suite(list):
         return Suite(self[part], self.means[part])
 
 
-def _apply_blocks(sets: Sequence[WeightSet], signals: np.ndarray, t: int) -> np.ndarray:
-    """The exposures of the (columns, blocks x n) peer ``signals``, block b
-    through set b: one call for blocks that share a column-independent set,
-    else one per block, on the columns its seed alone sends."""
+def _exposures(sets: Sequence[WeightSet], rows: Sequence[tuple], t: int) -> np.ndarray:
+    """The round t exposures of ``rows``, (spec, treatment panel, lagged
+    outcomes) triples, from the stack of their peer signals, freed on return.
+    Block b goes through set b: blocks that share a column-independent set
+    in one call, else each in its own, on the columns its seed alone sends."""
     n, first = sets[0].n_units, sets[0]
+    signals = np.empty((len(rows), n * len(sets)))
+    for j, (sp, w, y_prev) in enumerate(rows):
+        sp.peer.value(w.column(t), y_prev, out=signals[j])
     if len(sets) == 1 or (first.column_independent and all(ws is first for ws in sets)):
         return first.apply(signals.reshape(-1, n).T, t).T.reshape(signals.shape)
     e = np.empty_like(signals)
     for b, ws in enumerate(sets):
         e[:, b * n : (b + 1) * n] = ws.apply(signals[:, b * n : (b + 1) * n].T, t).T
     return e
+
+
+def _noise(seeds: Sequence[int], n: int, t: int, scale: float | None) -> np.ndarray:
+    """Round t's standard normal draws on blocks of n units, block b from
+    seed b's substream, scaled in place unless ``scale`` is None."""
+    noise = np.empty(len(seeds) * n)
+    for b, sd in enumerate(seeds):
+        substream(sd, "noise", t).standard_normal(out=noise[b * n : (b + 1) * n])
+    if scale:
+        noise *= scale
+    return noise
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Which requested columns of a suite evolve, where their rows live and
+    what a round allocates, for equal blocks of units: built once per
+    ``_evolve`` call (``_Plan.of``), before its rounds run.
+
+    Columns share the weights, baseline and noise, so a column is fixed in a
+    block by its treatment panel, unit response, noise scale and exposure:
+    the weighted-sum spec, or the threshold level of each round, which the
+    treatment panel alone decides (``levels``, (n_rounds, blocks, rows, 1),
+    from the treated fractions of each block's units). Columns alike in
+    every block evolve once, in one row; rows are numbered in order of first
+    appearance, each with the spec and panel (``specs``, ``panels``) of its
+    first column (``lead``). ``block_rows[b]`` is the row each column reads
+    in block b, that of its first column alike there, so those share one
+    panel. Spec parts compare with ``==``: 0.0 and -0.0 share a row, evolved
+    with the first one's spec, which moves no bit unless another term of the
+    unit response is -0.0 (an intercept of -0.0).
+
+    The ``kept`` rows, those of the columns whose panels the caller needs,
+    evolve in one round-major (n_rounds + 1, kept, units) buffer, whose
+    read-only transposed views are the panels, one per block, with
+    contiguous round columns. Every other row evolves in one state row,
+    which each round overwrites: it holds no history. Row d of a round is
+    entry ``home[d]`` of its kept rows followed by the state rows. As a
+    round ends, each block of each row is reduced to its mean by one
+    pairwise reduction, which has the bits of the block's ``mean()``.
+
+    A round allocates rows of units in three steps. A kind that is not
+    column-independent (``stacked``), whose bits depend on the stack, first
+    gets one ``_exposures`` call on the peer signals of all ``weighted``
+    (weighted-sum) rows, 2 x weighted + 1 rows while it runs; the signals
+    are freed before the noise exists. Then, if any row is ``noisy``, one
+    row of noise is drawn, scaled in place when every noisy row shares
+    ``one_scale``, else afresh for each row. Then each row responds; a
+    column-independent kind gets one call per weighted-sum row just before
+    it responds, once the previous row's exposure is freed, so no stack of
+    signals or exposures exists. A row (a state row is also its lagged row)
+    takes y_coef times the lagged outcomes, then its other terms are added
+    in place, but not a zero-coefficient term or threshold level; a panel
+    constant over units adds w_coef times its value as one scalar, to the
+    peer signal too. No round buffer outlives its round."""
+
+    lead: list[int]
+    block_rows: list[list[int]]
+    levels: np.ndarray
+    specs: list[DynamicsSpec]
+    panels: list[TreatmentPanel]
+    kept: list[int]
+    home: list[int]
+    weighted: list[int]
+    stacked: bool
+    noisy: bool
+    one_scale: float | None
+
+    @classmethod
+    def of(cls, specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], blocks: int,
+           column_independent: bool, keep: Collection[int] | None) -> _Plan:
+        """The plan of one column per spec and scenario; ``keep`` None keeps all."""
+        n_all, t_max = scenarios[0].n_units, scenarios[0].n_rounds
+        if any((w.n_units, w.n_rounds) != (n_all, t_max) for w in scenarios):
+            raise ValueError("all scenarios must share (n_units, n_rounds)")
+        if len(specs) != len(scenarios):
+            raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
+        for k in () if keep is None else keep:
+            if not 0 <= k < len(scenarios):
+                raise ValueError(f"keep entry {k} outside the scenarios 0..{len(scenarios) - 1}")
+        thresholds = [k for k, sp in enumerate(specs) if isinstance(sp.exposure, MeanFieldThreshold)]
+        levels = np.zeros((blocks, t_max, len(scenarios)))
+        if thresholds:
+            # Treated fractions once per treatment panel and block, (blocks,
+            # n_rounds). Entries are 0 or 1, so each sum is exact in any order. A
+            # panel whose units share each round's value (stride 0, as the
+            # constant panels are) has that value, 0.0 or 1.0, as the exact mean.
+            panels = {id(scenarios[k]): scenarios[k].values for k in thresholds}
+            fractions = {key: np.broadcast_to(v[0], (blocks, t_max)) if v.strides[0] == 0
+                         else v.reshape(blocks, -1, t_max).mean(axis=1) for key, v in panels.items()}
+            mechs = [specs[k].exposure for k in thresholds]
+            levels[:, :, thresholds] = np.array([m.strength for m in mechs]) * (
+                np.stack([fractions[id(scenarios[k])] for k in thresholds], axis=-1) > np.array([m.tau for m in mechs])
+            )
+        parts: dict = {}  # a column's key but its levels -> a number, so no block hashes a spec
+        part = []
+        for sp, w in zip(specs, scenarios):
+            exposure = None if isinstance(sp.exposure, MeanFieldThreshold) else (sp.exposure, sp.peer)
+            part.append(parts.setdefault((id(w), sp.unit, sp.noise_sd, exposure), len(parts)))
+        # The bytes of each block's levels of each column, from one call.
+        level_bytes = np.ascontiguousarray(levels.transpose(0, 2, 1)).view(f"V{8 * t_max}")[..., 0].tolist()
+        firsts: dict = {}  # a column's keys in every block -> (its row, its first requested column)
+        row = [firsts.setdefault(key, (len(firsts), k))[0] for k, key in enumerate(zip(part, *level_bytes))]
+        lead = [k for _, k in firsts.values()]
+        block_rows = []
+        for column_bytes in level_bytes:
+            first: dict = {}  # a column's key in the block -> its first requested column
+            block_rows.append([row[first.setdefault(key, k)] for k, key in enumerate(zip(part, column_bytes))])
+        specs = [specs[k] for k in lead]
+        kept = list(range(len(lead))) if keep is None else sorted({rows[k] for rows in block_rows for k in keep})
+        weighted = [d for d, sp in enumerate(specs) if not isinstance(sp.exposure, MeanFieldThreshold)]
+        scales = {sp.noise_sd for sp in specs if sp.noise_sd > 0.0}
+        home = np.argsort(kept + sorted({*range(len(lead))} - {*kept})).tolist()  # each row's place, kept rows first
+        return cls(lead, block_rows, levels[:, :, lead].transpose(1, 0, 2)[..., None], specs,
+                   [scenarios[k] for k in lead], kept, home, weighted, bool(weighted) and not column_independent,
+                   bool(scales), next(iter(scales)) if len(scales) == 1 else None)
+
+    def round_rows(self, kept: np.ndarray, state: np.ndarray) -> list[np.ndarray]:
+        """Each row's contiguous round, from that round's ``kept`` rows and the state rows."""
+        here = [*kept, *state]
+        return [here[i] for i in self.home]
+
+    def views(self, panel_type: type, buffer: np.ndarray, rows: Collection[int]) -> list:
+        """Each block's view of each requested column in a (rounds, rows,
+        units) buffer, None where its row is not one of ``rows``."""
+        blocks, at = len(self.block_rows), {d: j for j, d in enumerate(rows)}
+        views = panel_type.views(buffer.reshape(len(buffer), len(at) * blocks, -1).transpose(1, 2, 0))
+        return [views[at[d] * blocks + b] if d in at else None for b, row in enumerate(self.block_rows) for d in row]
 
 
 def _evolve(
@@ -288,51 +415,13 @@ def _evolve(
     keep_exposures: bool,
     keep: Collection[int] | None = None,
 ) -> tuple[Suite, list[ExposureMatrix]]:
-    """Evolve all scenarios in lockstep, sharing weights and noise draws.
-
-    ``spec`` is one DynamicsSpec for every scenario or a sequence with one per
-    scenario. Columns that evolve alike (see ``_distinct_columns``) are evolved
-    once, in one row, and get the same panel and exposure matrix.
-
-    With a sequence of seeds and one weight set each, the units are as many
-    equal blocks. Block b draws seed b's noise into its slice, applies set b
-    and takes its own threshold levels and round means, so it has the bits
-    of its units evolved alone. Columns share a row if alike in every block.
-
-    ``keep`` lists the requested columns whose panels the caller needs (by
-    default all). Their rounds go to one round-major (n_rounds + 1, kept,
-    n_units) buffer, whose read-only transposed views are the panels, one per
-    block, with contiguous round columns; a kept column evolves in its rows
-    there. Every other column evolves in one state row of units, which each
-    round overwrites: it holds no history.
-
-    A round runs in three steps. A weight kind that is not
-    ``column_independent``, whose bits depend on the stack, first gets one
-    ``_apply_blocks`` call on the stacked peer signals of every weighted-sum
-    row, freed when the exposures come back, before the noise exists. Then
-    the noise is drawn, each block from its seed's substream, and scaled in
-    place when every noisy row shares one scale, else afresh for each row.
-    Then each row responds with its own spec; a ``column_independent`` kind
-    gets one call per weighted-sum row just before it responds, once the
-    previous row's exposures are freed, so no stack of signals or exposures
-    exists. A row (a state row is also its lagged row) takes y_coef times the
-    lagged outcomes, then the treatment term of its panel's round column, the
-    intercept, trend, covariates, exposure and noise are added in place,
-    except a zero-coefficient term or threshold level; a constant treatment
-    panel adds w_coef times its value as one scalar, to the peer signal too.
-    Then each block of each row is reduced to its round mean by one pairwise
-    reduction, and a round with a non-finite mean is scanned for the first
-    non-finite outcome, block by block and unit-major. No round buffer
-    outlives its round. Exposures are kept, in a buffer of the full layout
-    and as views of it, only when keep_exposures is set; otherwise the list
-    is empty. They need no scan: a non-finite exposure makes its outcome
-    non-finite."""
+    """Evolve all scenarios in lockstep, sharing weights and noise draws, as their
+    ``_Plan`` lays out; the other arguments are those of ``counterfactual_suite``.
+    Exposures are kept, as views of one buffer, only when keep_exposures is set
+    (else the list is empty); a non-finite one makes its outcome non-finite."""
     if not scenarios:
         raise ValueError("need at least one treatment scenario")
     n_all, t_max = scenarios[0].n_units, scenarios[0].n_rounds
-    for w in scenarios:
-        if (w.n_units, w.n_rounds) != (n_all, t_max):
-            raise ValueError("all scenarios must share (n_units, n_rounds)")
     seeds, sets = np.atleast_1d(seed).tolist(), [weights] if isinstance(weights, WeightSet) else list(weights)
     blocks, n = len(seeds), n_all // max(len(seeds), 1)
     if blocks < 1 or len(sets) != blocks or n * blocks != n_all:
@@ -347,141 +436,49 @@ def _evolve(
     if any(ws.n_units != n for ws in sets):
         raise ValueError("columns disagree with the weight set population size")
     specs = [spec] * len(scenarios) if isinstance(spec, DynamicsSpec) else list(spec)
-    if len(specs) != len(scenarios):
-        raise ValueError(f"{len(specs)} dynamics specs for {len(scenarios)} scenarios")
-    for k in () if keep is None else keep:
-        if not 0 <= k < len(scenarios):
-            raise ValueError(f"keep entry {k} outside the scenarios 0..{len(scenarios) - 1}")
     _check_covariates(specs, x.dim)
+    plan = _Plan.of(specs, scenarios, blocks, sets[0].column_independent, keep)
+    specs, panels, levels, weighted, one_scale = plan.specs, plan.panels, plan.levels, plan.weighted, plan.one_scale
+    k, s, stacked = len(plan.kept), len(specs), plan.stacked
 
-    lead, block_rows, levels = _distinct_columns(specs, scenarios, blocks)
-    scenarios, specs = [scenarios[k] for k in lead], [specs[k] for k in lead]
-    s = len(lead)
-    kept = list(range(s)) if keep is None else sorted({rows[k] for rows in block_rows for k in keep})
-    weighted = [d for d, sp in enumerate(specs) if not isinstance(sp.exposure, MeanFieldThreshold)]
-    stacked = weighted and not sets[0].column_independent
-    scales = {sp.noise_sd for sp in specs if sp.noise_sd > 0.0}
-    one_scale = next(iter(scales)) if len(scales) == 1 else None  # scales the noise in place
-
-    outcomes = np.empty((t_max + 1, len(kept), n_all))
+    outcomes = np.empty((t_max + 1, k, n_all))
     outcomes[0] = y0
-    slot = {d: j for j, d in enumerate(kept)}
-    others = [d for d in range(s) if d not in slot]
-    state = np.tile(y0, (len(others), 1))
-    state_rows = dict(zip(others, state))
-
-    def rows_of(t: int) -> list[np.ndarray]:
-        """Each row's contiguous round t."""
-        return [outcomes[t, slot[d]] if d in slot else state_rows[d] for d in range(s)]
-
-    def take_means(t: int) -> None:
-        # The bits of each block's mean(), without its call overhead.
-        means[t, kept] = np.add.reduce(outcomes[t].reshape(len(kept), blocks, n), axis=2) / n
-        means[t, others] = np.add.reduce(state.reshape(len(others), blocks, n), axis=2) / n
-
-    def exposures_of(ds: list[int], t: int) -> np.ndarray:
-        """The (len(ds), n_all) exposures of rows ``ds`` in round t, from the
-        stack of their peer signals, which is freed on return."""
-        signals = np.empty((len(ds), n_all))
-        for j, d in enumerate(ds):
-            specs[d].peer.value(scenarios[d].column(t), y_prev[d], out=signals[j])
-        return _apply_blocks(sets, signals, t)
-
+    state = np.tile(y0, (s - k, 1))
     exposures = np.empty((t_max, s, n_all)) if keep_exposures else None
-    means = np.empty((t_max + 1, s, blocks))
-    take_means(0)
-    rows = rows_of(0)
+    means = np.empty((t_max + 1, s, blocks))  # the rows in their home order
+    means[0] = np.add.reduce(y0.reshape(blocks, n), axis=1) / n  # each block's mean(), without its call overhead
+    rows = plan.round_rows(outcomes[0], state)
     for t in range(1, t_max + 1):
-        y_prev, rows = rows, rows_of(t)
-        x_t = x.column(t)
+        y_prev, rows, x_t = rows, plan.round_rows(outcomes[t], state), x.column(t)
         # A non-finite outcome is named by the scan below.
         with np.errstate(over="ignore", invalid="ignore"):
+            lagged = [(specs[d], panels[d], y_prev[d]) for d in weighted]
             # Each weighted-sum row's exposures in turn; a column-independent kind calls as each row asks.
-            pending = iter(exposures_of(weighted, t)) if stacked else (exposures_of([d], t)[0] for d in weighted)
-            noise = None
-            if scales:
-                noise = np.empty(n_all)
-                for b, sd in enumerate(seeds):
-                    substream(sd, "noise", t).standard_normal(out=noise[b * n : (b + 1) * n])
-                if one_scale:
-                    noise *= one_scale
+            pending = iter(_exposures(sets, lagged, t)) if stacked else (_exposures(sets, [r], t)[0] for r in lagged)
+            noise = _noise(seeds, n, t, one_scale) if plan.noisy else None
             for d, sp in enumerate(specs):
                 e = scaled = None  # the previous row's, freed before this row allocates its own
                 e = levels[t - 1, :, d] if isinstance(sp.exposure, MeanFieldThreshold) else next(pending)
                 scaled = None if sp.noise_sd == 0.0 else noise if one_scale else sp.noise_sd * noise
                 # A state row is its own lagged row, read only before it is written.
-                _respond(sp.unit, scenarios[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
+                _respond(sp.unit, panels[d].column(t), y_prev[d], x_t, e, scaled, t, out=rows[d])
                 if keep_exposures:
                     exposures[t - 1, d].reshape(blocks, n)[:] = np.reshape(e, (blocks, -1))
             del pending, e, noise, scaled  # before the next round allocates its own
-            take_means(t)
+            means[t, :k] = np.add.reduce(outcomes[t].reshape(k, blocks, n), axis=2) / n
+            means[t, k:] = np.add.reduce(state.reshape(s - k, blocks, n), axis=2) / n
         # A non-finite outcome makes its block's mean non-finite, so only
         # such a round is scanned; a finite round may still overflow a mean.
         if not np.isfinite(means[t]).all():
             bad = ~np.isfinite(np.array(rows).reshape(s, blocks, n).transpose(1, 2, 0))
             if bad.any():
                 b, unit, d = np.argwhere(bad)[0]
-                raise NonFiniteOutcome(int(unit), t, lead[d], int(b) if blocks > 1 else None)
+                raise NonFiniteOutcome(int(unit), t, plan.lead[d], int(b) if blocks > 1 else None)
 
-    def block_views(cls, buffer: np.ndarray, rows: Collection[int]) -> list:
-        """Each block's view of each requested column in a (rounds, rows,
-        n_all) buffer, None where its row is not one of ``rows``."""
-        views, at = cls.views(buffer.reshape(len(buffer), -1, n).transpose(1, 2, 0)), {d: j for j, d in enumerate(rows)}
-        return [views[at[d] * blocks + b] if d in at else None for b, row in enumerate(block_rows) for d in row]
-
-    means = [[tuple(block) for block in row] for row in means.transpose(1, 2, 0).tolist()]
-    suite = Suite(block_views(OutcomePanel, outcomes, kept),
-                  [means[d][b] for b, row in enumerate(block_rows) for d in row], blocks)
-    return suite, block_views(ExposureMatrix, exposures, range(s)) if keep_exposures else []
-
-
-def _distinct_columns(specs: Sequence[DynamicsSpec], scenarios: Sequence[TreatmentPanel], blocks: int = 1) -> tuple:
-    """The rows that evolve the requested columns of ``blocks`` equal blocks
-    of units, numbered in order of first appearance: each row's first
-    requested column (``lead``); for each block, the row that each requested
-    column reads, the row of its first column alike in the block, so columns
-    alike there share one panel; and the rows' threshold levels, (n_rounds,
-    blocks, rows, 1), from the treated fractions of each block's units of
-    each panel. A row serves the columns alike in every block.
-
-    Columns share the weights, baseline and noise, so a column is fixed in a
-    block by its treatment panel, unit response, noise scale and exposure:
-    the weighted-sum spec, or the threshold level of each round, which the
-    treatment panel alone decides. Spec parts compare with ``==``: parameters
-    0.0 and -0.0 share a column, evolved with the first one's spec, which
-    changes no bit unless another term of the unit response is -0.0 (an
-    intercept of -0.0). The spec parts are keyed once for all blocks; only
-    the levels differ between blocks."""
-    thresholds = [k for k, sp in enumerate(specs) if isinstance(sp.exposure, MeanFieldThreshold)]
-    n, t_max = scenarios[0].n_units // blocks, scenarios[0].n_rounds
-    levels = np.zeros((blocks, t_max, len(scenarios)))
-    if thresholds:
-        # Treated fractions once per treatment panel and block, (blocks,
-        # n_rounds). Entries are 0 or 1, so each sum is exact in any order. A
-        # panel whose units share each round's value (stride 0, as the
-        # constant panels are) has that value, 0.0 or 1.0, as the exact mean.
-        panels = {id(scenarios[k]): scenarios[k].values for k in thresholds}
-        fractions = {key: np.broadcast_to(v[0], (blocks, t_max)) if v.strides[0] == 0
-                     else v.reshape(blocks, n, t_max).mean(axis=1) for key, v in panels.items()}
-        mechs = [specs[k].exposure for k in thresholds]
-        levels[:, :, thresholds] = np.array([m.strength for m in mechs]) * (
-            np.stack([fractions[id(scenarios[k])] for k in thresholds], axis=-1) > np.array([m.tau for m in mechs])
-        )
-    parts: dict = {}  # a column's key but its levels -> a number, so no block hashes a spec
-    part = []
-    for sp, w in zip(specs, scenarios):
-        exposure = None if isinstance(sp.exposure, MeanFieldThreshold) else (sp.exposure, sp.peer)
-        part.append(parts.setdefault((id(w), sp.unit, sp.noise_sd, exposure), len(parts)))
-    # The bytes of each block's levels of each column, from one call.
-    level_bytes = np.ascontiguousarray(levels.transpose(0, 2, 1)).view(f"V{8 * t_max}")[..., 0].tolist()
-    firsts: dict = {}  # a column's keys in every block -> (its row, its first requested column)
-    row = [firsts.setdefault(key, (len(firsts), k))[0] for k, key in enumerate(zip(part, *level_bytes))]
-    lead = [k for _, k in firsts.values()]
-    block_rows = []
-    for column_bytes in level_bytes:
-        first: dict = {}  # a column's key in the block -> its first requested column
-        block_rows.append([row[first.setdefault(key, k)] for k, key in enumerate(zip(part, column_bytes))])
-    return lead, block_rows, levels[:, :, lead].transpose(1, 0, 2)[..., None]
+    means = [[tuple(block) for block in row] for row in means.transpose(1, 2, 0)[plan.home].tolist()]
+    suite = Suite(plan.views(OutcomePanel, outcomes, plan.kept),
+                  [means[d][b] for b, row in enumerate(plan.block_rows) for d in row], blocks)
+    return suite, plan.views(ExposureMatrix, exposures, range(s)) if keep_exposures else []
 
 
 def simulate_panel(
@@ -551,10 +548,7 @@ def evolution_residual(
     worst = 0.0
     n = y.n_units
     for t in range(1, y.n_rounds + 1):
-        if spec.noise_sd > 0.0:
-            noise = substream(seed, "noise", t).standard_normal(n)
-        else:
-            noise = np.zeros(n)
+        noise = _noise([seed], n, t, None) if spec.noise_sd > 0.0 else np.zeros(n)
         again = step(spec, w.column(t), y.column(t - 1), x.column(t), e.column(t), noise, t)
         worst = max(worst, float(np.max(np.abs(again - y.column(t)))))
     return worst

@@ -178,7 +178,13 @@ def read_outcome_csv(path) -> OutcomePanel:
 
 
 def read_treatment_csv(path) -> TreatmentPanel:
-    return TreatmentPanel(read_cells(path, first_col=1))
+    values = read_cells(path, first_col=1)
+    if not np.all((values == 0.0) | (values == 1.0)):  # named by its first row in the file
+        for k, (_, text) in enumerate(_data_lines(path)):
+            unit, round_, value = next(csv.reader([text]))
+            if float(value) not in (0.0, 1.0):
+                raise _row_fault(path, k, f"value at unit {int(unit)}, round {int(round_)} is not exactly 0 or 1")
+    return TreatmentPanel(values)
 
 
 def write_rows(path, header: Sequence[str], rows) -> None:

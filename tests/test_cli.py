@@ -404,6 +404,24 @@ def test_estimate_names_a_panel_file_with_the_wrong_header(tmp_path, capsys):
     assert error == f"ValueError: {outcomes}: expected header unit,round,value"
 
 
+def test_estimate_names_the_file_line_unit_and_round_of_a_treatment_that_is_not_0_or_1(tmp_path, capsys):
+    # Line 10 is unit 1's round 4 (five rounds a unit, after the header).
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(CONFIGS / "clustered.cfg"), "--out", str(sim), "--seed", "3"]) == 0
+    treatments = sim / "treatments.csv"
+    lines = treatments.read_bytes().split(b"\r\n")
+    assert lines[9].startswith(b"1,4,")
+    lines[9] = b"1,4,0.5"
+    treatments.write_bytes(b"\r\n".join(lines))
+    argv = ["estimate", "--config", str(CONFIGS / "clustered.cfg"), "--out", str(tmp_path / "est"),
+            "--outcomes", str(sim / "outcomes.csv"), "--treatments", str(treatments)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == f"ValueError: {treatments}:10: value at unit 1, round 4 is not exactly 0 or 1: '1,4,0.5'"
+    assert not (tmp_path / "est" / "coefficients.json").exists()
+
+
 def test_a_fit_that_cannot_run_names_the_estimator_and_where(tmp_path, capsys):
     # ese_basic's three scenario-level features need three rounds.
     text = LINEAR_CONFIG.replace("n_rounds = 4", "n_rounds = 2").replace("0.0, 0.2, 0.4, 0.8", "0.2, 0.4")

@@ -710,7 +710,7 @@ def test_evolution_with_several_noise_scales_matches_the_unit_major_reference(ki
 def test_panels_constant_over_units_take_their_fractions_from_one_row():
     # A panel whose units all share each round's value (stride 0 over units)
     # has that value as its treated fraction, exactly as the mean over units.
-    from spillsim.dynamics import _distinct_columns
+    from spillsim.dynamics import _Plan
 
     rounds = np.array([0.0, 1.0, 1.0, 0.0])
     by_round = TreatmentPanel._built(np.broadcast_to(rounds, (5, 4)))
@@ -719,27 +719,27 @@ def test_panels_constant_over_units_take_their_fractions_from_one_row():
     unit = LinearUnit(w_coef=1.0, y_coef=0.5)
     specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(tau, 2.0)) for tau in (0.25, 0.75)] * 4
     scenarios = [panel for panel in (by_round, nobody, everybody, observed) for _ in range(2)]
-    distinct = _distinct_columns(specs, scenarios)
-    index, lead, levels = _block_columns(distinct, 0)
+    plan = _Plan.of(specs, scenarios, 1, True, None)
+    index, lead, levels = _block_columns(plan, 0)
     want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
-    assert (index, lead, distinct[0]) == (want_index, want_lead, want_lead)
+    assert (index, lead, plan.lead) == (want_index, want_lead, want_lead)
     assert levels.tobytes() == want_levels.tobytes()
     assert levels[:, 0].tolist() == (2.0 * rounds).tolist()
 
 
-def _block_columns(distinct, b):
-    """Block b's part of the output of ``_distinct_columns`` in the format of
+def _block_columns(plan, b):
+    """Block b's part of a ``_Plan`` in the format of
     ``_distinct_columns_per_column``: the rows its requested columns read,
     renumbered in order of first appearance, the first column to read each
     and their threshold levels, (n_rounds, d)."""
-    _, block_rows, levels = distinct
+    block_rows, levels = plan.block_rows, plan.levels
     rows, number = block_rows[b], {}
     index = [number.setdefault(row, len(number)) for row in rows]
     return index, [rows.index(row) for row in number], levels[:, b, list(number), 0]
 
 
 def _distinct_columns_per_column(specs, scenarios):
-    """``_distinct_columns`` as one threshold level per column: the reference
+    """The rows of ``_Plan.of`` as one threshold level per column: the reference
     for its single comparison over every threshold column."""
     fractions, distinct = {}, {}
     index, levels = [], np.zeros((scenarios[0].n_rounds, len(scenarios)))
@@ -762,7 +762,7 @@ def _distinct_columns_per_column(specs, scenarios):
 def test_each_block_of_units_gets_the_columns_it_would_get_alone():
     # Three blocks of four units: the ramp's block 1 crosses tau = 0.5 where
     # blocks 0 and 2 do not, so its threshold columns part where theirs merge.
-    from spillsim.dynamics import _distinct_columns
+    from spillsim.dynamics import _Plan
 
     block_ramps = [[[0, 0, 0, 0]] * 4, [[0, 1, 1, 1]] * 4, [[0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
     ramp = TreatmentPanel(np.concatenate(block_ramps).astype(float))
@@ -771,21 +771,21 @@ def test_each_block_of_units_gets_the_columns_it_would_get_alone():
     specs = [linear_spec(unit=unit, exposure=MeanFieldThreshold(0.5, 2.0)), linear_spec(unit=unit),
              linear_spec(unit=unit, exposure=MeanFieldThreshold(0.5, 0.0)), linear_spec(unit=unit)]
     scenarios = [ramp, ramp, ramp, everybody]
-    distinct = _distinct_columns(specs, scenarios, blocks=3)
-    assert distinct[2].shape == (4, 3, 4, 1)
+    plan = _Plan.of(specs, scenarios, 3, True, None)
+    assert plan.levels.shape == (4, 3, 4, 1)
     for b in range(3):
-        index, lead, levels = _block_columns(distinct, b)
+        index, lead, levels = _block_columns(plan, b)
         alone = {id(w): TreatmentPanel(w.values[4 * b : 4 * b + 4]) for w in scenarios}
         want_index, want_lead, want_levels = _distinct_columns_per_column(specs, [alone[id(w)] for w in scenarios])
         assert (index, lead) == (want_index, want_lead)
         assert levels.tobytes() == want_levels.tobytes()
     # Columns 0 and 2 part in block 1, so they take two rows.
-    assert distinct[:2] == ([0, 1, 2, 3], [[0, 1, 0, 3], [0, 1, 2, 3], [0, 1, 0, 3]])
+    assert (plan.lead, plan.block_rows) == ([0, 1, 2, 3], [[0, 1, 0, 3], [0, 1, 2, 3], [0, 1, 0, 3]])
 
 
 @pytest.mark.parametrize("order", ["requested", "reversed", "shuffled"])
 def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
-    from spillsim.dynamics import _distinct_columns
+    from spillsim.dynamics import _Plan
 
     # Treated fractions 0, 1/4, 1/2 and 3/4 by round: tau = 0.5 and 0.25 sit
     # exactly on a round's fraction, which does not exceed them.
@@ -807,10 +807,10 @@ def test_threshold_levels_of_all_columns_match_the_per_column_levels(order):
             "shuffled": np.random.default_rng(5).permutation(len(specs))}[order]
     specs, scenarios = [specs[k] for k in perm], [scenarios[k] for k in perm]
 
-    distinct = _distinct_columns(specs, scenarios)
-    index, lead, levels = _block_columns(distinct, 0)
+    plan = _Plan.of(specs, scenarios, 1, True, None)
+    index, lead, levels = _block_columns(plan, 0)
     want_index, want_lead, want_levels = _distinct_columns_per_column(specs, scenarios)
-    assert (index, lead, distinct[0]) == (want_index, want_lead, want_lead)
+    assert (index, lead, plan.lead) == (want_index, want_lead, want_lead)
     assert levels.shape == want_levels.shape and levels.dtype == want_levels.dtype
     assert levels.tobytes() == want_levels.tobytes()
     # The fixture shares columns, and its levels fall on both sides of a tau

@@ -330,6 +330,25 @@ def test_fit_matches_lstsq_on_tall_panels(n):
         _assert_fit_matches_oracle(y, w, spec, structure)
 
 
+@pytest.mark.parametrize("n", [300, 2 * TSQR_LEAF_ROWS - 1, 2 * TSQR_LEAF_ROWS, 5000])
+def test_fit_bits_do_not_depend_on_the_panels_memory_order(n):
+    # A panel read from CSV is row-major; the engine's panels are views of a
+    # round-major buffer, so column-major. Below 2 * TSQR_LEAF_ROWS units a
+    # round is factored whole, from there on leaf by leaf.
+    rng = np.random.default_rng(n)
+    w = (rng.random((n, 5)) < np.array([0.0, 0.2, 0.4, 0.6, 0.8])).astype(float)
+    y = np.cumsum(rng.normal(size=(n, 6)), axis=1) + 0.3 * np.hstack([np.zeros((n, 1)), w])
+    structure = StructureMetadata(membership=np.arange(n) % 2, n_clusters=2)
+    by_unit = OutcomePanel(y), TreatmentPanel(w)
+    by_round = OutcomePanel(np.asfortranarray(y)), TreatmentPanel(np.asfortranarray(w))
+    assert all(p.values.flags.c_contiguous and not p.values.flags.f_contiguous for p in by_unit)
+    assert all(p.values.flags.f_contiguous and not p.values.flags.c_contiguous for p in by_round)
+    for spec in (basic_feature_spec(), cluster_feature_spec(2)):
+        want, got = fit_ese(*by_unit, spec, structure), fit_ese(*by_round, spec, structure)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.rss.hex() == want.rss.hex()
+
+
 def _two_level_tsqr(block):
     """R factor of a tall block by the two-level TSQR over the whole block
     at once: every leaf of TSQR_LEAF_ROWS rows in one batched call, then the

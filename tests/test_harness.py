@@ -795,6 +795,38 @@ def test_one_replication_of_a_sweep_holds_one_round_of_temporaries():
     assert peak <= bound, f"traced peak {peak / n:.0f} B/unit, bound {bound / n:.0f} B/unit"
 
 
+@pytest.mark.parametrize(
+    "name, parameter, rows, kept",
+    [
+        # Observed, nobody treated and everybody treated, the observed kept.
+        ("clustered", None, 3, 1),
+        # The observed ramp never crosses tau, so every strength leaves the
+        # observed and nobody-treated columns alike; the everybody-treated
+        # columns part by strength.
+        ("threshold", "threshold_strength", 7, 1),
+        # README's G x 3 columns, G kept, for G grid values that part all.
+        ("clustered", "trend", 15, 5),
+    ],
+)
+def test_a_replication_evolves_the_rows_the_readme_counts(monkeypatch, name, parameter, rows, kept):
+    from spillsim import dynamics
+    from spillsim.config import parse_config
+    from spillsim.harness import _sweep_grid
+
+    plans, of = [], dynamics._Plan.of
+
+    def spy(*args):
+        plans.append(of(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(dynamics._Plan, "of", staticmethod(spy))
+    text = (Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text()
+    config = parse_config(re.sub(r"(?m)^n_units\s*=.*$", "n_units = 200", text))
+    sweep = None if parameter is None else _sweep_grid(config, parameter, [0.0, 1.0, 2.0, 3.0, 4.0])
+    run_once(config, config.base_seed, sweep=sweep)
+    assert [(len(plan.lead), len(plan.kept)) for plan in plans] == [(rows, kept)]
+
+
 def test_aggregation_overflow_names_the_estimator_value_and_seed():
     import dataclasses
 
