@@ -297,9 +297,9 @@ def _cmd_demo(args) -> int:
 
     rows = []
     for name, est in sorted(record.estimates.items()):
-        summary = report.summaries[name]
+        summary = report.summaries[name].written()
         bias = None if est is None else est - record.gt_tte
-        rows.append([name, est, record.gt_tte, bias, summary.bias, summary.rmse])
+        rows.append([name, est, record.gt_tte, bias, summary["bias"], summary["rmse"]])
     write_rows(outdir / "estimates.csv", ["estimator", "estimate", "gt", "bias", "mean_bias", "rmse"], rows)
     _manifest(outdir, text, config, {"scenario": "demo"})
     return 0

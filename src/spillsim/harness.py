@@ -152,6 +152,9 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class EstimatorSummary:
+    """An estimator's aggregate over the replications that gave it an
+    estimate; its mean, bias and RMSE are NaN when none did."""
+
     n_used: int
     n_excluded: int
     mean_estimate: float
@@ -161,6 +164,12 @@ class EstimatorSummary:
     def __post_init__(self):
         if self.n_used > 0 and self.bias**2 > self.rmse**2 + 1e-12:
             raise ValueError("aggregation broke bias^2 <= rmse^2")
+
+    def written(self) -> dict:
+        """The fields as output files hold them: the NaNs of an estimator no
+        replication gave an estimate as None, which JSON writes as null and
+        CSV as an empty field (bare NaN is not JSON)."""
+        return {k: None if isinstance(v, float) and np.isnan(v) else v for k, v in dataclasses.asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,7 @@ class BenchmarkReport:
             "gt_tte_mean": self.gt_tte_mean,
             "gt_control_trajectory": list(self.gt_control),
             "gt_treated_trajectory": list(self.gt_treated),
-            "estimators": {name: dataclasses.asdict(s) for name, s in self.summaries.items()},
+            "estimators": {name: s.written() for name, s in self.summaries.items()},
             "ese_trajectories": {
                 name: {"control": list(c), "treated": list(t)} for name, (c, t) in self.ese_trajectories.items()
             },
@@ -299,8 +308,8 @@ def _columns(config: ScenarioConfig, sweep: SweepGrid | None) -> list[DynamicsSp
     return [spec for spec in ((config.dynamics,) if sweep is None else sweep.specs) for _ in SCENARIOS]
 
 
-# Units whose seeds evolve in one pass (see ``_every_seed``).
-SEED_BATCH_UNITS = 1 << 13
+# The most units whose seeds evolve in one pass (see ``_every_seed``).
+SEED_BATCH_UNITS = 1 << 14
 # The batch being scored: (config, sweep, seed -> what run_once takes). It
 # reaches run_once outside its arguments, so a caller that wraps run_once
 # (a test's spy, the benchmark's tracer) still sees one plain call per seed.
@@ -311,21 +320,27 @@ def _every_seed(config: ScenarioConfig, **kwargs) -> list:
     """``run_once`` with ``kwargs`` under every seed of the run, in seed order.
     The seeds share one weight set unless each draws its own.
 
-    Seeds evolve in batches of max(1, SEED_BATCH_UNITS // n_units), each in
-    one ``counterfactual_suite`` call (``_evolve_batch``), so the fixed cost
-    of a column's round is paid once per batch; ``run_once`` then scores each
-    seed, with the bits the seed gives alone. A fixed network of a kind drawn
-    per seed is one lazy engine, whose images depend on the order of its
-    calls: one seed a batch. A batch that raises evolves again seed by seed,
-    so the error is the one such a run gives."""
+    Seeds evolve in the fewest batches of at most S = max(1,
+    SEED_BATCH_UNITS // n_units) seeds, split as evenly as they go, larger
+    batches first, so that the largest batch, which sets the run's peak, is
+    no larger than it must be. Each batch is one ``counterfactual_suite``
+    call (``_evolve_batch``), so the fixed cost of a column's round is paid
+    once per batch; ``run_once`` then scores each seed, with the bits the
+    seed gives alone. A fixed network of a kind drawn per seed is one lazy
+    engine, whose images depend on the order of its calls: one seed a
+    batch. A batch that raises evolves again seed by seed, so the error is
+    the one such a run gives."""
     per_seed = WEIGHT_KINDS[config.weights.kind].per_seed
     if config.fixed_network or not per_seed:
         kwargs["weights"] = config.weights.build(config.n_units, config.n_rounds, config.base_seed)
-    size = 1 if config.fixed_network and per_seed else max(1, SEED_BATCH_UNITS // config.n_units)
+    cap = 1 if config.fixed_network and per_seed else max(1, SEED_BATCH_UNITS // config.n_units)
     seeds = range(config.base_seed, config.base_seed + config.n_reps)
+    n_batches = -(-len(seeds) // cap)
+    size, larger = divmod(len(seeds), n_batches)  # the first `larger` batches hold one seed more
     records = []
-    for start in range(0, len(seeds), size):
-        batch = seeds[start : start + size]
+    for k in range(n_batches):
+        start = k * size + min(k, larger)
+        batch = seeds[start : start + size + (k < larger)]
         try:
             evolved = _evolve_batch(config, batch, **kwargs) if len(batch) > 1 else {}
         except (FloatingPointError, MemoryError):  # each seed evolves alone and raises as it would
@@ -501,11 +516,12 @@ class SweepTable:
     reports: tuple[BenchmarkReport, ...]
 
     def write_csv(self, path) -> None:
+        fields = ("bias", "rmse", "n_excluded")
         write_rows(
             path,
-            ["parameter", "value", "estimator", "bias", "rmse", "n_excluded"],
+            ["parameter", "value", "estimator", *fields],
             [
-                [self.parameter, value, name, s.bias, s.rmse, s.n_excluded]
+                [self.parameter, value, name, *map(s.written().get, fields)]
                 for value, report in zip(self.values, self.reports)
                 for name, s in report.summaries.items()
             ],

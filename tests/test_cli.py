@@ -242,6 +242,25 @@ def test_sweep_writes_rows(tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_an_estimator_with_no_usable_replication_is_written_as_missing(tmp_path):
+    # Everybody is treated in the last round, so no replication gives dm or
+    # ht an estimate. Bare NaN is not JSON: it must be null, and empty in CSV.
+    def no_constants(name):
+        raise ValueError(f"report.json holds {name}")
+
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("probs = 0.0, 0.2, 0.4, 0.8", "probs = 0.0, 0.2, 0.4, 1.0"))
+    bench, sweep = tmp_path / "bench", tmp_path / "sweep"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(bench)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(sweep), "--param", "trend", "--grid", "0,0.5"]) == 0
+    summaries = json.loads((bench / "report.json").read_text(), parse_constant=no_constants)["estimators"]
+    for name in ("dm", "ht"):
+        assert summaries[name] == {"n_used": 0, "n_excluded": 2, "mean_estimate": None, "bias": None, "rmse": None}
+    assert None not in summaries["ese_basic"].values()
+    rows = [line.split(",") for line in (sweep / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[2:] for row in rows if row[2] != "ese_basic"] == [[name, "", "", "2"] for name in ("dm", "ht")] * 2
+    assert all(row[3] and row[4] for row in rows if row[2] == "ese_basic")
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

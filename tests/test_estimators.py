@@ -428,6 +428,30 @@ def test_round_factors_hold_one_chunk_of_leaves_at_a_time():
     assert peak <= bound, f"{peak / n:.1f} B/unit above the panels, bound {bound / n:.1f}"
 
 
+def test_round_factors_below_two_leaves_hold_one_round_at_a_time():
+    # N = 2000, T = 5, four block columns: beyond its panels, the factoring
+    # holds one round's block and the copy of it that np.linalg.qr makes,
+    # 64 B/unit (67 traced). A stack of every round's block, factored in one
+    # call, took 323.
+    import tracemalloc
+
+    n, t_max, bases = 2000, 5, ("one", "w", "y")
+    rng = np.random.default_rng(2)
+    w = TreatmentPanel((rng.random((n, t_max)) < 0.5).astype(float))
+    y = OutcomePanel(rng.normal(size=(n, t_max + 1)))
+    _round_factors(y, w, bases)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _round_factors(y, w, bases)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 2 * (len(bases) + 1) * n * 8 + (64 << 10)
+    assert peak <= bound, f"{peak / n:.1f} B/unit above the panels, bound {bound / n:.1f}"
+
+
 def test_fits_sharing_round_factors_factor_once_per_base_tuple(monkeypatch):
     # Without the lagged outcome the base columns are (1, w), so that fit
     # factors anew; a second fit on the basic spec factors nothing.

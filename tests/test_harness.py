@@ -981,12 +981,12 @@ def test_sweep_evolves_each_distinct_column_once_per_seed(monkeypatch, name, par
 # --- seeds evolved in batches ------------------------------------------------------
 
 
-BATCH = 3  # seeds per batch in the tests below
+BATCH = 3  # the most seeds a batch holds in the tests below
 
 
 def _batched(monkeypatch, config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` with 2 x BATCH + 1 replications, whose seeds evolve BATCH
-    at a time, so the last batch holds one seed."""
+    """``config`` with 2 x BATCH + 1 replications, whose seeds evolve at
+    most BATCH at a time: split evenly, in batches of 3, 2 and 2 seeds."""
     import dataclasses
 
     from spillsim import harness
@@ -1037,8 +1037,8 @@ def test_seeds_evolved_in_batches_keep_the_bits_of_each_seed_alone(monkeypatch, 
     alone, swept_alone = _seed_by_seed(config), _seed_by_seed(config, sweep=sweep)
     calls = _count_suites(monkeypatch)
     report, table = replicate(config), failure_sweep(config, parameter, grid)
-    # Batches of 3, 3 and 1 seeds, in both runs.
-    assert [len(c) if isinstance(c, list) else 1 for c in calls] == [BATCH, BATCH, 1] * 2
+    # Batches of 3, 2 and 2 seeds, in both runs.
+    assert [len(c) if isinstance(c, list) else 1 for c in calls] == [3, 2, 2] * 2
     _assert_same_report(report, harness._aggregate(config, alone, 0.0))
     for k, value in enumerate(grid):
         want = harness._aggregate(config, [records[k] for records in swept_alone], 0.0, f"{parameter}={value!r}, ")
@@ -1060,6 +1060,26 @@ def test_a_fixed_lazy_network_evolves_one_seed_at_a_time(monkeypatch):
     report = replicate(config)
     assert calls == list(range(60, 60 + config.n_reps))
     _assert_same_report(report, _aggregate(config, alone, 0.0))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_seeds_split_into_the_fewest_batches_evenly_larger_first(monkeypatch, cap):
+    # Seven seeds under a cap of three evolve as 3, 2 and 2, not 3, 3 and 1.
+    import dataclasses
+
+    from spillsim import harness
+
+    config = linear_config(n=40, seed=5)
+    monkeypatch.setattr(harness, "SEED_BATCH_UNITS", cap * config.n_units)
+    calls = _count_suites(monkeypatch)
+    for reps in range(1, 10):
+        calls.clear()
+        replicate(dataclasses.replace(config, n_reps=reps))
+        batches = [c if isinstance(c, list) else [c] for c in calls]
+        sizes = [len(b) for b in batches]
+        assert [seed for b in batches for seed in b] == list(range(5, 5 + reps)), (reps, batches)
+        assert len(batches) == math.ceil(reps / cap) and max(sizes) <= cap, (reps, sizes)
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1, (reps, sizes)
 
 
 def _plant_baselines(monkeypatch, values: dict) -> None:
@@ -1135,13 +1155,14 @@ def _traced_peak_of_replicate(n: int) -> tuple[int, int]:
 
 
 def test_a_batch_of_seeds_holds_each_seed_s_replication_rows():
-    # clustered.cfg at N = 2000 evolves its S = 4 seeds in one batch: the
-    # joined inputs, each seed's kept panel and state rows, the round's
-    # temporaries for all of them, then one seed's fit at a time. A fit that
-    # factors every round at once (about 40 rows of N) on top of the batch's
-    # held rows (about 45) peaks at 87 rows.
+    # clustered.cfg at N = 2000 evolves its S = 8 seeds in one batch: the
+    # joined inputs, each seed's kept panel and state rows and the round's
+    # temporaries for all of them peak at 138 rows of N, 17.3 a seed. The
+    # batch then holds 90 rows while one seed's fit at a time adds about 10,
+    # so a fit that factored every round at once (about 40 rows) would stay
+    # under the evolution's peak; test_estimators bounds that factoring.
     n = 2000
     peak, seeds = _traced_peak_of_replicate(n)
-    assert seeds == 4
+    assert seeds == 8
     bound = 8 * n * seeds * _evolution_peak_rows(5, 1) + TRACED_SLACK
     assert peak <= bound, f"traced peak {peak / (8 * n):.1f} rows of N, bound {bound / (8 * n):.1f}"
